@@ -390,20 +390,12 @@ def _check_args(args) -> None:
         raise MeasureSpecError("replicates must be >= 1")
     if getattr(args, "nmax", 2) is not None and getattr(args, "nmax", 2) < 2:
         raise MeasureSpecError("--nmax must be >= 2")
-    if args.command == "simulate":
-        if args.sampler == "forward":
-            if args.horizon is None:
-                raise MeasureSpecError("forward sampler requires --horizon")
-        else:
-            if args.n is None:
-                raise MeasureSpecError(f"sampler {args.sampler!r} requires --n")
-            if args.n < 1:
-                raise MeasureSpecError("--n must be >= 1")
-            if args.n > DEFAULT_PARTITION_CAP:
-                raise MeasureSpecError(
-                    f"--n exceeds the partition cap {DEFAULT_PARTITION_CAP}"
-                )
-    if args.command == "exact":
+    forward = args.command == "simulate" and args.sampler == "forward"
+    if forward and args.horizon is None:
+        raise MeasureSpecError("forward sampler requires --horizon")
+    if args.command == "simulate" and not forward and args.n is None:
+        raise MeasureSpecError(f"sampler {args.sampler!r} requires --n")
+    if args.command in ("simulate", "exact") and not forward:
         if args.n < 1:
             raise MeasureSpecError("--n must be >= 1")
         if args.n > DEFAULT_PARTITION_CAP:

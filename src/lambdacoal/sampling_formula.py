@@ -10,10 +10,24 @@ a family of size j+k-1.  Normalizing by the total event weight
 
     mu * n + sum_k C(n, k) * rate(n, k)
 
-gives a linear recursion that is solved here by dynamic programming over
-sample sizes 1..n.  The binomially weighted total is forced by
-normalization: the probabilities of "last event was a mutation" and "last
-event merged some k-subset" must sum to one.
+gives a linear recursion over sample sizes 1..n.  The binomially weighted
+total is forced by normalization: the probabilities of "last event was a
+mutation" and "last event merged some k-subset" must sum to one.
+
+The recursion runs on ranked levels.  The partitions of each m are ranked
+once, in reverse lexicographic order of their descending part lists, and
+kept as an int8 count matrix (row i holds the multiplicities of partition
+i), so the law of an m-sample is a vector indexed by rank.  Every pair
+(partition b of s, part size j present in b) carries the integer weight
+j * b_j; a merger of k lineages moves it to b - e_j + e_(j+k-1) in level
+m = s+k-1 with coefficient C(m,k) * rate(m,k) / s.  The transition arrays
+of level m are int32 ranks built with numpy and cached per m, since they
+depend on m alone: the mutation targets (partition i of m-1 plus a
+singleton) and the merger targets of the pairs of every level s < m.
+Solving level m is a gather of the finished level's weighted pairs, one
+scatter-add of all merger terms and one indexed add of the mutation term.
+The same array operations serve float64 arrays (solve) and object arrays
+of Fraction (solve_exact).
 
 For the pure pair-merger measure (unit atom at 0) the recursion collapses
 to the classical Ewens sampling formula with theta = 2 * mu, which is
@@ -26,6 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import PartitionCapError, StuckChainError
 from .measures import RateTable
@@ -116,17 +132,108 @@ def _trim(counts) -> tuple[int, ...]:
     return tuple(counts)
 
 
+# Counts and part sizes never exceed m, and p(m) outgrows memory long
+# before m reaches 127, so one byte holds them.
+_SMALL = np.int8
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The partitions of one sample size m, ranked once.
+
+    Row i of counts holds the multiplicities of partition i (column j-1
+    counts families of size j); rows run in reverse lexicographic order of
+    the descending part lists, so largest is nonincreasing.  The pair
+    arrays list every (partition, distinct part size j) with the integer
+    weight j * counts[j-1], in row-major order.
+    """
+
+    counts: np.ndarray  # (p(m), m) int8
+    largest: np.ndarray  # (p(m),) int8
+    pair_src: np.ndarray  # int32 row of each pair
+    pair_part: np.ndarray  # int8 part size j of each pair
+    pair_weight: np.ndarray  # int8 j * counts[row, j-1]
+
+
 @lru_cache(maxsize=None)
-def _partitions_desc(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of n into parts <= largest, as descending part tuples, in
-    reverse lexicographic order (largest part first)."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_desc(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _level(m: int) -> _Level:
+    if m == 0:
+        counts = np.zeros((1, 0), _SMALL)
+        largest = np.zeros(1, _SMALL)
+    else:
+        # partitions with largest part `first`, for first = m..1: `first`
+        # prepended to the partitions of m - first with parts <= first,
+        # which form a suffix of that level
+        blocks = []
+        for first in range(m, 0, -1):
+            rest = _level(m - first)
+            start = np.searchsorted(-rest.largest, -first)
+            block = np.zeros((len(rest.largest) - start, m), _SMALL)
+            block[:, : m - first] = rest.counts[start:]
+            block[:, first - 1] += 1
+            blocks.append(block)
+        counts = np.concatenate(blocks)
+        largest = np.repeat(
+            np.arange(m, 0, -1, dtype=_SMALL), [len(b) for b in blocks]
+        )
+    rows, cols = np.nonzero(counts)
+    return _Level(
+        counts=counts,
+        largest=largest,
+        pair_src=rows.astype(np.int32),
+        pair_part=(cols + 1).astype(_SMALL),
+        pair_weight=((cols + 1) * counts[rows, cols]).astype(_SMALL),
+    )
+
+
+@lru_cache(maxsize=None)
+def _keys(m: int) -> tuple[tuple[int, ...], ...]:
+    """Trimmed counts tuples of the partitions of m, in rank order."""
+    level = _level(m)
+    return tuple(
+        tuple(row[:top])
+        for row, top in zip(level.counts.tolist(), level.largest.tolist())
+    )
+
+
+def _row_keys(counts: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row of an int8 count matrix."""
+    counts = np.ascontiguousarray(counts)
+    return counts.view(np.dtype((np.void, counts.shape[1]))).ravel()
+
+
+@lru_cache(maxsize=None)
+def _transitions(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank maps into level m >= 2, as int32 arrays.
+
+    mutation[i] is the rank of partition i of m-1 plus a singleton.  merger
+    concatenates, for s = 1..m-1 (k = m-s+1 lineages merging), the rank of
+    b - e_j + e_(j+k-1) for every pair (b, j) of level s, in pair order.
+    """
+    keys = _row_keys(_level(m).counts)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def rank(rows):
+        pos = np.searchsorted(sorted_keys, _row_keys(rows))
+        return order[pos].astype(np.int32)
+
+    prev = _level(m - 1)
+    rows = np.zeros((len(prev.largest), m), _SMALL)
+    rows[:, : m - 1] = prev.counts
+    rows[:, 0] += 1
+    mutation = rank(rows)
+    merger = []
+    for s in range(1, m):
+        src = _level(s)
+        k = m - s + 1
+        rows = np.zeros((len(src.pair_src), m), _SMALL)
+        rows[:, :s] = src.counts[src.pair_src]
+        at = np.arange(len(rows))
+        rows[at, src.pair_part - 1] -= 1
+        rows[at, src.pair_part + (k - 2)] += 1
+        merger.append(rank(rows))
+    return mutation, np.concatenate(merger)
 
 
 def enumerate_partition_vectors(
@@ -138,13 +245,7 @@ def enumerate_partition_vectors(
         raise ValueError("n must be at least 1")
     if n > cap:
         raise PartitionCapError(f"partition cap exceeded: n={n} > cap={cap}")
-    out = []
-    for parts in _partitions_desc(n, n):
-        counts = [0] * parts[0]
-        for p in parts:
-            counts[p - 1] += 1
-        out.append(PartitionVector(tuple(counts)))
-    return out
+    return [PartitionVector(key) for key in _keys(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,51 +270,36 @@ class SamplingDistribution:
         return math.fsum(self.entries.values())
 
 
-def _solve_tables(rate, total, mu, n):
-    """DP over sample sizes; generic over float and Fraction arithmetic.
+def _solve_levels(rates, totals, mu, n: int) -> np.ndarray:
+    """Probabilities of the partitions of n, in rank order.
 
-    rate(b, k) and total(b) supply the merge rates; mu may be a float or a
-    Fraction.  Returns a list tables[m] of dicts for m = 1..n.
+    rates[b, k] and totals[b] are float64 arrays and mu a float, or they
+    are object arrays of Fraction and mu a Fraction; the same array
+    operations serve both arithmetics.
     """
-    zero = mu * 0
-    tables = [None, {(1,): zero + 1}]
+    q = np.array([mu * 0 + 1], dtype=rates.dtype)  # level 1: one singleton
+    npairs = [len(_level(s).pair_src) for s in range(n)]
+    # q[pair_src] * pair_weight of every finished level, end to end
+    gathered = np.zeros(sum(npairs), dtype=rates.dtype)
+    end = 0
     for m in range(2, n + 1):
-        denom = mu * m + total(m)
+        denom = mu * m + totals[m]
         if denom == 0:
             raise StuckChainError(
                 f"no events possible with {m} lineages (mu and all rates vanish)"
             )
-        table = {}
-        prev_tables = tables
-        for pv in enumerate_partition_vectors(m, cap=max(m, DEFAULT_PARTITION_CAP)):
-            a = list(pv.counts) + [0] * (m - len(pv.counts))
-            terms = []
-            if a[0] >= 1:
-                smaller = list(a)
-                smaller[0] -= 1
-                terms.append(mu * m * prev_tables[m - 1][_trim(smaller)])
-            for k in range(2, m + 1):
-                w = math.comb(m, k) * rate(m, k)
-                if w == 0:
-                    continue
-                m_small = m - k + 1
-                for j in range(1, m_small + 1):
-                    t = j + k - 1
-                    if a[t - 1] < 1:
-                        continue
-                    b = list(a)
-                    b[j - 1] += 1
-                    b[t - 1] -= 1
-                    # b sums to m_small, so entries past m_small are zero
-                    # and trimming yields a valid smaller-sample key
-                    coeff = j * (a[j - 1] + 1)
-                    terms.append(
-                        w * coeff * prev_tables[m_small][_trim(b)] / m_small
-                    )
-            acc = math.fsum(terms) if isinstance(denom, float) else sum(terms)
-            table[pv.counts] = acc / denom
-        tables.append(table)
-    return tables
+        prev = _level(m - 1)
+        gathered[end : end + npairs[m - 1]] = q[prev.pair_src] * prev.pair_weight
+        end += npairs[m - 1]
+        mutation, merger = _transitions(m)
+        k = np.arange(m, 1, -1)  # merger size for source levels s = 1..m-1
+        binom = np.array([math.comb(m, j) for j in k], dtype=rates.dtype)
+        coeff = binom * rates[m, k] / np.arange(1, m)
+        acc = np.zeros(len(_level(m).largest), dtype=rates.dtype)
+        np.add.at(acc, merger, np.repeat(coeff, npairs[1:m]) * gathered[:end])
+        acc[mutation] += mu * m * q
+        q = acc / denom
+    return q
 
 
 def solve(rates: RateTable, mu: float, n: int) -> SamplingDistribution:
@@ -228,9 +314,12 @@ def solve(rates: RateTable, mu: float, n: int) -> SamplingDistribution:
         raise ValueError("mu must be nonnegative")
     if rates.n_max < n:
         raise ValueError(f"rate table covers n_max={rates.n_max} < n={n}")
-    tables = _solve_tables(rates.rate, rates.total, float(mu), n)
+    q = _solve_levels(rates.rates, rates.totals, float(mu), n)
     return SamplingDistribution(
-        n=n, mu=float(mu), descriptor=rates.descriptor, entries=tables[n]
+        n=n,
+        mu=float(mu),
+        descriptor=rates.descriptor,
+        entries=dict(zip(_keys(n), q.tolist())),
     )
 
 
@@ -242,16 +331,16 @@ def solve_exact(atoms, mu, n: int) -> dict:
     counts tuples to exact Fraction probabilities.
     """
     pairs = [(Fraction(x), Fraction(w)) for x, w in atoms]
-    mu = Fraction(mu)
-
-    def rate(b, k):
-        return sum(w * x ** (k - 2) * (1 - x) ** (b - k) for x, w in pairs)
-
-    def total(b):
-        return sum(math.comb(b, k) * rate(b, k) for k in range(2, b + 1))
-
-    tables = _solve_tables(rate, total, mu, n)
-    return tables[n]
+    rates = np.zeros((n + 1, n + 1), dtype=object)
+    totals = np.zeros(n + 1, dtype=object)
+    for b in range(2, n + 1):
+        for k in range(2, b + 1):
+            rates[b, k] = sum(
+                w * x ** (k - 2) * (1 - x) ** (b - k) for x, w in pairs
+            )
+        totals[b] = sum(math.comb(b, k) * rates[b, k] for k in range(2, b + 1))
+    q = _solve_levels(rates, totals, Fraction(mu), n)
+    return dict(zip(_keys(n), q.tolist()))
 
 
 def ewens(theta: float, n: int) -> SamplingDistribution:

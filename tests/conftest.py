@@ -3,7 +3,8 @@
 Everything here recomputes expectations by a route independent of the
 implementation under test: scipy.integrate.quad for rate integrals, a
 brute-force enumeration of the frozen jump chain for family-partition
-laws, and exact rational Ewens probabilities.
+laws, the last-event recursion written one partition at a time, and
+exact rational Ewens probabilities.
 """
 
 from fractions import Fraction
@@ -110,6 +111,41 @@ def ewens_exact(theta: Fraction, n: int) -> dict[tuple, Fraction]:
 
     rec(n, n, [0] * n)
     return out
+
+
+def last_event_recursion(rate, mu, n):
+    """Family-size law by the last-event recursion on dicts of count
+    tuples, one partition and one term at a time, in the arithmetic of
+    rate(b, k) and mu.  The partitions of each m are the keys of
+    ewens_exact, so nothing is shared with the array solver."""
+
+    def trim(counts):
+        while counts and counts[-1] == 0:
+            counts = counts[:-1]
+        return tuple(counts)
+
+    tables = {1: {(1,): mu * 0 + 1}}
+    for m in range(2, n + 1):
+        weights = {k: comb(m, k) * rate(m, k) for k in range(2, m + 1)}
+        denom = mu * m + sum(weights.values())
+        table = {}
+        for key in ewens_exact(Fraction(1), m):
+            a = list(key) + [0] * (m - len(key))
+            acc = 0
+            if a[0]:
+                acc += mu * m * tables[m - 1][trim([a[0] - 1] + a[1:])]
+            for k, w in weights.items():
+                s = m - k + 1
+                for j in range(1, s + 1):
+                    if a[j + k - 2] == 0:
+                        continue
+                    b = list(a)
+                    b[j - 1] += 1
+                    b[j + k - 2] -= 1
+                    acc += w * j * b[j - 1] * tables[s][trim(b)] / s
+            table[key] = acc / denom
+        tables[m] = table
+    return tables[n]
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@ merger law.
 
 Independent oracles: exact rational Ewens (conftest.ewens_exact), the
 brute-force jump-chain enumeration (conftest.enumerate_family_distribution),
-and a Fraction-arithmetic solve cross-checking the float path.
+the last-event recursion written one partition at a time
+(conftest.last_event_recursion), and a Fraction-arithmetic solve
+cross-checking the float path.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 
 import lambdacoal as lc
 from lambdacoal import (
+    DEFAULT_PARTITION_CAP,
     PartitionCapError,
     PartitionVector,
     StuckChainError,
@@ -24,7 +27,7 @@ from lambdacoal import (
     solve_exact,
 )
 
-from conftest import enumerate_family_distribution, ewens_exact
+from conftest import enumerate_family_distribution, ewens_exact, last_event_recursion
 
 DELTA0 = parse_measure("delta:0")
 DELTA1 = parse_measure("delta:1")
@@ -75,6 +78,14 @@ def test_enumerate_deterministic_order():
     # single family first, all singletons last
     assert a[0] == (0, 0, 0, 0, 0, 1)
     assert a[-1] == (6,)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 16])
+def test_enumerate_matches_recursive_order(n):
+    # ewens_exact recurses over parts largest-first, so its keys come out in
+    # reverse lexicographic order of the descending part lists
+    got = [pv.counts for pv in enumerate_partition_vectors(n)]
+    assert got == list(ewens_exact(Fraction(1), n))
 
 
 def test_enumerate_cap():
@@ -203,6 +214,27 @@ def test_solve_matches_event_tree_oracle(spec, mu, n):
         )
 
 
+@pytest.mark.parametrize("spec", ["poly3x2", "beta:2,2,1", "atoms:0.5=0.25"])
+@pytest.mark.parametrize("mu", [0.0, 1.25])
+def test_solve_matches_loop_recursion(spec, mu):
+    rates = build_rate_table(parse_measure(spec), 14)
+    dist = solve(rates, mu, 14)
+    ref = last_event_recursion(rates.rate, mu, 14)
+    assert list(dist.entries) == list(ref)
+    # float64 sums of at most a few hundred positive terms per partition
+    assert max(abs(dist.entries[k] - p) for k, p in ref.items()) <= 1e-14
+
+
+def test_solve_exact_matches_loop_recursion():
+    atoms = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(9, 10), Fraction(1, 2))]
+
+    def rate(b, k):
+        return sum(w * x ** (k - 2) * (1 - x) ** (b - k) for x, w in atoms)
+
+    mu = Fraction(3, 4)
+    assert solve_exact(atoms, mu, 10) == last_event_recursion(rate, mu, 10)
+
+
 def test_solve_exact_rational_matches_float():
     dist = solve(build_rate_table(HALF_ATOM, 5), 1.0, 5)
     exact = solve_exact(
@@ -215,6 +247,24 @@ def test_solve_exact_rational_matches_float():
         )
         total += frac
     assert total == 1  # exactly, in rational arithmetic
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 4), Fraction(1), Fraction(3, 2)])
+def test_solve_exact_is_rational_ewens(mu):
+    # no tolerance: the shared kernel must stay in rational arithmetic
+    for n in range(1, 10):
+        assert solve_exact([(0, 1)], mu, n) == ewens_exact(2 * mu, n)
+
+
+def test_solve_at_partition_cap():
+    n = DEFAULT_PARTITION_CAP
+    dist = solve(build_rate_table(DELTA0, n), 0.75, n)
+    ref = ewens(1.5, n)
+    assert len(dist.entries) == len(ref.entries)
+    assert max(abs(p - ref.prob(pv)) for pv, p in dist.items_ordered()) <= 1e-12
+    assert solve(build_rate_table(POLY, n), 1.0, n).total() == pytest.approx(
+        1.0, abs=1e-10
+    )
 
 
 @pytest.mark.parametrize(
