@@ -138,10 +138,9 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_replicate(sampler, measure_spec, mu, n, seed, rep, shared):
+def _simulate_replicate(sampler, measure, mu, n, seed, rep, shared):
     """One output line for replicate rep.  shared carries precomputed
     per-run tables so worker processes do not rebuild them per line."""
-    measure = parse_measure(measure_spec)
     rng = derive_rng(seed, "simulate:" + sampler, rep)
     if sampler == "frozen":
         rates = shared
@@ -159,8 +158,9 @@ def _simulate_replicate(sampler, measure_spec, mu, n, seed, rep, shared):
 
 
 def _simulate_chunk(sampler, measure_spec, mu, n, seed, start, stop, shared):
+    measure = parse_measure(measure_spec)
     return [
-        _simulate_replicate(sampler, measure_spec, mu, n, seed, r, shared)
+        _simulate_replicate(sampler, measure, mu, n, seed, r, shared)
         for r in range(start, stop)
     ]
 

@@ -24,9 +24,13 @@ Two family-size samplers are cross-checked against the exact recursion:
 * set-based: drop n uniforms on the time-0 window, map each to its litter
   (or to the regenerative set, giving a singleton mutant family), and
   merge litters that share a root;
-* chain-based: walk the first-part law downwards, freezing a uniformly
-  chosen lineage on a mutant first part, doing nothing on a lone-litter
-  first part, and merging a uniform m-subset on a first part of size m.
+* chain-based: the block chain of the coalescent module, with row b of
+  its event table set to the first-part law of b: a mutant first part
+  freezes a uniform lineage, a lone-litter first part leaves the state as
+  it is, and a first part of size m merges a uniform m-subset.  For
+  m >= 2 the first-part weight C(b,m) rate(b,m) is the frozen
+  coalescent's merger weight, so the two samplers share the kernel and
+  differ only by the lone-litter self-loop.
 
 forward_simulate runs the same population forwards in time from an
 arbitrary start: jumps at Poisson times (finite jump intensity required)
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coalescent import _block_chain
 from .errors import (
     InfiniteActivityError,
     PopulationSupportError,
@@ -316,8 +321,9 @@ def sample_family_partition_chain(
 
     State: weighted lineages, initially n singletons.  With b lineages the
     first-part law of b decides the next event: mutant part (freeze one
-    lineage as a family), lone-litter part (explicit no-op; the lineage
-    stays), or an m-merger of a uniform m-subset.
+    lineage as a family), lone-litter part (no-op; the lineage stays), or
+    an m-merger of a uniform m-subset.  Row b of the block-chain table is
+    (p_single_mutant, p_single_alone, P(first part = 2), ...).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -328,30 +334,11 @@ def sample_family_partition_chain(
     require_population_support(measure)
     if laws is None:
         laws = first_part_laws_upto(measure, mu, n)
-    thresholds = [None] * (n + 1)
+    table = np.zeros((n + 1, n + 1))
     for b in range(1, n + 1):
         law = laws[b]
-        cum = [law.p_single_mutant, law.p_single_mutant + law.p_single_alone]
-        for m in range(2, b + 1):
-            cum.append(cum[-1] + law.probs[m - 1])
-        thresholds[b] = np.array(cum)
-    weights = [1] * n
-    families: list[int] = []
-    while weights:
-        b = len(weights)
-        cum = thresholds[b]
-        event = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        if event == 0:
-            families.append(weights.pop(int(rng.integers(b))))
-        elif event == 1:
-            continue  # lone litter: composition part, not a family boundary
-        else:
-            m = event  # event index 2.. maps to part size 2..
-            chosen = sorted(rng.choice(b, size=m, replace=False), reverse=True)
-            merged = 0
-            for idx in chosen:
-                merged += weights.pop(idx)
-            weights.append(merged)
+        table[b, : b + 1] = (law.p_single_mutant, law.p_single_alone) + law.probs[1:]
+    families = _block_chain(np.add.accumulate(table, axis=1), [1] * n, rng)
     return PartitionVector.from_sizes(families)
 
 

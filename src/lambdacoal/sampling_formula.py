@@ -262,9 +262,10 @@ class SamplingDistribution:
         return self.entries.get(key, 0.0)
 
     def items_ordered(self):
-        """(PartitionVector, prob) pairs in enumeration order."""
-        for pv in enumerate_partition_vectors(self.n):
-            yield pv, self.entries[pv.counts]
+        """(PartitionVector, prob) pairs in enumeration order, which is the
+        order solve and ewens fill entries in."""
+        for counts, p in self.entries.items():
+            yield PartitionVector(counts), p
 
     def total(self):
         return math.fsum(self.entries.values())
@@ -330,6 +331,11 @@ def solve_exact(atoms, mu, n: int) -> dict:
     and mu must be Fraction-convertible.  Returns a dict mapping trimmed
     counts tuples to exact Fraction probabilities.
     """
+    mu = Fraction(mu)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
     pairs = [(Fraction(x), Fraction(w)) for x, w in atoms]
     rates = np.zeros((n + 1, n + 1), dtype=object)
     totals = np.zeros(n + 1, dtype=object)
@@ -339,7 +345,7 @@ def solve_exact(atoms, mu, n: int) -> dict:
                 w * x ** (k - 2) * (1 - x) ** (b - k) for x, w in pairs
             )
         totals[b] = sum(math.comb(b, k) * rates[b, k] for k in range(2, b + 1))
-    q = _solve_levels(rates, totals, Fraction(mu), n)
+    q = _solve_levels(rates, totals, mu, n)
     return dict(zip(_keys(n), q.tolist()))
 
 

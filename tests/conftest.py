@@ -3,14 +3,16 @@
 Everything here recomputes expectations by a route independent of the
 implementation under test: scipy.integrate.quad for rate integrals, a
 brute-force enumeration of the frozen jump chain for family-partition
-laws, the last-event recursion written one partition at a time, and
-exact rational Ewens probabilities.
+laws, the last-event recursion written one partition at a time, the
+first-part chain written as its own loop, and exact rational Ewens
+probabilities.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 import scipy.integrate
 
@@ -146,6 +148,36 @@ def last_event_recursion(rate, mu, n):
             table[key] = acc / denom
         tables[m] = table
     return tables[n]
+
+
+def first_part_chain_reference(laws, n, rng):
+    """Family sizes from the first-part chain, one loop with its own
+    threshold lists and merge step, drawing from rng in the order the
+    library's chain sampler does."""
+    thresholds = [None] * (n + 1)
+    for b in range(1, n + 1):
+        law = laws[b]
+        cum = [law.p_single_mutant, law.p_single_mutant + law.p_single_alone]
+        for m in range(2, b + 1):
+            cum.append(cum[-1] + law.probs[m - 1])
+        thresholds[b] = np.array(cum)
+    weights = [1] * n
+    families = []
+    while weights:
+        b = len(weights)
+        cum = thresholds[b]
+        event = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        if event == 0:
+            families.append(weights.pop(int(rng.integers(b))))
+        elif event == 1:
+            continue  # lone litter: no family boundary
+        else:
+            chosen = sorted(rng.choice(b, size=event, replace=False), reverse=True)
+            merged = 0
+            for idx in chosen:
+                merged += weights.pop(idx)
+            weights.append(merged)
+    return families
 
 
 @pytest.fixture(scope="session")

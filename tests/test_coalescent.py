@@ -93,11 +93,19 @@ def test_frozen_last_event_is_mutation(rng_factory):
     # a lone surviving block can only freeze
     rates = build_rate_table(POLY, 5)
     for rep in range(50):
-        pv, events = simulate_frozen_coalescent(
-            rates, 1.5, 5, rng_factory(4, "fev", rep), return_events=True
-        )
-        assert events[-1] == "freeze"
-        assert pv.n == 5
+        path = simulate_frozen_path(rates, 1.5, 5, rng_factory(4, "fev", rep))
+        before, last = path[-2], path[-1]
+        assert len(before.active) == 1
+        assert last.frozen == before.frozen + before.active
+
+
+def test_set_partition_canonical_form():
+    p = SetPartition.from_blocks([[3, 1], [2], [5, 4]])
+    assert p.blocks == ((1, 3), (2,), (4, 5))
+    with pytest.raises(ValueError):
+        SetPartition.from_blocks([[1, 2], [2, 3]])  # overlap
+    with pytest.raises(ValueError):
+        SetPartition.from_blocks([[1], [3]])  # gap
 
 
 def test_family_partition_from_set_blocks():

@@ -18,11 +18,13 @@ from lambdacoal import (
     InfiniteActivityError,
     LitterHistory,
     PopulationMeasure,
+    PartitionVector,
     PopulationSupportError,
     WindowExhaustionError,
     cutoff_deviation,
     derive_rng,
     first_part_law,
+    first_part_laws_upto,
     forward_simulate,
     litter_size_at,
     parse_measure,
@@ -32,6 +34,8 @@ from lambdacoal import (
     window_from_points,
 )
 from lambdacoal.population import ROOT
+
+from conftest import first_part_chain_reference
 
 POLY = parse_measure("poly3x2")
 HALF_ATOM = parse_measure("atoms:0.5=0.25")
@@ -258,6 +262,18 @@ def test_samplers_return_partitions_of_n(rng_factory):
         assert pv.n == 6
         pv = sample_family_partition_chain(POLY, 1.0, 6, rng_factory(6, "chn", rep))
         assert pv.n == 6
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_chain_matches_reference_loop(rng_factory, n):
+    # same stream, same outcome as the first-part chain written out alone
+    laws = first_part_laws_upto(POLY, 1.0, n)
+    for rep in range(300):
+        pv = sample_family_partition_chain(
+            POLY, 1.0, n, rng_factory(6, "chain-ref", rep), laws=laws
+        )
+        ref = first_part_chain_reference(laws, n, rng_factory(6, "chain-ref", rep))
+        assert pv == PartitionVector.from_sizes(ref)
 
 
 def test_set_sampler_n2_marginal(rng_factory):

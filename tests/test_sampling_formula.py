@@ -267,6 +267,28 @@ def test_solve_at_partition_cap():
     )
 
 
+def test_items_ordered_beyond_partition_cap():
+    # solve does not apply the cap, so reading its result must not either
+    n = DEFAULT_PARTITION_CAP + 1
+    dist = solve(build_rate_table(DELTA0, n), 1.0, n)
+    items = list(dist.items_ordered())
+    assert len(items) == 44583  # p(41)
+    assert [pv.counts for pv, _ in items] == list(dist.entries)
+
+
+@pytest.mark.parametrize(
+    "mu, n, message",
+    [
+        (1, 0, "n must be at least 1"),
+        (1, -1, "n must be at least 1"),
+        (-1, 3, "mu must be nonnegative"),
+    ],
+)
+def test_solve_exact_rejects_bad_arguments(mu, n, message):
+    with pytest.raises(ValueError, match=message):
+        solve_exact([(0, 1)], mu, n)
+
+
 @pytest.mark.parametrize(
     "spec",
     ["delta:0", "delta:1", "beta:1,1,1", "poly3x2", "atoms:0.5=0.25", "beta:2,2,1"],
