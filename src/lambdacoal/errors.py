@@ -47,6 +47,11 @@ class WindowExhaustionError(LambdaCoalError):
     resolved.  Always surfaced, never silently absorbed."""
 
 
+class WindowBudgetError(LambdaCoalError):
+    """A subordinator window would hold more litter points than the point
+    budget allows: the jump-size cutoff is too small for the horizon."""
+
+
 class PopulationSupportError(LambdaCoalError):
     """The driving measure violates the standing assumptions of the
     population construction (atoms at 0 or 1, or zero mutation rate)."""

@@ -539,6 +539,49 @@ def _beta_nu_integral(measure: BetaMeasure, p: float, lo: float, hi: float) -> f
     return c * total
 
 
+def _nu_mass_above(measure: LambdaMeasure, eps: float) -> float:
+    """nu(eps, 1]; InfiniteActivityError when it is infinite."""
+    if isinstance(measure, AtomicMeasure):
+        if 0.0 in measure.locations:
+            raise InfiniteActivityError("atom at 0 gives nu infinite mass")
+        return math.fsum(
+            w / (x * x)
+            for x, w in zip(measure.locations, measure.weights)
+            if eps < x
+        )
+    if isinstance(measure, BetaMeasure):
+        if eps == 0.0 and measure.alpha <= 2.0:
+            raise InfiniteActivityError(
+                f"beta alpha={measure.alpha:g} <= 2 has infinite jump intensity"
+            )
+        return _beta_nu_integral(measure, 0.0, eps, 1.0)
+    # density table: compact support inside (0, 1), everything is finite
+    x0, x1 = measure.x[0], measure.x[-1]
+
+    def nu_density(x):
+        return measure.density_at(x) / (x * x)
+
+    return adaptive_integral(nu_density, max(eps, x0), x1) if eps < x1 else 0.0
+
+
+def _nu_moment_below(measure: LambdaMeasure, eps: float) -> float:
+    """integral of x nu(dx) over (0, eps]: closed form for atoms and Beta
+    measures (the Beta exponent alpha - 1 is positive under the dust
+    condition), quadrature for tables."""
+    if isinstance(measure, AtomicMeasure):
+        return math.fsum(
+            w / x for x, w in zip(measure.locations, measure.weights) if x <= eps
+        )
+    if isinstance(measure, BetaMeasure):
+        return _beta_nu_integral(measure, 1.0, 0.0, eps) if eps > 0.0 else 0.0
+    x0, x1 = measure.x[0], measure.x[-1]
+
+    def x_nu_density(x):
+        return measure.density_at(x) / x
+
+    return adaptive_integral(x_nu_density, x0, min(eps, x1)) if eps > x0 else 0.0
+
+
 def litter_intensity_tail(measure: LambdaMeasure, eps: float) -> tuple[float, float]:
     """(mass of nu above eps, integral of x nu(dx) below eps).
 
@@ -549,38 +592,7 @@ def litter_intensity_tail(measure: LambdaMeasure, eps: float) -> tuple[float, fl
     """
     if not (0.0 <= eps < 1.0):
         raise ValueError("eps must be in [0, 1)")
-    if isinstance(measure, AtomicMeasure):
-        if 0.0 in measure.locations:
-            raise InfiniteActivityError("atom at 0 gives nu infinite mass")
-        above = math.fsum(
-            w / (x * x)
-            for x, w in zip(measure.locations, measure.weights)
-            if eps < x
-        )
-        below = math.fsum(
-            w / x for x, w in zip(measure.locations, measure.weights) if x <= eps
-        )
-        return above, below
-    if isinstance(measure, BetaMeasure):
-        if eps == 0.0 and measure.alpha <= 2.0:
-            raise InfiniteActivityError(
-                f"beta alpha={measure.alpha:g} <= 2 has infinite jump intensity"
-            )
-        above = _beta_nu_integral(measure, 0.0, eps, 1.0)
-        below = _beta_nu_integral(measure, 1.0, 0.0, eps) if eps > 0.0 else 0.0
-        return above, below
-    # density table: compact support inside (0, 1), everything is finite
-    x0, x1 = measure.x[0], measure.x[-1]
-
-    def nu_density(x):
-        return measure.density_at(x) / (x * x)
-
-    def x_nu_density(x):
-        return measure.density_at(x) / x
-
-    above = adaptive_integral(nu_density, max(eps, x0), x1) if eps < x1 else 0.0
-    below = adaptive_integral(x_nu_density, x0, min(eps, x1)) if eps > x0 else 0.0
-    return above, below
+    return _nu_mass_above(measure, eps), _nu_moment_below(measure, eps)
 
 
 def choose_truncation(
@@ -589,22 +601,21 @@ def choose_truncation(
     """Smallest-cost jump-size cutoff eps with horizon * integral_{0}^{eps}
     x nu(dx) <= budget.
 
-    Returns 0.0 for finite-activity measures (no truncation needed).  For
-    infinite-activity measures the cutoff is found by bisection on log eps;
-    the returned value is the largest tested eps meeting the budget.
+    Returns 0.0 for finite-activity measures (no truncation needed).  Only
+    Beta measures with alpha <= 2 have infinite activity once the dust
+    condition holds; for them the cutoff is found by bisection on log eps
+    against the closed-form moment below eps, and the returned value is
+    the largest tested eps meeting the budget.
     """
     require_dust_condition(measure)
-    try:
-        litter_intensity_tail(measure, 0.0)
+    if not (isinstance(measure, BetaMeasure) and measure.alpha <= 2.0):
         return 0.0
-    except InfiniteActivityError:
-        pass
     lo, hi = math.log(1e-30), math.log(0.5)
-    if horizon * litter_intensity_tail(measure, math.exp(lo))[1] > budget:
+    if horizon * _nu_moment_below(measure, math.exp(lo)) > budget:
         raise NonIntegrableError("cannot meet truncation budget")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if horizon * litter_intensity_tail(measure, math.exp(mid))[1] <= budget:
+        if horizon * _nu_moment_below(measure, math.exp(mid)) <= budget:
             lo = mid
         else:
             hi = mid
@@ -618,7 +629,10 @@ def _sample_beta_nu(
 
     alpha > 2: rejection of Beta(alpha-2, beta) draws below eps.
     alpha <= 2 (needs eps > 0): two-piece power-law envelope rejection,
-    density proportional to x**(alpha-3) (1-x)**(beta-1).
+    density proportional to x**(alpha-3) (1-x)**(beta-1).  Candidates
+    come in rounds of k, each round one (3, k) block of uniforms (piece
+    choice, position, acceptance), and the accepted ones are kept in draw
+    order.
     """
     a, b = measure.alpha, measure.beta
     out = np.empty(count)
@@ -636,37 +650,41 @@ def _sample_beta_nu(
         raise InfiniteActivityError("alpha <= 2 requires a positive cutoff")
     A = a - 2.0  # x exponent + 1: target density prop. to x**(A-1) (1-x)**(b-1)
     split = 0.5 if eps < 0.5 else eps
-    # piece over (eps, split): envelope prop. to x**(A-1)
+    # piece over (eps, split): envelope c_left * x**(A-1), c_left the
+    # largest (1-x)**(b-1) there (at eps for b >= 1, at 1/2 for b < 1)
+    c_left = 0.0
+    w_left = 0.0
     if eps < 0.5:
-        c_left = (1.0 - eps) ** (b - 1.0) if b >= 1.0 else 0.5 ** (1.0 - b)
+        c_left = (1.0 - eps) ** (b - 1.0) if b >= 1.0 else 0.5 ** (b - 1.0)
         if A == 0.0:
             mass_left = math.log(split / eps)
         else:
             mass_left = (split**A - eps**A) / A
         w_left = c_left * mass_left
-    else:
-        w_left = 0.0
     # piece over [split, 1): envelope prop. to (1-x)**(b-1)
     c_right = split ** (A - 1.0)
     w_right = c_right * (1.0 - split) ** b / b
     p_left = w_left / (w_left + w_right)
     while filled < count:
-        u, v, acc = rng.random(3)
-        if u < p_left:
-            if A == 0.0:
-                x = eps * math.exp(v * math.log(split / eps))
-            else:
-                x = (eps**A + v * (split**A - eps**A)) ** (1.0 / A)
-            if acc * c_left <= (1.0 - x) ** (b - 1.0):
-                out[filled] = x
-                filled += 1
+        need = count - filled
+        u, v, acc = rng.random((3, max(need * 2, 16)))
+        left = u < p_left
+        x = np.empty_like(v)
+        ok = np.empty(len(v), dtype=bool)
+        vl = v[left]
+        if A == 0.0:
+            xl = eps * np.exp(vl * math.log(split / eps))
         else:
-            x = 1.0 - (1.0 - split) * v ** (1.0 / b)
-            if x <= eps or x >= 1.0:
-                continue
-            if acc * c_right <= x ** (A - 1.0):
-                out[filled] = x
-                filled += 1
+            xl = (eps**A + vl * (split**A - eps**A)) ** (1.0 / A)
+        x[left] = xl
+        ok[left] = acc[left] * c_left <= (1.0 - xl) ** (b - 1.0)
+        right = ~left
+        xr = 1.0 - (1.0 - split) * v[right] ** (1.0 / b)
+        x[right] = xr
+        ok[right] = (xr > eps) & (xr < 1.0) & (acc[right] * c_right <= xr ** (A - 1.0))
+        keep = x[ok][:need]
+        out[filled : filled + len(keep)] = keep
+        filled += len(keep)
     return out
 
 

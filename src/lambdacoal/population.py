@@ -46,6 +46,7 @@ import numpy as np
 
 from .coalescent import _block_chain
 from .errors import (
+    DustConditionError,
     InfiniteActivityError,
     PopulationSupportError,
     WindowExhaustionError,
@@ -151,13 +152,18 @@ class LitterHistory:
         max_doublings: int = 10,
         n_hint: int = 1,
     ) -> "LitterHistory":
-        require_population_support(measure)
+        # the support check is part of sample_window's cached set-up; only
+        # the horizon, which needs the dust integral first, converts its
+        # error here
         if mu <= 0.0:
             raise PopulationSupportError(
                 "the stationary construction needs a positive mutation rate"
             )
         if T0 is None:
-            T0 = default_window_horizon(measure, mu, n_hint)
+            try:
+                T0 = default_window_horizon(measure, mu, n_hint)
+            except DustConditionError as exc:
+                raise PopulationSupportError(str(exc)) from exc
         window = sample_window(measure, mu, T0, eps, rng)
         return cls(window, max_doublings=max_doublings)
 

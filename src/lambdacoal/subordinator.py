@@ -23,16 +23,25 @@ Sampling n uniforms against the window and grouping consecutive order
 statistics that share a litter yields the composition of n in age order;
 the same composition law also arises part by part from the first-part law
 (sequential_composition), which is the cheap exact reference sampler.
+
+The window set-up (the population support check, the cutoff eps and the
+intensity nu(eps, 1]) depends only on (measure, T, eps), so it is computed
+once per (measure, T) and shared by every window drawn with it: the
+windows of one validation case or CLI run pay one truncation search
+between them.  A window whose expected point count T * nu(eps, 1] exceeds
+MAX_WINDOW_POINTS is refused before any point is drawn, at sampling time
+and before each extension.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeyondWindowError, DegenerateMeasureError
+from .errors import BeyondWindowError, DegenerateMeasureError, WindowBudgetError
 from .measures import (
     FirstPartLaw,
     LambdaMeasure,
@@ -40,6 +49,7 @@ from .measures import (
     dust_integral,
     first_part_laws_upto,
     litter_intensity_tail,
+    measure_descriptor,
     require_population_support,
     sample_jump_sizes,
 )
@@ -57,7 +67,12 @@ __all__ = [
     "sample_composition_detailed",
     "sequential_composition",
     "delete_random_ball",
+    "MAX_WINDOW_POINTS",
 ]
+
+# Largest expected number of litter points a window may hold; beyond it
+# the jump-size cutoff is too small for the horizon to sample in memory.
+MAX_WINDOW_POINTS = 1e7
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,7 @@ class SubordinatorWindow:
         "_measure",
         "_rng",
         "_intensity",
+        "_moment_below",
     )
 
     def __init__(self, measure, mu, T, eps, rng, ages, sizes, marks):
@@ -145,6 +161,7 @@ class SubordinatorWindow:
         self._measure = measure
         self._rng = rng
         self._intensity = None
+        self._moment_below = 0.0
         self.n_extensions = 0
         order = np.argsort(ages, kind="stable")
         self.ages = np.asarray(ages, dtype=float)[order]
@@ -186,9 +203,7 @@ class SubordinatorWindow:
     def truncation_bias(self) -> float:
         """Bound on the sampling bias from the jump-size cutoff: realized
         horizon times the x-moment of nu below eps."""
-        if self.eps == 0.0:
-            return 0.0
-        return self.T * litter_intensity_tail(self._measure, self.eps)[1]
+        return self.T * self._moment_below
 
     # -- inversion ---------------------------------------------------------
 
@@ -253,6 +268,7 @@ class SubordinatorWindow:
         if self._rng is None or self._measure is None:
             raise BeyondWindowError("window has no generator; cannot extend")
         lam = self._poisson_intensity() * self.T
+        _check_window_size(self._measure, 2.0 * lam, 2.0 * self.T, self.eps)
         count = int(self._rng.poisson(lam))
         new_ages = self.T + self._rng.random(count) * self.T
         new_sizes = sample_jump_sizes(self._measure, self.eps, count, self._rng)
@@ -279,6 +295,27 @@ def default_window_horizon(measure: LambdaMeasure, mu: float, n: int) -> float:
     return (math.log(max(n, 1)) + 6.0 * math.log(10.0)) / decay
 
 
+def _check_window_size(measure, expected: float, T: float, eps: float) -> None:
+    if expected > MAX_WINDOW_POINTS:
+        raise WindowBudgetError(
+            f"window on {measure_descriptor(measure)} expects {expected:.3g} "
+            f"points (T={T:g}, eps={eps:.3g}), above the budget of "
+            f"{MAX_WINDOW_POINTS:.0e}"
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def _window_setup(measure: LambdaMeasure, T: float, eps) -> tuple[float, float, float]:
+    """(eps, nu(eps, 1], integral of x nu(dx) below eps) for windows of
+    horizon T; eps="auto" is resolved by choose_truncation.  Failures
+    raise and are not cached."""
+    require_population_support(measure)
+    if eps == "auto":
+        eps = choose_truncation(measure, T)
+    above, below = litter_intensity_tail(measure, eps)
+    return eps, above, below
+
+
 def sample_window(
     measure: LambdaMeasure,
     mu: float,
@@ -298,17 +335,18 @@ def sample_window(
         raise ValueError("mu must be nonnegative")
     if T <= 0.0:
         raise ValueError("T must be positive")
-    require_population_support(measure)
-    if eps == "auto":
-        eps = choose_truncation(measure, T)
-    mass_above = litter_intensity_tail(measure, eps)[0]
+    eps, mass_above, moment_below = _window_setup(measure, T, eps)
     if mu == 0.0 and mass_above == 0.0:
         raise DegenerateMeasureError("no drift and no jumps: empty subordinator")
+    _check_window_size(measure, mass_above * T, T, eps)
     count = int(rng.poisson(mass_above * T))
     ages = rng.random(count) * T
     sizes = sample_jump_sizes(measure, eps, count, rng)
     marks = rng.random(count)
-    return SubordinatorWindow(measure, mu, T, eps, rng, ages, sizes, marks)
+    window = SubordinatorWindow(measure, mu, T, eps, rng, ages, sizes, marks)
+    window._intensity = mass_above
+    window._moment_below = moment_below
+    return window
 
 
 def window_from_points(

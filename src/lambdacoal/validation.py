@@ -22,10 +22,8 @@ from scipy.special import gammaincc
 from .errors import LambdaCoalError
 from .measures import (
     build_rate_table,
-    choose_truncation,
     first_part_law,
     first_part_laws_upto,
-    litter_intensity_tail,
     parse_measure,
 )
 from .population import (
@@ -36,6 +34,7 @@ from .coalescent import simulate_frozen_coalescent
 from .sampling_formula import ewens, solve
 from .streams import derive_rng
 from .subordinator import (
+    _window_setup,
     default_window_horizon,
     sample_composition_detailed,
     sample_window,
@@ -363,8 +362,7 @@ def _truncation_bias(case: ValidationCase) -> float:
         # window coverage is exact (extension until covered); only the
         # small-jump truncation contributes bias
         T0 = default_window_horizon(measure, case.mu, case.n)
-        eps = choose_truncation(measure, T0)
-        return T0 * litter_intensity_tail(measure, eps)[1] if eps > 0 else 0.0
+        return T0 * _window_setup(measure, T0, "auto")[2]
     except LambdaCoalError:
         return 0.0
 

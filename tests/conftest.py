@@ -4,19 +4,21 @@ Everything here recomputes expectations by a route independent of the
 implementation under test: scipy.integrate.quad for rate integrals, a
 brute-force enumeration of the frozen jump chain for family-partition
 laws, the last-event recursion written one partition at a time, the
-first-part chain written as its own loop, and exact rational Ewens
-probabilities.
+first-part chain written as its own loop, the truncation search on the
+full tail pair, and exact rational Ewens probabilities.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from lambdacoal import coalescence_rate
+from lambdacoal import coalescence_rate, litter_intensity_tail
 
 
 def quad_rate(density, b, k):
@@ -178,6 +180,38 @@ def first_part_chain_reference(laws, n, rng):
                 merged += weights.pop(idx)
             weights.append(merged)
     return families
+
+
+def choose_truncation_reference(measure, horizon, budget=1e-6):
+    """The cutoff search of an infinite-activity measure as 60 bisection
+    steps on log eps, each reading the moment below eps off the full
+    litter_intensity_tail pair."""
+    lo, hi = math.log(1e-30), math.log(0.5)
+    assert horizon * litter_intensity_tail(measure, math.exp(lo))[1] <= budget
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if horizon * litter_intensity_tail(measure, math.exp(mid))[1] <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """(a, b) of every adaptive_integral call made through the measures
+    module while the test runs."""
+    import lambdacoal.measures
+
+    calls = []
+    real = lambdacoal.measures.adaptive_integral
+
+    def counted(fn, a, b, **kwargs):
+        calls.append((a, b))
+        return real(fn, a, b, **kwargs)
+
+    monkeypatch.setattr(lambdacoal.measures, "adaptive_integral", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

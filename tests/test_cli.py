@@ -259,6 +259,16 @@ def test_simulate_forward_infinite_intensity(capsys):
     assert "InfiniteActivityError" in capsys.readouterr().err
 
 
+def test_simulate_set_refuses_oversized_window(capsys):
+    code = main(
+        ["simulate", "set", "--measure", "beta:1.5,1,1", "--mu", "1", "--n", "6",
+         "--reps", "2", "--seed", "1"]
+    )
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "WindowBudgetError" in err and "beta:1.5,1,1" in err
+
+
 def test_simulate_requires_n(capsys):
     code = main(
         ["simulate", "frozen", "--measure", "delta:0", "--mu", "1", "--seed", "1"]

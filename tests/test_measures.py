@@ -38,7 +38,7 @@ from lambdacoal import (
     total_mass,
 )
 
-from conftest import quad_rate
+from conftest import choose_truncation_reference, quad_rate
 
 DELTA0 = parse_measure("delta:0")
 DELTA1 = parse_measure("delta:1")
@@ -367,6 +367,22 @@ def test_choose_truncation_budget():
     assert T * below <= 1e-6 * 1.0000001
 
 
+@pytest.mark.parametrize("spec", ["beta:2,2,1", "beta:1.9,1,1", "beta:1.5,1,1"])
+@pytest.mark.parametrize("T", [0.5, 3.0, 7.3, 40.0])
+def test_choose_truncation_matches_reference(spec, T):
+    m = parse_measure(spec)
+    assert choose_truncation(m, T) == choose_truncation_reference(m, T)
+
+
+def test_choose_truncation_runs_no_quadrature(quadrature_calls):
+    for spec in ["beta:2,2,1", "beta:1.9,1,1", "beta:1.5,0.5,1", "poly3x2"]:
+        choose_truncation(parse_measure(spec), 3.0)
+    assert quadrature_calls == []
+    # the full tail pair still integrates nu above eps numerically
+    litter_intensity_tail(parse_measure("beta:1.9,1,1"), 1e-6)
+    assert quadrature_calls
+
+
 # ---------------------------------------------------------------------------
 # jump-size sampling
 # ---------------------------------------------------------------------------
@@ -402,6 +418,45 @@ def test_sample_jump_sizes_beta221(rng_factory):
     norm = anti(1.0) - anti(eps)
     stat = kstest(draws, lambda v: (anti(np.asarray(v)) - anti(eps)) / norm)
     assert stat.pvalue > 1e-3
+
+
+def _beta_nu_cdf(alpha, beta, eps):
+    """Normalized cdf of x**(alpha-3) (1-x)**(beta-1) on (eps, 1), from
+    scipy.integrate.quad over a fine grid (log-spaced toward both ends)
+    and linear in between; the last cell carries the (1-x)**(beta-1)
+    endpoint factor as a quad weight."""
+
+    def dens(x):
+        return x ** (alpha - 3.0) * (1.0 - x) ** (beta - 1.0)
+
+    lo = np.geomspace(eps, 0.5, 400)
+    hi = 1.0 - np.geomspace(0.5, 1e-9, 300)[1:]
+    grid = np.concatenate((lo, hi, [1.0]))
+    cells = [scipy.integrate.quad(dens, a, b)[0] for a, b in zip(grid[:-2], grid[1:-1])]
+    last, _ = scipy.integrate.quad(
+        lambda x: x ** (alpha - 3.0), grid[-2], 1.0, weight="alg", wvar=(0.0, beta - 1.0)
+    )
+    cum = np.concatenate(([0.0], np.cumsum(cells + [last])))
+    return lambda v: np.interp(v, grid, cum / cum[-1])
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, eps",
+    [
+        (1.5, 0.5, 0.01),
+        (1.9, 0.7, 0.01),
+        (1.2, 0.3, 0.01),
+        (1.9, 1.0, 0.01),
+        (1.5, 2.0, 0.6),
+    ],
+)
+def test_sample_jump_sizes_beta_small_alpha(rng_factory, alpha, beta, eps):
+    # alpha <= 2: two-piece envelope rejection; for beta < 1 the left
+    # envelope must bound (1-x)**(beta-1) by its value at 1/2
+    rng = rng_factory(1, "jump-beta-small", int(100 * alpha), int(100 * beta))
+    draws = sample_jump_sizes(BetaMeasure(alpha, beta, 1.0), eps, 20000, rng)
+    assert np.all((draws > eps) & (draws < 1.0))
+    assert kstest(draws, _beta_nu_cdf(alpha, beta, eps)).pvalue > 1e-3
 
 
 def test_sample_jump_sizes_beta_heavy_alpha(rng_factory):

@@ -20,6 +20,7 @@ from lambdacoal import (
     PopulationMeasure,
     PartitionVector,
     PopulationSupportError,
+    WindowBudgetError,
     WindowExhaustionError,
     cutoff_deviation,
     derive_rng,
@@ -245,6 +246,31 @@ def test_set_sampler_preconditions(rng_factory):
         )
     with pytest.raises(PopulationSupportError):
         sample_family_partition_set(POLY, 0.0, 4, rng_factory(6, "pre", 1))
+
+
+@pytest.mark.parametrize(
+    "spec, mu, T0",
+    [
+        ("poly3x2", 0.0, None),
+        ("poly3x2", -1.0, 2.0),
+        ("delta:0", 1.0, None),
+        ("delta:1", 1.0, None),
+        ("beta:1,1,1", 1.0, None),
+        ("delta:1", 1.0, 2.0),
+        ("beta:1,1,1", 1.0, 2.0),
+    ],
+)
+def test_history_build_preconditions(rng_factory, spec, mu, T0):
+    with pytest.raises(PopulationSupportError):
+        LitterHistory.build(parse_measure(spec), mu, rng_factory(6, "pre-build"), T0=T0)
+
+
+def test_set_sampler_refuses_oversized_window(rng_factory):
+    # the auto cutoff of beta:1.5,1,1 asks for about 1.4e8 window points
+    with pytest.raises(WindowBudgetError, match=r"beta:1\.5,1,1"):
+        sample_family_partition_set(
+            parse_measure("beta:1.5,1,1"), 1.0, 6, rng_factory(6, "budget")
+        )
 
 
 def test_chain_sampler_preconditions(rng_factory):

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import lambdacoal.subordinator
 from lambdacoal import (
     BeyondWindowError,
     Composition,
     DegenerateMeasureError,
+    PopulationSupportError,
+    WindowBudgetError,
     derive_rng,
     AtomicMeasure,
     default_window_horizon,
@@ -233,6 +236,41 @@ def test_sample_window_degenerate():
     rng = derive_rng(5, "degen")
     with pytest.raises(DegenerateMeasureError):
         sample_window(AtomicMeasure((), ()), 0.0, 2.0, rng=rng)
+
+
+def test_failing_window_setup_is_not_cached():
+    m = parse_measure("delta:1")
+    for rep in range(2):
+        with pytest.raises(PopulationSupportError):
+            sample_window(m, 1.0, 2.5, rng=derive_rng(5, "bad-twice", rep))
+
+
+def test_window_setup_integrates_once_per_measure_and_horizon(quadrature_calls):
+    m = parse_measure("beta:1.9,1,1")
+    T = 1.2345
+    first = sample_window(m, 1.0, T, rng=derive_rng(5, "setup-once", 0))
+    assert quadrature_calls  # nu(eps, 1] is integrated for the first window
+    del quadrature_calls[:]
+    second = sample_window(m, 1.0, T, rng=derive_rng(5, "setup-once", 1))
+    assert second.eps == first.eps > 0.0
+    second.extend()
+    assert second.T == 2.0 * T
+    assert quadrature_calls == []
+
+
+def test_window_refused_above_point_budget():
+    m = parse_measure("beta:1.5,1,1")
+    with pytest.raises(WindowBudgetError, match=r"beta:1\.5,1,1 expects \d\.\d+e\+0\d points"):
+        sample_window(m, 1.0, 6.0, rng=derive_rng(5, "budget"))
+
+
+def test_extension_refused_above_point_budget(monkeypatch):
+    # nu = 3 * Lebesgue for poly3x2: 3 points per unit of horizon
+    monkeypatch.setattr(lambdacoal.subordinator, "MAX_WINDOW_POINTS", 5.0)
+    w = sample_window(POLY, 1.0, 1.0, rng=derive_rng(5, "budget-extend"))
+    with pytest.raises(WindowBudgetError, match="poly3x2|beta:3,1,1"):
+        w.extend()
+    assert w.T == 1.0 and w.n_extensions == 0
 
 
 def test_extension_preserves_existing_points(rng_factory):

@@ -290,6 +290,20 @@ def test_sequential_vs_window_split():
     assert report.passed
 
 
+def test_window_samplers_match_laws_for_beta_below_one():
+    # beta:1.9,0.5,1 has infinite activity and a (1-x)**(-1/2) density
+    # near 1: the jump sizes come from the alpha <= 2 envelope with
+    # beta < 1, which the standing plan never reaches
+    plan = [
+        ValidationCase("set-b", "sampler_vs_exact", "beta:1.9,0.5,1", 1.0, 4, sampler="set"),
+        ValidationCase("fp-b", "first_part", "beta:1.9,0.5,1", 1.0, 4),
+    ]
+    for report in run_validation(plan, 3000, 11):
+        assert report.error is None
+        assert report.p_value >= 1e-3, report.case_id
+        assert 0.0 < report.truncation_bias <= 1e-6
+
+
 def test_truncation_bias_reported_for_infinite_activity():
     case = ValidationCase(
         "tb", "sampler_vs_exact", "beta:2,2,1", 1.0, 3, sampler="set"
