@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import LambdaCoalError, MeasureSpecError
 from .measures import (
     build_rate_table,
-    choose_truncation,
     first_part_laws_upto,
     measure_descriptor,
     parse_measure,
@@ -34,7 +31,7 @@ from .population import (
 )
 from .coalescent import simulate_frozen_coalescent
 from .sampling_formula import DEFAULT_PARTITION_CAP, solve
-from .streams import derive_rng
+from .streams import derive_rng, fan_out
 from .subordinator import (
     default_window_horizon,
     sample_composition_detailed,
@@ -157,7 +154,7 @@ def _simulate_replicate(sampler, measure, mu, n, seed, rep, shared):
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _simulate_chunk(sampler, measure_spec, mu, n, seed, start, stop, shared):
+def _simulate_chunk(sampler, measure_spec, mu, n, seed, shared, start, stop):
     measure = parse_measure(measure_spec)
     return [
         _simulate_replicate(sampler, measure, mu, n, seed, r, shared)
@@ -184,29 +181,13 @@ def cmd_simulate(args) -> int:
         shared = first_part_laws_upto(measure, args.mu, args.n)
     else:  # set, composition: precompute the default window horizon
         shared = default_window_horizon(measure, args.mu, args.n)
-    if args.workers > 1:
-        chunk = max(1, math.ceil(args.reps / (args.workers * 4)))
-        spans = [(s, min(s + chunk, args.reps)) for s in range(0, args.reps, chunk)]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                pool.submit(
-                    _simulate_chunk,
-                    args.sampler,
-                    args.measure,
-                    args.mu,
-                    args.n,
-                    args.seed,
-                    a,
-                    b,
-                    shared,
-                )
-                for a, b in spans
-            ]
-            lines = [line for f in futures for line in f.result()]
-    else:
-        lines = _simulate_chunk(
-            args.sampler, args.measure, args.mu, args.n, args.seed, 0, args.reps, shared
-        )
+    chunks = fan_out(
+        _simulate_chunk,
+        (args.sampler, args.measure, args.mu, args.n, args.seed, shared),
+        args.reps,
+        args.workers,
+    )
+    lines = [line for chunk in chunks for line in chunk]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

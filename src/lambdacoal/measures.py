@@ -1,24 +1,37 @@
-"""Driving measures on [0, 1] and the rate functionals they induce.
+"""Driving measures on [0, 1] and the functionals they induce.
 
-A finite measure L on [0, 1] drives a multiple-merger coalescent: when b
-lineages are active, every k-subset merges at rate
+A finite measure L on [0, 1] drives a multiple-merger coalescent, and
+nu(dx) = L(dx) / x**2 is the jump intensity of the multiplicative
+subordinator behind the composition and population samplers.  Every
+functional either side needs is one moment
 
-    rate(b, k) = integral of x**(k-2) * (1-x)**(b-k) L(dx),   2 <= k <= b.
+    moment(p, q, lo, hi) = integral over (lo, hi] of x**p (1-x)**q L(dx),
 
-The same measure, rescaled by 1/x**2, is the jump intensity nu of the
-multiplicative subordinator used by the composition and population
-samplers.  This module owns the three supported representations of L:
+the interval closed at 0 when lo = 0 (an atom at 0 counts in every
+integral that starts there), and q >= 0:
 
-* AtomicMeasure       finitely many weighted atoms (closed-form sums)
-* BetaMeasure         mass * Beta(alpha, beta) density (closed forms via
-                      log Beta functions)
-* DensityTableMeasure tabulated density on a grid inside (0, 1)
-                      (adaptive quadrature)
+    total mass                          p = 0,    q = 0
+    rate(b, k), a k-subset of b merging p = k-2,  q = b-k
+    dust integral, of 1/x               p = -1,   q = 0
+    single-ball weight                  p = -1,   q = n-1
+    nu(eps, 1]                          p = -2,   q = 0,   over (eps, 1]
+    integral of x nu(dx) below eps      p = -1,   q = 0,   over (0, eps]
 
-and the derived quantities consumed elsewhere: rate tables, first-part
-weights and laws for samples against the stationary population, tail
-statistics of nu, and exact sampling of jump sizes from nu truncated away
-from zero.
+A moment that diverges raises NonIntegrableError, and each functional
+reports it in its own domain: DustConditionError for the 1/x integrals,
+InfiniteActivityError for nu, PopulationSupportError for the standing
+assumptions of the population construction.
+
+Each representation is one class with three members: `moment`,
+`sample_nu` (draws from nu restricted to (eps, 1], normalized) and
+`descriptor` (its canonical text form).
+
+* AtomicMeasure       weighted atoms: sums over the atoms
+* BetaMeasure         mass * Beta(alpha, beta) density: complete and
+                      incomplete Beta functions, power-law envelope
+                      rejection for nu
+* DensityTableMeasure density tabulated inside (0, 1): adaptive
+                      quadrature, nu sampled from a piecewise-linear model
 
 With mutation rate mu >= 0 and a sample of size n, the weight of the event
 "the smallest of n uniform balls is in a part of size m" is
@@ -33,6 +46,7 @@ exact recursion and the subordinator samplers.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -78,6 +92,17 @@ __all__ = [
 ]
 
 
+class _Divergence(NonIntegrableError):
+    """A moment integral is infinite (as opposed to a quadrature that did
+    not converge); the public functionals re-raise it in their domain."""
+
+
+def _diverges(measure, p, q) -> _Divergence:
+    return _Divergence(
+        f"integral of x**{p:g} (1-x)**{q:g} against {measure.descriptor()} diverges"
+    )
+
+
 # ---------------------------------------------------------------------------
 # measure representations
 # ---------------------------------------------------------------------------
@@ -106,6 +131,37 @@ class AtomicMeasure:
         if len(set(self.locations)) != len(self.locations):
             raise MeasureSpecError("duplicate atom locations")
 
+    def moment(self, p: float, q: float = 0.0, lo: float = 0.0, hi: float = 1.0) -> float:
+        terms = []
+        for x, w in zip(self.locations, self.weights):
+            if not (lo < x <= hi or x == lo == 0.0):
+                continue
+            if p >= 0.0:
+                terms.append(w * x**p * (1.0 - x) ** q)
+            elif x == 0.0:
+                raise _diverges(self, p, q)
+            else:
+                # w / x, not w * x**-1, and x * x, not x**2: either swap
+                # rounds differently
+                terms.append(w * (1.0 - x) ** q / (x * x if p == -2 else x ** -p))
+        return math.fsum(terms)
+
+    def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
+        locs = np.array(self.locations)
+        wts = np.array(self.weights)
+        keep = locs > eps
+        if not np.any(keep):
+            raise DegenerateMeasureError("no atoms above the cutoff")
+        locs, wts = locs[keep], wts[keep]
+        p = wts / (locs * locs)
+        return rng.choice(locs, size=count, p=p / p.sum())
+
+    def descriptor(self) -> str:
+        if len(self.locations) == 1 and self.weights[0] == 1.0:
+            return f"delta:{self.locations[0]:g}"
+        body = ",".join(f"{x:g}={w:g}" for x, w in zip(self.locations, self.weights))
+        return f"atoms:{body}"
+
 
 @dataclass(frozen=True)
 class BetaMeasure:
@@ -133,6 +189,117 @@ class BetaMeasure:
         )
         out[inside] = self.mass * np.exp(log_dens)
         return out
+
+    def moment(self, p: float, q: float = 0.0, lo: float = 0.0, hi: float = 1.0) -> float:
+        """Over all of (0, 1) a ratio of Beta functions; over a
+        sub-interval an incomplete Beta function when the integrand is
+        integrable at 0, else quadrature (which needs lo > 0)."""
+        if hi <= lo:
+            return 0.0
+        if lo <= 0.0 and hi >= 1.0:
+            a = self.alpha + p
+            b = self.beta + q
+            if a <= 0.0 or b <= 0.0:
+                raise _diverges(self, p, q)
+            return self.mass * math.exp(betaln(a, b) - betaln(self.alpha, self.beta))
+        # On a sub-interval the integrand is x**(A-1) (1-x)**(B-1) times
+        # mass / B(alpha, beta).  Sub-intervals arise only for nu = L / x**2,
+        # so A is formed from nu's exponent p + 2: alpha + p itself can
+        # round differently.
+        A = self.alpha + (p + 2.0) - 2.0
+        B = self.beta + q
+        if A > 0.0:
+            scale = self.mass * math.exp(betaln(A, B) - betaln(self.alpha, self.beta))
+            return scale * float(betainc(A, B, hi) - betainc(A, B, lo))
+        if lo <= 0.0:
+            raise _diverges(self, p, q)
+        c = self.mass * math.exp(-betaln(self.alpha, self.beta))
+        total = 0.0
+        mid = min(hi, 0.5)
+        if lo < mid:
+            # left piece: x = e**u turns x**(A-1) dx into e**(A u) du, which
+            # stays well conditioned even for lo many decades below 1
+            def left(u):
+                x = np.exp(u)
+                return np.exp(A * u) * (1.0 - x) ** (B - 1.0)
+
+            total += adaptive_integral(left, math.log(lo), math.log(mid))
+        if hi > mid:
+            # right piece: z = (1-x)**B absorbs the (1-x)**(B-1) endpoint
+            # factor; x = 1 - z**(1/B) is well conditioned for x >= 1/2
+            z_lo = (1.0 - hi) ** B
+            z_hi = (1.0 - max(lo, mid)) ** B
+
+            def right(z):
+                x = 1.0 - z ** (1.0 / B)
+                return x ** (A - 1.0)
+
+            total += adaptive_integral(right, z_lo, z_hi) / B
+        return c * total
+
+    def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
+        """alpha > 2: rejection of Beta(alpha-2, beta) draws below eps.
+        alpha <= 2 (needs eps > 0): two-piece power-law envelope rejection,
+        density proportional to x**(alpha-3) (1-x)**(beta-1).  Candidates
+        come in rounds of k, each round one (3, k) block of uniforms (piece
+        choice, position, acceptance), and the accepted ones are kept in
+        draw order.
+        """
+        a, b = self.alpha, self.beta
+        out = np.empty(count)
+        filled = 0
+        if a > 2.0:
+            while filled < count:
+                need = count - filled
+                draw = rng.beta(a - 2.0, b, size=max(need * 2, 16))
+                keep = draw[draw > eps][:need]
+                out[filled : filled + len(keep)] = keep
+                filled += len(keep)
+            return out
+
+        if eps <= 0.0:
+            raise InfiniteActivityError("alpha <= 2 requires a positive cutoff")
+        A = a - 2.0  # x exponent + 1: target density prop. to x**(A-1) (1-x)**(b-1)
+        split = 0.5 if eps < 0.5 else eps
+        # piece over (eps, split): envelope c_left * x**(A-1), c_left the
+        # largest (1-x)**(b-1) there (at eps for b >= 1, at 1/2 for b < 1)
+        c_left = 0.0
+        w_left = 0.0
+        if eps < 0.5:
+            c_left = (1.0 - eps) ** (b - 1.0) if b >= 1.0 else 0.5 ** (b - 1.0)
+            if A == 0.0:
+                mass_left = math.log(split / eps)
+            else:
+                mass_left = (split**A - eps**A) / A
+            w_left = c_left * mass_left
+        # piece over [split, 1): envelope prop. to (1-x)**(b-1)
+        c_right = split ** (A - 1.0)
+        w_right = c_right * (1.0 - split) ** b / b
+        p_left = w_left / (w_left + w_right)
+        while filled < count:
+            need = count - filled
+            u, v, acc = rng.random((3, max(need * 2, 16)))
+            left = u < p_left
+            x = np.empty_like(v)
+            ok = np.empty(len(v), dtype=bool)
+            vl = v[left]
+            if A == 0.0:
+                xl = eps * np.exp(vl * math.log(split / eps))
+            else:
+                xl = (eps**A + vl * (split**A - eps**A)) ** (1.0 / A)
+            x[left] = xl
+            ok[left] = acc[left] * c_left <= (1.0 - xl) ** (b - 1.0)
+            right = ~left
+            xr = 1.0 - (1.0 - split) * v[right] ** (1.0 / b)
+            x[right] = xr
+            ok[right] = (xr > eps) & (xr < 1.0) & (acc[right] * c_right <= xr ** (A - 1.0))
+            keep = x[ok][:need]
+            out[filled : filled + len(keep)] = keep
+            filled += len(keep)
+        return out
+
+    def descriptor(self) -> str:
+        return f"beta:{self.alpha:g},{self.beta:g},{self.mass:g}"
 
 
 class DensityTableMeasure:
@@ -176,6 +343,64 @@ class DensityTableMeasure:
         # a cubic interpolant of nonnegative data may undershoot slightly
         return np.maximum(out, 0.0)
 
+    def moment(self, p: float, q: float = 0.0, lo: float = 0.0, hi: float = 1.0) -> float:
+        """Quadrature over the part of the grid span inside (lo, hi]; the
+        support stays away from 0 and 1, so no moment diverges."""
+        a, b = max(lo, self.x[0]), min(hi, self.x[-1])
+        if not a < b:
+            return 0.0
+        if p < 0.0:
+            # a quotient, as for atoms: times x**p would round apart from / x
+
+            def integrand(x):
+                return self.density_at(x) * (1.0 - x) ** q / x ** -p
+
+        else:
+
+            def integrand(x):
+                return x**p * (1.0 - x) ** q * self.density_at(x)
+
+        return adaptive_integral(integrand, a, b)
+
+    def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Draws from the table's nu, treating the nu-density as piecewise
+        linear between grid points (exact for that piecewise model; the
+        model error vanishes with grid spacing).  Cells at or below eps are
+        dropped, the cell containing eps is clipped."""
+        x = self.x
+        g = self.density / (x * x)
+        # clip support to (eps, x1]
+        if eps >= x[-1]:
+            raise InfiniteActivityError("cutoff removes the whole support")
+        if eps > x[0]:
+            j = int(np.searchsorted(x, eps, side="right"))
+            g_eps = float(np.interp(eps, x, g))
+            x = np.concatenate(([eps], x[j:]))
+            g = np.concatenate(([g_eps], g[j:]))
+        widths = np.diff(x)
+        cell_mass = 0.5 * (g[:-1] + g[1:]) * widths
+        total = cell_mass.sum()
+        if total <= 0.0:
+            raise DegenerateMeasureError("nu restricted above the cutoff has no mass")
+        cells = rng.choice(len(widths), size=count, p=cell_mass / total)
+        u = rng.random(count)
+        g0 = g[:-1][cells]
+        g1 = g[1:][cells]
+        w = widths[cells]
+        # inverse CDF of the linear density on each cell
+        with np.errstate(invalid="ignore"):
+            slope = g1 - g0
+            disc = g0 * g0 + u * slope * (g0 + g1)
+            t = np.where(
+                np.abs(slope) < 1e-14 * (g0 + g1 + 1e-300),
+                u,
+                (np.sqrt(np.maximum(disc, 0.0)) - g0) / np.where(slope == 0.0, 1.0, slope),
+            )
+        return x[:-1][cells] + np.clip(t, 0.0, 1.0) * w
+
+    def descriptor(self) -> str:
+        return f"density-table[{len(self.x)}pts,order={self.order}]"
+
     def __repr__(self):
         return (
             f"DensityTableMeasure({len(self.x)} points on "
@@ -184,6 +409,14 @@ class DensityTableMeasure:
 
 
 LambdaMeasure = Union[AtomicMeasure, BetaMeasure, DensityTableMeasure]
+
+
+def _finite(measure: LambdaMeasure, error: type, p, q=0.0, lo=0.0, hi=1.0) -> float:
+    """measure.moment(p, q, lo, hi), a divergence raised as `error`."""
+    try:
+        return measure.moment(p, q, lo, hi)
+    except _Divergence as exc:
+        raise error(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +479,7 @@ def parse_measure(spec: str) -> LambdaMeasure:
 
 def measure_descriptor(measure: LambdaMeasure) -> str:
     """Canonical text form used in reports and CLI output."""
-    if isinstance(measure, AtomicMeasure):
-        if len(measure.locations) == 1 and measure.weights[0] == 1.0:
-            return f"delta:{measure.locations[0]:g}"
-        body = ",".join(
-            f"{x:g}={w:g}" for x, w in zip(measure.locations, measure.weights)
-        )
-        return f"atoms:{body}"
-    if isinstance(measure, BetaMeasure):
-        return f"beta:{measure.alpha:g},{measure.beta:g},{measure.mass:g}"
-    return f"density-table[{len(measure.x)}pts,order={measure.order}]"
+    return measure.descriptor()
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +488,7 @@ def measure_descriptor(measure: LambdaMeasure) -> str:
 
 
 def total_mass(measure: LambdaMeasure) -> float:
-    if isinstance(measure, AtomicMeasure):
-        return math.fsum(measure.weights)
-    if isinstance(measure, BetaMeasure):
-        return measure.mass
-    return adaptive_integral(measure.density_at, measure.x[0], measure.x[-1])
-
-
-def _beta_moment(measure: BetaMeasure, p: float, q: float) -> float:
-    """integral x**p (1-x)**q against a BetaMeasure, exact in log domain.
-
-    Requires p + alpha > 0 and q + beta > 0.
-    """
-    a = measure.alpha + p
-    b = measure.beta + q
-    if a <= 0.0 or b <= 0.0:
-        raise NonIntegrableError(
-            f"moment x**{p}(1-x)**{q} diverges for beta:{measure.alpha:g},"
-            f"{measure.beta:g},{measure.mass:g}"
-        )
-    return measure.mass * math.exp(betaln(a, b) - betaln(measure.alpha, measure.beta))
+    return measure.moment(0.0, 0.0)
 
 
 def coalescence_rate(measure: LambdaMeasure, b: int, k: int) -> float:
@@ -294,19 +499,7 @@ def coalescence_rate(measure: LambdaMeasure, b: int, k: int) -> float:
     """
     if not (2 <= k <= b):
         raise ValueError(f"need 2 <= k <= b, got b={b}, k={k}")
-    if isinstance(measure, AtomicMeasure):
-        terms = [
-            w * x ** (k - 2) * (1.0 - x) ** (b - k)
-            for x, w in zip(measure.locations, measure.weights)
-        ]
-        return math.fsum(terms)
-    if isinstance(measure, BetaMeasure):
-        return _beta_moment(measure, float(k - 2), float(b - k))
-
-    def integrand(x):
-        return x ** (k - 2.0) * (1.0 - x) ** (b - k) * measure.density_at(x)
-
-    return adaptive_integral(integrand, measure.x[0], measure.x[-1])
+    return measure.moment(k - 2.0, b - k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,39 +546,26 @@ def dust_integral(measure: LambdaMeasure) -> float:
     Raises DustConditionError when it diverges; finiteness is the standing
     assumption of every sampler built on the subordinator.
     """
-    if isinstance(measure, AtomicMeasure):
-        if 0.0 in measure.locations:
-            raise DustConditionError("atom at 0 makes the 1/x integral infinite")
-        return math.fsum(w / x for x, w in zip(measure.locations, measure.weights))
-    if isinstance(measure, BetaMeasure):
-        if measure.alpha <= 1.0:
-            raise DustConditionError(
-                f"beta alpha={measure.alpha:g} <= 1 violates the dust condition"
-            )
-        return _beta_moment(measure, -1.0, 0.0)
-
-    def integrand(x):
-        return measure.density_at(x) / x
-
-    return adaptive_integral(integrand, measure.x[0], measure.x[-1])
+    return _finite(measure, DustConditionError, -1.0)
 
 
 def require_dust_condition(measure: LambdaMeasure) -> None:
     dust_integral(measure)
 
 
+@functools.lru_cache(maxsize=64)
 def require_population_support(measure: LambdaMeasure) -> None:
     """Standing assumptions of the population construction: no atoms at the
-    endpoints and a finite 1/x integral."""
-    if isinstance(measure, AtomicMeasure):
-        if 0.0 in measure.locations:
-            raise PopulationSupportError("atom at 0 is not allowed here")
-        if 1.0 in measure.locations:
-            raise PopulationSupportError("atom at 1 is not allowed here")
-    try:
-        dust_integral(measure)
-    except DustConditionError as exc:
-        raise PopulationSupportError(str(exc)) from exc
+    endpoints and a finite 1/x integral.
+
+    A success is remembered per measure (samplers call this once per
+    replicate); a failure raises on every call.  An atom at 0 makes the
+    1/x integral diverge; the mass at 1 is the limit of the x**p moments
+    as p grows, read off at p = inf.
+    """
+    _finite(measure, PopulationSupportError, -1.0)
+    if measure.moment(math.inf, 0.0) > 0.0:
+        raise PopulationSupportError(f"{measure.descriptor()} has an atom at 1")
 
 
 def single_ball_integral(measure: LambdaMeasure, n: int) -> float:
@@ -396,24 +576,7 @@ def single_ball_integral(measure: LambdaMeasure, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(measure, AtomicMeasure):
-        if 0.0 in measure.locations:
-            raise DustConditionError("atom at 0 makes the 1/x integral infinite")
-        return math.fsum(
-            w * (1.0 - x) ** (n - 1) / x
-            for x, w in zip(measure.locations, measure.weights)
-        )
-    if isinstance(measure, BetaMeasure):
-        if measure.alpha <= 1.0:
-            raise DustConditionError(
-                f"beta alpha={measure.alpha:g} <= 1 violates the dust condition"
-            )
-        return _beta_moment(measure, -1.0, float(n - 1))
-
-    def integrand(x):
-        return measure.density_at(x) * (1.0 - x) ** (n - 1) / x
-
-    return adaptive_integral(integrand, measure.x[0], measure.x[-1])
+    return _finite(measure, DustConditionError, -1.0, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,93 +656,9 @@ def first_part_laws_upto(
 # jump intensity nu = L(dx) / x**2: tails and size sampling
 # ---------------------------------------------------------------------------
 
-
-def _beta_nu_integral(measure: BetaMeasure, p: float, lo: float, hi: float) -> float:
-    """integral of x**p against nu restricted to (lo, hi) for a BetaMeasure.
-
-    Exact via regularized incomplete Beta when the effective left exponent
-    is positive; otherwise numeric with a substitution that removes the
-    (1-x)**(beta-1) endpoint singularity.
-    """
-    if hi <= lo:
-        return 0.0
-    # integrand: mass/B(alpha,beta) * x**(alpha+p-3) * (1-x)**(beta-1)
-    A = measure.alpha + p - 2.0
-    B = measure.beta
-    norm = measure.mass
-    if A > 0.0:
-        scale = norm * math.exp(betaln(A, B) - betaln(measure.alpha, measure.beta))
-        return scale * float(betainc(A, B, hi) - betainc(A, B, lo))
-    if lo <= 0.0:
-        raise InfiniteActivityError(
-            "jump intensity integral diverges at 0 without a positive cutoff"
-        )
-    c = norm * math.exp(-betaln(measure.alpha, measure.beta))
-    total = 0.0
-    mid = min(hi, 0.5)
-    if lo < mid:
-        # left piece: x = e**u turns x**(A-1) dx into e**(A u) du, which
-        # stays well conditioned even for lo many decades below 1
-        def left(u):
-            x = np.exp(u)
-            return np.exp(A * u) * (1.0 - x) ** (B - 1.0)
-
-        total += adaptive_integral(left, math.log(lo), math.log(mid))
-    if hi > mid:
-        # right piece: z = (1-x)**B absorbs the (1-x)**(B-1) endpoint
-        # factor; x = 1 - z**(1/B) is well conditioned for x >= 1/2
-        z_lo = (1.0 - hi) ** B
-        z_hi = (1.0 - max(lo, mid)) ** B
-
-        def right(z):
-            x = 1.0 - z ** (1.0 / B)
-            return x ** (A - 1.0)
-
-        total += adaptive_integral(right, z_lo, z_hi) / B
-    return c * total
-
-
-def _nu_mass_above(measure: LambdaMeasure, eps: float) -> float:
-    """nu(eps, 1]; InfiniteActivityError when it is infinite."""
-    if isinstance(measure, AtomicMeasure):
-        if 0.0 in measure.locations:
-            raise InfiniteActivityError("atom at 0 gives nu infinite mass")
-        return math.fsum(
-            w / (x * x)
-            for x, w in zip(measure.locations, measure.weights)
-            if eps < x
-        )
-    if isinstance(measure, BetaMeasure):
-        if eps == 0.0 and measure.alpha <= 2.0:
-            raise InfiniteActivityError(
-                f"beta alpha={measure.alpha:g} <= 2 has infinite jump intensity"
-            )
-        return _beta_nu_integral(measure, 0.0, eps, 1.0)
-    # density table: compact support inside (0, 1), everything is finite
-    x0, x1 = measure.x[0], measure.x[-1]
-
-    def nu_density(x):
-        return measure.density_at(x) / (x * x)
-
-    return adaptive_integral(nu_density, max(eps, x0), x1) if eps < x1 else 0.0
-
-
-def _nu_moment_below(measure: LambdaMeasure, eps: float) -> float:
-    """integral of x nu(dx) over (0, eps]: closed form for atoms and Beta
-    measures (the Beta exponent alpha - 1 is positive under the dust
-    condition), quadrature for tables."""
-    if isinstance(measure, AtomicMeasure):
-        return math.fsum(
-            w / x for x, w in zip(measure.locations, measure.weights) if x <= eps
-        )
-    if isinstance(measure, BetaMeasure):
-        return _beta_nu_integral(measure, 1.0, 0.0, eps) if eps > 0.0 else 0.0
-    x0, x1 = measure.x[0], measure.x[-1]
-
-    def x_nu_density(x):
-        return measure.density_at(x) / x
-
-    return adaptive_integral(x_nu_density, x0, min(eps, x1)) if eps > x0 else 0.0
+# Lower end of the cutoff search; nu(0, _EPS_FLOOR] is finite exactly when
+# nu has finite mass, since nu(eps, 1] <= L[0, 1] / eps**2 for any eps > 0.
+_EPS_FLOOR = 1e-30
 
 
 def litter_intensity_tail(measure: LambdaMeasure, eps: float) -> tuple[float, float]:
@@ -588,11 +667,13 @@ def litter_intensity_tail(measure: LambdaMeasure, eps: float) -> tuple[float, fl
     nu(dx) = L(dx)/x**2 on (0, 1].  "Above" is the interval (eps, 1];
     atoms exactly at eps count toward the lower moment.  eps = 0 is
     allowed only for finite-activity measures; otherwise
-    InfiniteActivityError.
+    InfiniteActivityError (an atom at 0 gives it at every eps).
     """
     if not (0.0 <= eps < 1.0):
         raise ValueError("eps must be in [0, 1)")
-    return _nu_mass_above(measure, eps), _nu_moment_below(measure, eps)
+    above = _finite(measure, InfiniteActivityError, -2.0, 0.0, eps, 1.0)
+    below = _finite(measure, InfiniteActivityError, -1.0, 0.0, 0.0, eps)
+    return above, below
 
 
 def choose_truncation(
@@ -601,130 +682,31 @@ def choose_truncation(
     """Smallest-cost jump-size cutoff eps with horizon * integral_{0}^{eps}
     x nu(dx) <= budget.
 
-    Returns 0.0 for finite-activity measures (no truncation needed).  Only
-    Beta measures with alpha <= 2 have infinite activity once the dust
-    condition holds; for them the cutoff is found by bisection on log eps
-    against the closed-form moment below eps, and the returned value is
-    the largest tested eps meeting the budget.
+    Returns 0.0 for finite-activity measures (no truncation needed).  For
+    the others the cutoff is found by bisection on log eps against the
+    moment below eps, and the returned value is the largest tested eps
+    meeting the budget.
     """
     require_dust_condition(measure)
-    if not (isinstance(measure, BetaMeasure) and measure.alpha <= 2.0):
+    try:
+        measure.moment(-2.0, 0.0, 0.0, _EPS_FLOOR)
         return 0.0
-    lo, hi = math.log(1e-30), math.log(0.5)
-    if horizon * _nu_moment_below(measure, math.exp(lo)) > budget:
+    except _Divergence:
+        pass
+
+    def below(eps):
+        return _finite(measure, InfiniteActivityError, -1.0, 0.0, 0.0, eps)
+
+    lo, hi = math.log(_EPS_FLOOR), math.log(0.5)
+    if horizon * below(math.exp(lo)) > budget:
         raise NonIntegrableError("cannot meet truncation budget")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if horizon * _nu_moment_below(measure, math.exp(mid)) <= budget:
+        if horizon * below(math.exp(mid)) <= budget:
             lo = mid
         else:
             hi = mid
     return math.exp(lo)
-
-
-def _sample_beta_nu(
-    measure: BetaMeasure, eps: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact draws from nu/|nu| restricted to (eps, 1) for a BetaMeasure.
-
-    alpha > 2: rejection of Beta(alpha-2, beta) draws below eps.
-    alpha <= 2 (needs eps > 0): two-piece power-law envelope rejection,
-    density proportional to x**(alpha-3) (1-x)**(beta-1).  Candidates
-    come in rounds of k, each round one (3, k) block of uniforms (piece
-    choice, position, acceptance), and the accepted ones are kept in draw
-    order.
-    """
-    a, b = measure.alpha, measure.beta
-    out = np.empty(count)
-    filled = 0
-    if a > 2.0:
-        while filled < count:
-            need = count - filled
-            draw = rng.beta(a - 2.0, b, size=max(need * 2, 16))
-            keep = draw[draw > eps][:need]
-            out[filled : filled + len(keep)] = keep
-            filled += len(keep)
-        return out
-
-    if eps <= 0.0:
-        raise InfiniteActivityError("alpha <= 2 requires a positive cutoff")
-    A = a - 2.0  # x exponent + 1: target density prop. to x**(A-1) (1-x)**(b-1)
-    split = 0.5 if eps < 0.5 else eps
-    # piece over (eps, split): envelope c_left * x**(A-1), c_left the
-    # largest (1-x)**(b-1) there (at eps for b >= 1, at 1/2 for b < 1)
-    c_left = 0.0
-    w_left = 0.0
-    if eps < 0.5:
-        c_left = (1.0 - eps) ** (b - 1.0) if b >= 1.0 else 0.5 ** (b - 1.0)
-        if A == 0.0:
-            mass_left = math.log(split / eps)
-        else:
-            mass_left = (split**A - eps**A) / A
-        w_left = c_left * mass_left
-    # piece over [split, 1): envelope prop. to (1-x)**(b-1)
-    c_right = split ** (A - 1.0)
-    w_right = c_right * (1.0 - split) ** b / b
-    p_left = w_left / (w_left + w_right)
-    while filled < count:
-        need = count - filled
-        u, v, acc = rng.random((3, max(need * 2, 16)))
-        left = u < p_left
-        x = np.empty_like(v)
-        ok = np.empty(len(v), dtype=bool)
-        vl = v[left]
-        if A == 0.0:
-            xl = eps * np.exp(vl * math.log(split / eps))
-        else:
-            xl = (eps**A + vl * (split**A - eps**A)) ** (1.0 / A)
-        x[left] = xl
-        ok[left] = acc[left] * c_left <= (1.0 - xl) ** (b - 1.0)
-        right = ~left
-        xr = 1.0 - (1.0 - split) * v[right] ** (1.0 / b)
-        x[right] = xr
-        ok[right] = (xr > eps) & (xr < 1.0) & (acc[right] * c_right <= xr ** (A - 1.0))
-        keep = x[ok][:need]
-        out[filled : filled + len(keep)] = keep
-        filled += len(keep)
-    return out
-
-
-def _sample_table_nu(
-    measure: DensityTableMeasure, eps: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draws from the table's nu, treating the nu-density as piecewise
-    linear between grid points (exact for that piecewise model; the model
-    error vanishes with grid spacing).  Cells at or below eps are dropped,
-    the cell containing eps is clipped."""
-    x = measure.x
-    g = measure.density / (x * x)
-    # clip support to (eps, x1]
-    if eps >= x[-1]:
-        raise InfiniteActivityError("cutoff removes the whole support")
-    if eps > x[0]:
-        j = int(np.searchsorted(x, eps, side="right"))
-        g_eps = float(np.interp(eps, x, g))
-        x = np.concatenate(([eps], x[j:]))
-        g = np.concatenate(([g_eps], g[j:]))
-    widths = np.diff(x)
-    cell_mass = 0.5 * (g[:-1] + g[1:]) * widths
-    total = cell_mass.sum()
-    if total <= 0.0:
-        raise DegenerateMeasureError("nu restricted above the cutoff has no mass")
-    cells = rng.choice(len(widths), size=count, p=cell_mass / total)
-    u = rng.random(count)
-    g0 = g[:-1][cells]
-    g1 = g[1:][cells]
-    w = widths[cells]
-    # inverse CDF of the linear density on each cell
-    with np.errstate(invalid="ignore"):
-        slope = g1 - g0
-        disc = g0 * g0 + u * slope * (g0 + g1)
-        t = np.where(
-            np.abs(slope) < 1e-14 * (g0 + g1 + 1e-300),
-            u,
-            (np.sqrt(np.maximum(disc, 0.0)) - g0) / np.where(slope == 0.0, 1.0, slope),
-        )
-    return x[:-1][cells] + np.clip(t, 0.0, 1.0) * w
 
 
 def sample_jump_sizes(
@@ -733,15 +715,4 @@ def sample_jump_sizes(
     """Sample jump sizes from nu restricted to (eps, 1], normalized."""
     if count == 0:
         return np.empty(0)
-    if isinstance(measure, AtomicMeasure):
-        locs = np.array(measure.locations)
-        wts = np.array(measure.weights)
-        keep = locs > eps
-        if not np.any(keep):
-            raise DegenerateMeasureError("no atoms above the cutoff")
-        locs, wts = locs[keep], wts[keep]
-        p = wts / (locs * locs)
-        return rng.choice(locs, size=count, p=p / p.sum())
-    if isinstance(measure, BetaMeasure):
-        return _sample_beta_nu(measure, eps, count, rng)
-    return _sample_table_nu(measure, eps, count, rng)
+    return measure.sample_nu(eps, count, rng)

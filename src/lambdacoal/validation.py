@@ -32,7 +32,7 @@ from .population import (
 )
 from .coalescent import simulate_frozen_coalescent
 from .sampling_formula import ewens, solve
-from .streams import derive_rng
+from .streams import derive_rng, fan_out
 from .subordinator import (
     _window_setup,
     default_window_horizon,
@@ -342,14 +342,9 @@ def _merge_counts(parts) -> dict:
 
 
 def _case_counts(case, reps, seed, workers, executor) -> dict:
-    if workers <= 1 or executor is None:
-        return _count_chunk(case, seed, 0, reps)
-    chunk = max(1, math.ceil(reps / (workers * 4)))
-    spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
-    futures = [
-        executor.submit(_count_chunk, case, seed, a, b) for a, b in spans
-    ]
-    return _merge_counts(f.result() for f in futures)
+    return _merge_counts(
+        fan_out(_count_chunk, (case, seed), reps, workers, executor)
+    )
 
 
 def _truncation_bias(case: ValidationCase) -> float:

@@ -354,6 +354,104 @@ def test_tail_atom_at_zero():
         litter_intensity_tail(DELTA0, 0.0)
 
 
+TABLE_XS = np.linspace(0.1, 0.9, 6)
+TABLE_CUBIC = DensityTableMeasure(TABLE_XS, 6.0 * TABLE_XS * (1.0 - TABLE_XS), order=3)
+TABLE_LINEAR = DensityTableMeasure((0.2, 0.5, 0.8), (1.0, 2.5, 0.5), order=1)
+
+
+def _quad(fn, a, b, nodes):
+    """scipy.integrate.quad of fn over [a, b], split at the table nodes."""
+    if not a < b:
+        return 0.0
+    inner = [x for x in nodes if a < x < b]
+    val, _ = scipy.integrate.quad(fn, a, b, points=inner or None, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("table", [TABLE_CUBIC, TABLE_LINEAR], ids=["cubic", "linear"])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.37, 0.5, 0.95])
+def test_tail_density_table_matches_quad(table, eps):
+    # eps below, inside and above the grid span; nu = L(dx) / x**2
+    x0, x1 = table.x[0], table.x[-1]
+
+    def density(x):
+        return float(table.density_at(np.array([x]))[0])
+
+    above, below = litter_intensity_tail(table, eps)
+    expect_above = _quad(lambda x: density(x) / x**2, max(eps, x0), x1, table.x)
+    expect_below = _quad(lambda x: density(x) / x, x0, min(eps, x1), table.x)
+    assert above == pytest.approx(expect_above, rel=1e-9, abs=1e-14)
+    assert below == pytest.approx(expect_below, rel=1e-9, abs=1e-14)
+
+
+def test_atom_at_eps_counts_below():
+    m = parse_measure("atoms:0.2=0.5,0.6=0.3")
+    above, below = 0.5 / 0.2**2 + 0.3 / 0.6**2, 0.5 / 0.2 + 0.3 / 0.6
+    assert litter_intensity_tail(m, math.nextafter(0.2, 0.0)) == pytest.approx((above, 0.0))
+    assert litter_intensity_tail(m, 0.2) == pytest.approx((0.3 / 0.6**2, 0.5 / 0.2))
+    assert litter_intensity_tail(m, 0.6) == pytest.approx((0.0, below))
+    draws = sample_jump_sizes(m, 0.2, 200, np.random.default_rng(3))
+    assert set(draws.tolist()) == {0.6}
+
+
+MOMENT_MEASURES = {
+    "atoms": parse_measure("atoms:0.3=0.2,0.7=0.5,1=0.25"),
+    "beta:2.5,1.5,2": BetaMeasure(2.5, 1.5, 2.0),
+    "beta:1.5,0.5,1": BetaMeasure(1.5, 0.5, 1.0),
+    "table-cubic": TABLE_CUBIC,
+    "table-linear": TABLE_LINEAR,
+}
+
+
+@pytest.mark.parametrize("name", list(MOMENT_MEASURES))
+@pytest.mark.parametrize(
+    "p, q, lo, hi",
+    [
+        (0.0, 0.0, 0.0, 1.0),
+        (2.0, 3.0, 0.0, 1.0),
+        (-1.0, 0.0, 0.0, 1.0),
+        (-1.0, 4.0, 0.0, 1.0),
+        (-1.0, 0.0, 0.0, 0.3),
+        (-2.0, 0.0, 0.05, 1.0),
+        (-2.0, 0.0, 0.3, 0.7),
+        (1.0, 2.0, 0.2, 0.75),
+    ],
+)
+def test_moment_matches_quad(name, p, q, lo, hi):
+    m = MOMENT_MEASURES[name]
+    got = m.moment(p, q, lo, hi)
+    if isinstance(m, AtomicMeasure):
+        expect = sum(
+            w * x**p * (1.0 - x) ** q
+            for x, w in zip(m.locations, m.weights)
+            if lo < x <= hi
+        )
+    else:
+        nodes = m.x if isinstance(m, DensityTableMeasure) else ()
+
+        def integrand(x):
+            return x**p * (1.0 - x) ** q * float(m.density_at(np.array([x]))[0])
+
+        expect = _quad(integrand, lo, hi, nodes)
+    assert got == pytest.approx(expect, rel=1e-8)
+
+
+def test_moment_divergence_is_typed():
+    # the moment reports a divergence as NonIntegrableError; each
+    # functional re-raises it as the error of its own domain
+    with pytest.raises(lc.NonIntegrableError):
+        BETA221.moment(-2.0)
+    with pytest.raises(lc.NonIntegrableError):
+        DELTA0.moment(-1.0, 0.0, 0.0, 0.5)
+    assert DELTA0.moment(-1.0, 0.0, 0.1, 1.0) == 0.0
+    with pytest.raises(DustConditionError):
+        single_ball_integral(DELTA0, 3)
+    with pytest.raises(InfiniteActivityError):
+        litter_intensity_tail(DELTA0, 0.3)
+    with pytest.raises(PopulationSupportError):
+        require_population_support(parse_measure("atoms:0.5=1,1=0.2"))
+
+
 def test_choose_truncation_finite_activity():
     assert choose_truncation(POLY, 10.0) == 0.0
     assert choose_truncation(HALF_ATOM, 10.0) == 0.0

@@ -282,6 +282,29 @@ def test_chain_sampler_preconditions(rng_factory):
         sample_family_partition_chain(POLY, 0.0, 4, rng_factory(6, "pre", 3))
 
 
+def test_chain_sampler_checks_support_once_per_measure(rng_factory, quadrature_calls):
+    # on a table the support check integrates 1/x; with the laws passed in
+    # nothing else integrates, so the count must not grow with replicates
+    xs = np.linspace(0.1, 0.9, 6)
+    calls = []
+    for reps in (100, 200):
+        table = lc.DensityTableMeasure(xs, 6.0 * xs * (1.0 - xs), order=3)
+        laws = first_part_laws_upto(table, 1.0, 5)
+        del quadrature_calls[:]
+        for rep in range(reps):
+            sample_family_partition_chain(
+                table, 1.0, 5, rng_factory(6, "support-once", rep), laws=laws
+            )
+        calls.append(len(quadrature_calls))
+    assert calls[0] == calls[1]
+    # a refusal is not remembered
+    for _ in range(2):
+        with pytest.raises(PopulationSupportError):
+            sample_family_partition_chain(
+                parse_measure("delta:1"), 1.0, 4, rng_factory(6, "support-once")
+            )
+
+
 def test_samplers_return_partitions_of_n(rng_factory):
     for rep in range(40):
         pv = sample_family_partition_set(POLY, 1.0, 6, rng_factory(6, "set", rep))
