@@ -16,29 +16,17 @@ import json
 import sys
 
 from .errors import LambdaCoalError, MeasureSpecError
-from .measures import (
-    build_rate_table,
-    first_part_laws_upto,
-    measure_descriptor,
-    parse_measure,
-)
-from .population import (
-    LitterHistory,
-    forward_simulate,
-    rho_state,
-    sample_family_partition_chain,
-    sample_family_partition_set,
-)
-from .coalescent import simulate_frozen_coalescent
+from .measures import build_rate_table, measure_descriptor, parse_measure
+from .population import LitterHistory, forward_simulate, rho_state
+# perfbench's tracer test reads cli.simulate_frozen_coalescent
+from .coalescent import simulate_frozen_coalescent  # noqa: F401
 from .sampling_formula import DEFAULT_PARTITION_CAP, solve
 from .streams import derive_rng, fan_out
-from .subordinator import (
-    default_window_horizon,
-    sample_composition_detailed,
-    sample_window,
-)
+from .subordinator import default_window_horizon
 from .validation import (
+    draw_span,
     load_plan,
+    prepare_shared,
     reports_to_csv,
     reports_to_json,
     run_validation,
@@ -135,33 +123,6 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_replicate(sampler, measure, mu, n, seed, rep, shared):
-    """One output line for replicate rep.  shared carries precomputed
-    per-run tables so worker processes do not rebuild them per line."""
-    rng = derive_rng(seed, "simulate:" + sampler, rep)
-    if sampler == "frozen":
-        rates = shared
-        return simulate_frozen_coalescent(rates, mu, n, rng).to_text()
-    if sampler == "chain":
-        return sample_family_partition_chain(
-            measure, mu, n, rng, laws=shared
-        ).to_text()
-    if sampler == "set":
-        return sample_family_partition_set(measure, mu, n, rng, T0=shared).to_text()
-    if sampler == "composition":
-        window = sample_window(measure, mu, shared, rng=rng)
-        return sample_composition_detailed(window, n, rng).composition.to_text()
-    raise ValueError(f"unknown sampler {sampler!r}")
-
-
-def _simulate_chunk(sampler, measure_spec, mu, n, seed, shared, start, stop):
-    measure = parse_measure(measure_spec)
-    return [
-        _simulate_replicate(sampler, measure, mu, n, seed, r, shared)
-        for r in range(start, stop)
-    ]
-
-
 def cmd_simulate(args) -> int:
     measure = parse_measure(args.measure)
     if args.sampler == "forward":
@@ -175,19 +136,16 @@ def cmd_simulate(args) -> int:
             )
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
-    if args.sampler == "frozen":
-        shared = build_rate_table(measure, args.n)
-    elif args.sampler == "chain":
-        shared = first_part_laws_upto(measure, args.mu, args.n)
-    else:  # set, composition: precompute the default window horizon
-        shared = default_window_horizon(measure, args.mu, args.n)
-    chunks = fan_out(
-        _simulate_chunk,
-        (args.sampler, args.measure, args.mu, args.n, args.seed, shared),
+    names = (args.sampler,)
+    shared = prepare_shared(names, measure, args.mu, args.n)
+    tag = "simulate:" + args.sampler
+    spans = fan_out(
+        draw_span,
+        (names, args.measure, args.mu, args.n, args.seed, tag, shared),
         args.reps,
         args.workers,
     )
-    lines = [line for chunk in chunks for line in chunk]
+    lines = [line for span in spans for line in span]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

@@ -524,8 +524,8 @@ class RateTable:
 
 
 def build_rate_table(measure: LambdaMeasure, n_max: int) -> RateTable:
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     rates = np.zeros((n_max + 1, n_max + 1))
     totals = np.zeros(n_max + 1)
     for b in range(2, n_max + 1):

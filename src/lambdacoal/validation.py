@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import Callable, NamedTuple
 
-import numpy as np
 from scipy.special import gammaincc
 
 from .errors import LambdaCoalError
@@ -165,7 +166,8 @@ def chi_square_two_sample(
 class ValidationCase:
     """One line item of the validation matrix.
 
-    kind: 'sampler_vs_exact' (frozen | chain | set against the recursion),
+    kind: 'sampler_vs_exact' (the sampler named by `sampler`, one of
+    frozen | chain | set, against the recursion),
     'ewens_equivalence' (deterministic closed-form check),
     'first_part' (window first parts against the first-part law),
     'sequential_vs_window' (two-sample over full compositions).
@@ -258,11 +260,18 @@ def default_plan() -> list[ValidationCase]:
 
 
 def load_plan(path) -> list[ValidationCase]:
+    """Cases of a JSON plan file {"cases": [{field: value, ...}, ...]};
+    a file of any other shape raises ValueError naming the file."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("cases"), list):
+        raise ValueError(f"plan {path}: expected an object with a 'cases' list")
     cases = []
-    for raw in data["cases"]:
-        cases.append(ValidationCase(**raw))
+    for i, raw in enumerate(data["cases"]):
+        try:
+            cases.append(ValidationCase(**raw))
+        except TypeError as exc:
+            raise ValueError(f"plan {path}: case {i}: {exc}") from None
     return cases
 
 
@@ -271,95 +280,125 @@ def load_plan(path) -> list[ValidationCase]:
 # ---------------------------------------------------------------------------
 
 
-def _count_chunk(case: ValidationCase, seed: int, start: int, stop: int) -> dict:
-    """Outcome counts for replicate indices [start, stop) of one case."""
-    measure = parse_measure(case.measure_spec)
-    counts: dict[str, int] = {}
-    if case.kind == "sampler_vs_exact":
-        if case.sampler == "frozen":
-            rates = build_rate_table(measure, case.n)
-            for r in range(start, stop):
-                rng = derive_rng(seed, case.case_id, r)
-                pv = simulate_frozen_coalescent(rates, case.mu, case.n, rng)
-                counts[pv.to_text()] = counts.get(pv.to_text(), 0) + 1
-        elif case.sampler == "chain":
-            laws = first_part_laws_upto(measure, case.mu, case.n)
-            for r in range(start, stop):
-                rng = derive_rng(seed, case.case_id, r)
-                pv = sample_family_partition_chain(
-                    measure, case.mu, case.n, rng, laws=laws
-                )
-                counts[pv.to_text()] = counts.get(pv.to_text(), 0) + 1
-        elif case.sampler == "set":
-            T0 = default_window_horizon(measure, case.mu, case.n)
-            for r in range(start, stop):
-                rng = derive_rng(seed, case.case_id, r)
-                pv = sample_family_partition_set(
-                    measure, case.mu, case.n, rng, T0=T0
-                )
-                counts[pv.to_text()] = counts.get(pv.to_text(), 0) + 1
-        else:
-            raise ValueError(f"unknown sampler {case.sampler!r}")
-        return counts
-    if case.kind == "first_part":
-        # outcomes: '1m' mutant single, '1l' lone-litter single, '2'..'n'
-        T0 = default_window_horizon(measure, case.mu, case.n)
-        for r in range(start, stop):
-            rng = derive_rng(seed, case.case_id, r)
-            window = sample_window(measure, case.mu, T0, rng=rng)
-            sample = sample_composition_detailed(window, case.n, rng)
-            first = sample.composition.parts[0]
-            if first == 1:
-                key = "1m" if sample.hits[0].kind == "regenerative" else "1l"
-            else:
-                key = str(first)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-    if case.kind == "sequential_vs_window":
-        # replicates split evenly: even indices sequential, odd window
-        laws = first_part_laws_upto(measure, case.mu, case.n)
-        T0 = default_window_horizon(measure, case.mu, case.n)
-        for r in range(start, stop):
-            rng = derive_rng(seed, case.case_id, r)
-            if r % 2 == 0:
-                comp = sequential_composition(measure, case.mu, case.n, rng, laws=laws)
-                key = "seq:" + comp.to_text()
-            else:
-                window = sample_window(measure, case.mu, T0, rng=rng)
-                comp = sample_composition_detailed(window, case.n, rng).composition
-                key = "win:" + comp.to_text()
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-    raise ValueError(f"kind {case.kind!r} draws no replicates")
+class _Sampler(NamedTuple):
+    """prepare(measure, mu, n) -> the table every replicate shares;
+    draw(measure, mu, n, shared, rng) -> one outcome as text; window: the
+    draw reads a subordinator window, so its small-jump truncation biases
+    the outcome."""
+
+    prepare: Callable
+    draw: Callable
+    window: bool
 
 
-def _merge_counts(parts) -> dict:
-    out: dict[str, int] = {}
-    for part in parts:
-        for k, v in part.items():
-            out[k] = out.get(k, 0) + v
+def _first_part(measure, mu, n, T0, rng) -> str:
+    """'1m' mutant single, '1l' lone-litter single, '2'..'n' otherwise."""
+    window = sample_window(measure, mu, T0, rng=rng)
+    sample = sample_composition_detailed(window, n, rng)
+    first = sample.composition.parts[0]
+    if first == 1:
+        return "1m" if sample.hits[0].kind == "regenerative" else "1l"
+    return str(first)
+
+
+# The one map from a sampler name to its shared table and its draw.  The
+# entries reach every library function by its module-global name at call
+# time, so a caller that rebinds a module attribute (a tracer) sees the call.
+_SAMPLERS = {
+    "frozen": _Sampler(
+        lambda measure, mu, n: build_rate_table(measure, n),
+        lambda measure, mu, n, rates, rng: simulate_frozen_coalescent(
+            rates, mu, n, rng
+        ).to_text(),
+        False,
+    ),
+    "chain": _Sampler(
+        lambda measure, mu, n: first_part_laws_upto(measure, mu, n),
+        lambda measure, mu, n, laws, rng: sample_family_partition_chain(
+            measure, mu, n, rng, laws=laws
+        ).to_text(),
+        False,
+    ),
+    "set": _Sampler(
+        lambda measure, mu, n: default_window_horizon(measure, mu, n),
+        lambda measure, mu, n, T0, rng: sample_family_partition_set(
+            measure, mu, n, rng, T0=T0
+        ).to_text(),
+        True,
+    ),
+    "composition": _Sampler(
+        lambda measure, mu, n: default_window_horizon(measure, mu, n),
+        lambda measure, mu, n, T0, rng: sample_composition_detailed(
+            sample_window(measure, mu, T0, rng=rng), n, rng
+        ).composition.to_text(),
+        True,
+    ),
+    "first-part": _Sampler(
+        lambda measure, mu, n: default_window_horizon(measure, mu, n),
+        lambda measure, mu, n, T0, rng: _first_part(measure, mu, n, T0, rng),
+        True,
+    ),
+    "sequential": _Sampler(
+        lambda measure, mu, n: first_part_laws_upto(measure, mu, n),
+        lambda measure, mu, n, laws, rng: sequential_composition(
+            measure, mu, n, rng, laws=laws
+        ).to_text(),
+        False,
+    ),
+}
+
+
+def prepare_shared(names, measure, mu: float, n: int) -> tuple:
+    """The shared table of each named sampler, in the order of names."""
+    return tuple(_SAMPLERS[name].prepare(measure, mu, n) for name in names)
+
+
+def draw_span(names, spec, mu, n, seed, tag, shared, start, stop) -> list[str]:
+    """Outcome texts of replicates [start, stop) in replicate order:
+    replicate r runs names[r % len(names)] on the stream (seed, tag, r)."""
+    measure = parse_measure(spec)
+    samplers = [_SAMPLERS[name] for name in names]
+    out = []
+    for r in range(start, stop):
+        i = r % len(names)
+        rng = derive_rng(seed, tag, r)
+        out.append(samplers[i].draw(measure, mu, n, shared[i], rng))
     return out
 
 
-def _case_counts(case, reps, seed, workers, executor) -> dict:
-    return _merge_counts(
-        fan_out(_count_chunk, (case, seed), reps, workers, executor)
+def _case_samplers(case: ValidationCase) -> tuple:
+    """The samplers a case draws from, in replicate order (none for a
+    closed-form case)."""
+    if case.kind == "sampler_vs_exact":
+        if case.sampler not in ("frozen", "chain", "set"):
+            raise ValueError(f"unknown sampler {case.sampler!r}")
+        return (case.sampler,)
+    if case.kind == "first_part":
+        return ("first-part",)
+    if case.kind == "sequential_vs_window":
+        # even replicates sequential, odd replicates window
+        return ("sequential", "composition")
+    return ()
+
+
+def _case_outcomes(case, names, shared, reps, seed, workers, executor) -> list:
+    spans = fan_out(
+        draw_span,
+        (names, case.measure_spec, case.mu, case.n, seed, case.case_id, shared),
+        reps,
+        workers,
+        executor,
     )
+    return [text for span in spans for text in span]
 
 
-def _truncation_bias(case: ValidationCase) -> float:
-    measure = parse_measure(case.measure_spec)
-    if case.kind not in ("sampler_vs_exact", "first_part", "sequential_vs_window"):
-        return 0.0
-    if case.kind == "sampler_vs_exact" and case.sampler == "frozen":
-        return 0.0
-    try:
-        # window coverage is exact (extension until covered); only the
-        # small-jump truncation contributes bias
-        T0 = default_window_horizon(measure, case.mu, case.n)
-        return T0 * _window_setup(measure, T0, "auto")[2]
-    except LambdaCoalError:
-        return 0.0
+def _truncation_bias(measure, names, shared) -> float:
+    # window coverage is exact (extension until covered); only the
+    # small-jump truncation contributes bias
+    for name, T0 in zip(names, shared):
+        if _SAMPLERS[name].window:
+            return T0 * _window_setup(measure, T0, "auto")[2]
+    return 0.0
 
 
 def _evaluate_case(
@@ -375,6 +414,13 @@ def _evaluate_case(
     try:
         measure = parse_measure(case.measure_spec)
         exact_mu = case.mu if case.exact_mu is None else case.exact_mu
+        names = _case_samplers(case)
+        shared = prepare_shared(names, measure, case.mu, case.n)
+        outcomes = (
+            _case_outcomes(case, names, shared, reps, seed, workers, executor)
+            if names
+            else []
+        )
         if case.kind == "ewens_equivalence":
             rates = build_rate_table(measure, case.n)
             dist = solve(rates, exact_mu, case.n)
@@ -390,26 +436,16 @@ def _evaluate_case(
             }
             report.criteria = {"max_abs_diff<=1e-10": diff <= 1e-10}
             report.note = "closed-form comparison, no sampling"
-        elif case.kind == "sampler_vs_exact":
-            counts = _case_counts(case, reps, seed, workers, executor)
-            rates = build_rate_table(measure, case.n)
-            dist = solve(rates, exact_mu, case.n)
-            exact = {pv.to_text(): p for pv, p in dist.items_ordered()}
-            report.empirical = dict(sorted(counts.items()))
-            report.expected = exact
-            report.tvd = total_variation(exact, counts)
-            stat, df, p = chi_square_gof(exact, counts)
-            report.chi2, report.df, report.p_value = stat, df, p
-            report.criteria = {
-                f"tvd<={case.tvd_max:g}": report.tvd <= case.tvd_max,
-                f"p>={case.p_floor:g}": p >= case.p_floor,
-            }
-        elif case.kind == "first_part":
-            counts = _case_counts(case, reps, seed, workers, executor)
-            law = first_part_law(measure, exact_mu, case.n)
-            exact = {"1m": law.p_single_mutant, "1l": law.p_single_alone}
-            for m in range(2, case.n + 1):
-                exact[str(m)] = law.probs[m - 1]
+        elif case.kind in ("sampler_vs_exact", "first_part"):
+            if case.kind == "sampler_vs_exact":
+                dist = solve(build_rate_table(measure, case.n), exact_mu, case.n)
+                exact = {pv.to_text(): p for pv, p in dist.items_ordered()}
+            else:
+                law = first_part_law(measure, exact_mu, case.n)
+                exact = {"1m": law.p_single_mutant, "1l": law.p_single_alone}
+                for m in range(2, case.n + 1):
+                    exact[str(m)] = law.probs[m - 1]
+            counts = Counter(outcomes)
             report.empirical = dict(sorted(counts.items()))
             report.expected = exact
             report.tvd = total_variation(exact, counts)
@@ -420,13 +456,7 @@ def _evaluate_case(
                 f"p>={case.p_floor:g}": p >= case.p_floor,
             }
         elif case.kind == "sequential_vs_window":
-            counts = _case_counts(case, reps, seed, workers, executor)
-            seq = {
-                k[len("seq:"):]: v for k, v in counts.items() if k.startswith("seq:")
-            }
-            win = {
-                k[len("win:"):]: v for k, v in counts.items() if k.startswith("win:")
-            }
+            seq, win = Counter(outcomes[0::2]), Counter(outcomes[1::2])
             report.empirical = dict(sorted(seq.items()))
             report.reference = dict(sorted(win.items()))
             stat, df, p = chi_square_two_sample(seq, win)
@@ -434,7 +464,7 @@ def _evaluate_case(
             report.criteria = {f"p>={case.p_floor:g}": p >= case.p_floor}
         else:
             raise ValueError(f"unknown case kind {case.kind!r}")
-        report.truncation_bias = _truncation_bias(case)
+        report.truncation_bias = _truncation_bias(measure, names, shared)
         report.passed = all(report.criteria.values())
     except LambdaCoalError as exc:
         report.error = f"{type(exc).__name__}: {exc}"

@@ -4,6 +4,7 @@ Most tests drive main() in-process; one subprocess test confirms the
 installed console script is wired to the same entry point.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -118,6 +119,12 @@ def test_exact_csv_quotes_partitions(capsys):
     assert lines[1].startswith('"')
 
 
+def test_exact_single_individual(capsys):
+    assert main(["exact", "--measure", "poly3x2", "--mu", "1", "--n", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1].split() == ["1^1", "1"]
+
+
 def test_exact_rejects_bad_n(capsys):
     assert main(["exact", "--measure", "delta:0", "--mu", "1", "--n", "0"]) == EXIT_USAGE
 
@@ -181,10 +188,11 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_worker_count_invariance(tmp_path):
+@pytest.mark.parametrize("sampler", ["frozen", "chain", "set", "composition"])
+def test_simulate_worker_count_invariance(tmp_path, sampler):
     args = [
         "simulate",
-        "set",
+        sampler,
         "--measure",
         "poly3x2",
         "--mu",
@@ -200,6 +208,27 @@ def test_simulate_worker_count_invariance(tmp_path):
     assert main(args + ["--output", str(serial)]) == EXIT_OK
     assert main(args + ["--workers", "2", "--output", str(parallel)]) == EXIT_OK
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_simulate_frozen_single_individual(capsys):
+    code = main(
+        [
+            "simulate",
+            "frozen",
+            "--measure",
+            "poly3x2",
+            "--mu",
+            "1",
+            "--n",
+            "1",
+            "--reps",
+            "2",
+            "--seed",
+            "1",
+        ]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "1^1\n1^1\n"
 
 
 def test_simulate_forward_event_lines(capsys):
@@ -347,6 +376,39 @@ def test_validate_failing_plan(tmp_path, capsys):
     assert "failing cases: neg" in captured.err
 
 
+_EWENS_CASE = {
+    "case_id": "k",
+    "kind": "ewens_equivalence",
+    "measure_spec": "delta:0",
+    "mu": 0.5,
+    "n": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"cases": [dict(_EWENS_CASE, reps=9)]},
+            "error: plan {path}: case 0: ",
+        ),
+        ({"plan": [_EWENS_CASE]}, "error: plan {path}: expected an object"),
+        (
+            # a table sampler, but not one that sampler_vs_exact accepts
+            {"cases": [dict(_EWENS_CASE, kind="sampler_vs_exact", sampler="composition")]},
+            "error: unknown sampler 'composition'",
+        ),
+    ],
+    ids=["unknown-key", "no-cases", "unknown-sampler"],
+)
+def test_validate_malformed_plan_is_usage_error(tmp_path, capsys, payload, message):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(payload))
+    code = main(["validate", "--plan", str(path), "--reps", "10", "--seed", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(message.format(path=path))
+
+
 def test_validate_csv_format(tmp_path, capsys):
     plan = _write_plan(
         tmp_path,
@@ -399,6 +461,77 @@ def test_validate_output_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert capsys.readouterr().out == ""
     assert json.loads(out_path.read_text())["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# pinned streams
+# ---------------------------------------------------------------------------
+
+# Outputs recorded with numpy 2.4.6.  A change to any sampler's stream,
+# to derive_rng or to the replicate order shows up here and must be made
+# as an explicit edit of these values.
+SIMULATE_POLY3X2_N6 = {
+    "frozen": [
+        "1^1 5^1",
+        "6^1",
+        "3^2",
+        "1^2 4^1",
+        "1^3 3^1",
+        "1^3 3^1",
+        "1^4 2^1",
+        "1^6",
+    ],
+    "chain": [
+        "1^6",
+        "1^6",
+        "1^2 4^1",
+        "1^4 2^1",
+        "1^2 4^1",
+        "1^3 3^1",
+        "1^4 2^1",
+        "1^2 4^1",
+    ],
+    "set": [
+        "1^4 2^1",
+        "1^1 5^1",
+        "6^1",
+        "1^4 2^1",
+        "1^6",
+        "1^2 4^1",
+        "1^4 2^1",
+        "6^1",
+    ],
+    "composition": [
+        "1,1,1,1,1,1",
+        "1,1,3,1",
+        "1,1,1,3",
+        "1,1,1,1,1,1",
+        "3,1,1,1",
+        "3,1,1,1",
+        "1,1,1,1,1,1",
+        "1,1,1,1,1,1",
+    ],
+}
+# sha256 of {case_id: [empirical, reference]} over the default plan
+VALIDATE_DEFAULT_TABLES_SHA256 = (
+    "bf36abe7e0c91c03cbcc330def70a8dc734ecb82f548eb0f35de68a9c05fb64a"
+)
+
+
+@pytest.mark.parametrize("sampler", sorted(SIMULATE_POLY3X2_N6))
+def test_simulate_streams_pinned(capsys, sampler):
+    argv = ["simulate", sampler, "--measure", "poly3x2", "--mu", "1", "--n", "6"]
+    assert main(argv + ["--reps", "8", "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.split("\n")[:-1] == SIMULATE_POLY3X2_N6[sampler]
+
+
+def test_validate_default_streams_pinned(capsys):
+    # 50 replicates are far too few for the tolerances: exit 1 is expected
+    assert main(["validate", "--reps", "50", "--seed", "5"]) == EXIT_VALIDATION
+    payload = json.loads(capsys.readouterr().out)
+    tables = {r["case_id"]: [r["empirical"], r["reference"]] for r in payload["reports"]}
+    digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+    assert digest == VALIDATE_DEFAULT_TABLES_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,14 @@ def test_reports_deterministic():
 
 
 def test_worker_count_invariance():
-    plan = [FROZEN_CASE]
+    # one case of every kind that draws replicates
+    plan = [
+        FROZEN_CASE,
+        ValidationCase("chain", "sampler_vs_exact", "poly3x2", 1.0, 4, sampler="chain"),
+        ValidationCase("set", "sampler_vs_exact", "poly3x2", 1.0, 4, sampler="set"),
+        ValidationCase("fp", "first_part", "poly3x2", 1.0, 4),
+        ValidationCase("sw", "sequential_vs_window", "poly3x2", 1.0, 4),
+    ]
     serial = reports_to_json(run_validation(plan, 400, 5, workers=1))
     parallel = reports_to_json(run_validation(plan, 400, 5, workers=2))
     assert serial == parallel
@@ -314,6 +321,16 @@ def test_truncation_bias_reported_for_infinite_activity():
 
 def test_truncation_bias_zero_for_frozen():
     (report,) = run_validation([FROZEN_CASE], 30, 2)
+    assert report.truncation_bias == 0.0
+
+
+def test_truncation_bias_zero_for_chain():
+    # the chain draws from first-part laws, never from a truncated window
+    case = ValidationCase(
+        "tb-chain", "sampler_vs_exact", "beta:2,2,1", 1.0, 4, sampler="chain"
+    )
+    (report,) = run_validation([case], 200, 1)
+    assert report.error is None
     assert report.truncation_bias == 0.0
 
 
