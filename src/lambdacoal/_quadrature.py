@@ -1,11 +1,16 @@
 """Adaptive quadrature on subintervals of (0, 1).
 
+Its one caller is BetaMeasure.moment on a sub-interval where x**(A-1) is
+not integrable at 0 (A <= 0, as for nu when alpha <= 2).  It integrates
+the two halves of the interval after a change of variable: u = log x on
+the left, z = (1-x)**B on the right.
+
 Nested two-rule Gauss-Legendre scheme: each interval is scored with a
 10-point and a 21-point rule, the discrepancy is the error estimate, and
 the worst interval is bisected until the summed error estimate meets the
-relative tolerance.  Integrands of the form x**p * (1-x)**q * density(x)
-concentrate near the endpoints, so fixed splitting knots are inserted
-there up front.
+relative tolerance.  Fixed splitting knots near both ends of the
+integration range are inserted up front; on the right half they refine
+near z = 0, where z**(1/B) is not smooth for B > 1.
 
 Integrands must accept and return numpy arrays.
 """

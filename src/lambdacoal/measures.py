@@ -30,8 +30,9 @@ Each representation is one class with three members: `moment`,
 * BetaMeasure         mass * Beta(alpha, beta) density: complete and
                       incomplete Beta functions, power-law envelope
                       rejection for nu
-* DensityTableMeasure density tabulated inside (0, 1): adaptive
-                      quadrature, nu sampled from a piecewise-linear model
+* DensityTableMeasure density tabulated inside (0, 1): one piecewise
+                      polynomial, Gauss-Legendre moments per cell, envelope
+                      rejection for nu from the same L(x)/x**2
 
 With mutation rate mu >= 0 and a sample of size n, the weight of the event
 "the smallest of n uniform balls is in a part of size m" is
@@ -54,8 +55,8 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import betainc, betaln
+from scipy.interpolate import CubicSpline, PPoly
+from scipy.special import betainc, betaln, roots_legendre
 
 from ._quadrature import adaptive_integral
 from .errors import (
@@ -305,10 +306,14 @@ class BetaMeasure:
 class DensityTableMeasure:
     """Density tabulated on a strictly increasing grid inside (0, 1).
 
-    The density between grid points is the interpolant of the given order
-    (1 linear, 3 cubic); outside the grid span it is zero, so the measure
-    always has compact support strictly inside (0, 1).  Treated as
-    immutable after construction.
+    The density L between grid points is the interpolant of the given order
+    (1 linear, 3 cubic), clipped at 0; outside the grid span it is zero, so
+    the measure always has compact support strictly inside (0, 1).  The
+    interpolant is one piecewise polynomial, cut at the real roots of L and
+    L' into cells where it is one-signed and monotone, and cut further so
+    that no cell spans more than a factor 2; `density_at`, `moment` and
+    `sample_nu` all read the cells where L > 0.  Treated as immutable after
+    construction.
     """
 
     def __init__(self, x, density, order: int = 3):
@@ -331,72 +336,67 @@ class DensityTableMeasure:
         self.x = x
         self.density = density
         self.order = order
-        self._spline = CubicSpline(x, density) if order == 3 else None
+        if order == 3:
+            self._pp = CubicSpline(x, density)
+        else:
+            self._pp = PPoly(np.array([np.diff(density) / np.diff(x), density[:-1]]), x)
+        roots = [pp.roots(extrapolate=False) for pp in (self._pp, self._pp.derivative())]
+        doubling = x[0] * 2.0 ** np.arange(1, np.log2(x[-1] / x[0]))
+        cuts = np.concatenate([x, doubling] + roots)
+        # an identically zero piece reports a nan root
+        cuts = np.unique(np.clip(cuts[np.isfinite(cuts)], x[0], x[-1]))
+        # each cell lies inside one piece, so L is one-signed on it
+        keep = self._pp(0.5 * (cuts[:-1] + cuts[1:])) > 0.0
+        self._lo, self._hi = cuts[:-1][keep], cuts[1:][keep]
 
     def density_at(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if self.order == 1:
-            out = np.interp(xs, self.x, self.density, left=0.0, right=0.0)
-        else:
-            out = self._spline(xs)
-            out = np.where((xs < self.x[0]) | (xs > self.x[-1]), 0.0, out)
-        # a cubic interpolant of nonnegative data may undershoot slightly
-        return np.maximum(out, 0.0)
+        inside = (xs >= self.x[0]) & (xs <= self.x[-1])
+        return np.where(inside, np.maximum(self._pp(xs), 0.0), 0.0)
 
     def moment(self, p: float, q: float = 0.0, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Quadrature over the part of the grid span inside (lo, hi]; the
-        support stays away from 0 and 1, so no moment diverges."""
-        a, b = max(lo, self.x[0]), min(hi, self.x[-1])
-        if not a < b:
+        """Gauss-Legendre per cell for integer p >= -2 and q >= 0, on enough
+        nodes to be exact for the polynomial x**p (1-x)**q L(x) when p >= 0
+        and on 12 more when p < 0, which take x**p to rounding on a cell
+        that spans at most a factor 2.  The support stays away from 0 and 1,
+        so no moment diverges and the mass at 1 (p = inf) is 0."""
+        if p == math.inf:
             return 0.0
-        if p < 0.0:
-            # a quotient, as for atoms: times x**p would round apart from / x
-
-            def integrand(x):
-                return self.density_at(x) * (1.0 - x) ** q / x ** -p
-
-        else:
-
-            def integrand(x):
-                return x**p * (1.0 - x) ** q * self.density_at(x)
-
-        return adaptive_integral(integrand, a, b)
+        if not (float(p).is_integer() and p >= -2 and float(q).is_integer() and q >= 0):
+            raise ValueError(f"table moments need integer p >= -2 and q >= 0, got {p}, {q}")
+        a, b = np.maximum(self._lo, lo), np.minimum(self._hi, hi)
+        a, b = a[a < b], b[a < b]
+        nodes, weights = _legendre(math.ceil((p + q + 4) / 2) + 12 * (p < 0))
+        half = 0.5 * (b - a)
+        xs = 0.5 * (a + b) + half * nodes[:, None]  # one column per cell
+        f = xs**p * (1.0 - xs) ** q * self._pp(xs)
+        return math.fsum(half * (weights @ f))
 
     def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draws from the table's nu, treating the nu-density as piecewise
-        linear between grid points (exact for that piecewise model; the
-        model error vanishes with grid spacing).  Cells at or below eps are
-        dropped, the cell containing eps is clipped."""
-        x = self.x
-        g = self.density / (x * x)
-        # clip support to (eps, x1]
-        if eps >= x[-1]:
+        """Envelope rejection from L(x)/x**2 on the cells above eps (the
+        one containing eps clipped): a cell is picked by the mass of its
+        envelope max(L)/x**2, max(L) at one of its ends; x comes from the
+        inverse cdf of 1/x**2 there and is kept with probability
+        L(x)/max(L).  Rounds of candidates as for Beta."""
+        if eps >= self.x[-1]:
             raise InfiniteActivityError("cutoff removes the whole support")
-        if eps > x[0]:
-            j = int(np.searchsorted(x, eps, side="right"))
-            g_eps = float(np.interp(eps, x, g))
-            x = np.concatenate(([eps], x[j:]))
-            g = np.concatenate(([g_eps], g[j:]))
-        widths = np.diff(x)
-        cell_mass = 0.5 * (g[:-1] + g[1:]) * widths
-        total = cell_mass.sum()
-        if total <= 0.0:
+        a, b = np.maximum(self._lo, eps), self._hi
+        a, b = a[a < b], b[a < b]
+        if len(a) == 0:
             raise DegenerateMeasureError("nu restricted above the cutoff has no mass")
-        cells = rng.choice(len(widths), size=count, p=cell_mass / total)
-        u = rng.random(count)
-        g0 = g[:-1][cells]
-        g1 = g[1:][cells]
-        w = widths[cells]
-        # inverse CDF of the linear density on each cell
-        with np.errstate(invalid="ignore"):
-            slope = g1 - g0
-            disc = g0 * g0 + u * slope * (g0 + g1)
-            t = np.where(
-                np.abs(slope) < 1e-14 * (g0 + g1 + 1e-300),
-                u,
-                (np.sqrt(np.maximum(disc, 0.0)) - g0) / np.where(slope == 0.0, 1.0, slope),
-            )
-        return x[:-1][cells] + np.clip(t, 0.0, 1.0) * w
+        top = np.maximum(self._pp(a), self._pp(b))
+        cum = np.cumsum(top * (1.0 / a - 1.0 / b))
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            need = count - filled
+            u, v, acc = rng.random((3, max(need * 2, 16)))
+            cell = np.searchsorted(cum, u * cum[-1])
+            xs = 1.0 / (1.0 / a[cell] - v * (1.0 / a[cell] - 1.0 / b[cell]))
+            keep = xs[acc * top[cell] < self._pp(xs)][:need]
+            out[filled : filled + len(keep)] = keep
+            filled += len(keep)
+        return out
 
     def descriptor(self) -> str:
         return f"density-table[{len(self.x)}pts,order={self.order}]"
@@ -406,6 +406,10 @@ class DensityTableMeasure:
             f"DensityTableMeasure({len(self.x)} points on "
             f"[{self.x[0]:g}, {self.x[-1]:g}], order={self.order})"
         )
+
+
+# Gauss-Legendre nodes and weights per node count
+_legendre = functools.lru_cache(maxsize=None)(roots_legendre)
 
 
 LambdaMeasure = Union[AtomicMeasure, BetaMeasure, DensityTableMeasure]

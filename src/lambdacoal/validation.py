@@ -368,7 +368,7 @@ def draw_span(names, spec, mu, n, seed, tag, shared, start, stop) -> list[str]:
 
 def _case_samplers(case: ValidationCase) -> tuple:
     """The samplers a case draws from, in replicate order (none for a
-    closed-form case)."""
+    closed-form case); an unknown sampler or kind raises ValueError."""
     if case.kind == "sampler_vs_exact":
         if case.sampler not in ("frozen", "chain", "set"):
             raise ValueError(f"unknown sampler {case.sampler!r}")
@@ -378,7 +378,9 @@ def _case_samplers(case: ValidationCase) -> tuple:
     if case.kind == "sequential_vs_window":
         # even replicates sequential, odd replicates window
         return ("sequential", "composition")
-    return ()
+    if case.kind == "ewens_equivalence":
+        return ()
+    raise ValueError(f"unknown case kind {case.kind!r}")
 
 
 def _case_outcomes(case, names, shared, reps, seed, workers, executor) -> list:
@@ -402,8 +404,11 @@ def _truncation_bias(measure, names, shared) -> float:
 
 
 def _evaluate_case(
-    case: ValidationCase, reps: int, seed: int, workers: int, executor
+    case: ValidationCase, names, reps: int, seed: int, workers: int, executor
 ) -> ValidationReport:
+    """The report of one case; a failure to evaluate it (a domain error or
+    a statistic that cannot be formed, such as too few cells after
+    pooling) is recorded as the case's error."""
     report = ValidationReport(
         case_id=case.case_id,
         fixture=case.fixture(),
@@ -414,7 +419,6 @@ def _evaluate_case(
     try:
         measure = parse_measure(case.measure_spec)
         exact_mu = case.mu if case.exact_mu is None else case.exact_mu
-        names = _case_samplers(case)
         shared = prepare_shared(names, measure, case.mu, case.n)
         outcomes = (
             _case_outcomes(case, names, shared, reps, seed, workers, executor)
@@ -455,18 +459,16 @@ def _evaluate_case(
                 f"tvd<={case.tvd_max:g}": report.tvd <= case.tvd_max,
                 f"p>={case.p_floor:g}": p >= case.p_floor,
             }
-        elif case.kind == "sequential_vs_window":
+        else:  # sequential_vs_window
             seq, win = Counter(outcomes[0::2]), Counter(outcomes[1::2])
             report.empirical = dict(sorted(seq.items()))
             report.reference = dict(sorted(win.items()))
             stat, df, p = chi_square_two_sample(seq, win)
             report.chi2, report.df, report.p_value = stat, df, p
             report.criteria = {f"p>={case.p_floor:g}": p >= case.p_floor}
-        else:
-            raise ValueError(f"unknown case kind {case.kind!r}")
         report.truncation_bias = _truncation_bias(measure, names, shared)
         report.passed = all(report.criteria.values())
-    except LambdaCoalError as exc:
+    except (LambdaCoalError, ValueError) as exc:
         report.error = f"{type(exc).__name__}: {exc}"
         report.passed = False
     return report
@@ -487,12 +489,15 @@ def run_validation(
         plan = default_plan()
     if reps < 1:
         raise ValueError("reps must be positive")
+    # a plan error raises before any case draws
+    names = [_case_samplers(case) for case in plan]
     executor = None
     try:
         if workers > 1:
             executor = ProcessPoolExecutor(max_workers=workers)
         return [
-            _evaluate_case(case, reps, seed, workers, executor) for case in plan
+            _evaluate_case(case, case_names, reps, seed, workers, executor)
+            for case, case_names in zip(plan, names)
         ]
     finally:
         if executor is not None:

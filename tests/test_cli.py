@@ -409,6 +409,46 @@ def test_validate_malformed_plan_is_usage_error(tmp_path, capsys, payload, messa
     assert capsys.readouterr().err.startswith(message.format(path=path))
 
 
+def test_validate_pooling_failure_fails_only_its_case(tmp_path, capsys):
+    # 10 frozen draws at n = 4 leave fewer than 2 chi-square cells after
+    # pooling: that case records the error, and every case still reports
+    frozen = {
+        "case_id": "frozen-few",
+        "kind": "sampler_vs_exact",
+        "measure_spec": "poly3x2",
+        "mu": 1.0,
+        "n": 4,
+        "sampler": "frozen",
+    }
+    chain = dict(frozen, case_id="chain-few", sampler="chain")
+    plan = _write_plan(tmp_path, [frozen, chain])
+    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)["reports"]
+    assert [r["case_id"] for r in reports] == ["frozen-few", "chain-few"]
+    assert reports[0]["error"] == "ValueError: fewer than 2 cells after pooling"
+    assert reports[0]["passed"] is False
+    assert "failing cases: frozen-few" in captured.err
+
+
+def test_validate_unknown_kind_is_usage_error_before_any_case_draws(
+    tmp_path, capsys, monkeypatch
+):
+    import lambdacoal.validation
+
+    def refuse(*args):
+        raise AssertionError("a case was prepared before the plan was checked")
+
+    monkeypatch.setattr(lambdacoal.validation, "prepare_shared", refuse)
+    plan = _write_plan(tmp_path, [dict(_EWENS_CASE), dict(_EWENS_CASE, kind="nope")])
+    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown case kind 'nope'\n"
+    assert captured.out == ""
+
+
 def test_validate_csv_format(tmp_path, capsys):
     plan = _write_plan(
         tmp_path,

@@ -28,6 +28,7 @@ from lambdacoal import (
     choose_truncation,
     dust_integral,
     first_part_law,
+    first_part_laws_upto,
     first_part_weight,
     litter_intensity_tail,
     measure_descriptor,
@@ -357,6 +358,7 @@ def test_tail_atom_at_zero():
 TABLE_XS = np.linspace(0.1, 0.9, 6)
 TABLE_CUBIC = DensityTableMeasure(TABLE_XS, 6.0 * TABLE_XS * (1.0 - TABLE_XS), order=3)
 TABLE_LINEAR = DensityTableMeasure((0.2, 0.5, 0.8), (1.0, 2.5, 0.5), order=1)
+TABLE_LINEAR6 = DensityTableMeasure(TABLE_XS, 6.0 * TABLE_XS * (1.0 - TABLE_XS), order=1)
 
 
 def _quad(fn, a, b, nodes):
@@ -382,6 +384,66 @@ def test_tail_density_table_matches_quad(table, eps):
     expect_below = _quad(lambda x: density(x) / x, x0, min(eps, x1), table.x)
     assert above == pytest.approx(expect_above, rel=1e-9, abs=1e-14)
     assert below == pytest.approx(expect_below, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "table", [TABLE_CUBIC, TABLE_LINEAR, TABLE_LINEAR6], ids=["cubic", "linear", "linear6"]
+)
+def test_table_rates_match_quad_split_at_nodes(table):
+    # quad on each grid cell, where the interpolant is one polynomial; the
+    # kinks of a linear table sit on the cell ends
+    rates = build_rate_table(table, 40)
+
+    def density(x):
+        return float(table.density_at(np.array([x]))[0])
+
+    for b in range(2, 41):
+        for k in range(2, b + 1):
+            expect = math.fsum(
+                scipy.integrate.quad(
+                    lambda x: x ** (k - 2) * (1.0 - x) ** (b - k) * density(x),
+                    lo,
+                    hi,
+                    epsabs=0.0,
+                    epsrel=1e-13,
+                )[0]
+                for lo, hi in zip(table.x[:-1], table.x[1:])
+            )
+            assert rates.rate(b, k) == pytest.approx(expect, rel=1e-12, abs=0.0), (b, k)
+
+
+@pytest.mark.parametrize("p, q", [(-3.0, 0.0), (0.5, 0.0), (-1.5, 2.0), (1.0, -1.0), (1.0, 0.5)])
+def test_table_moment_refuses_exponents_it_cannot_integrate(p, q):
+    with pytest.raises(ValueError, match="integer p >= -2 and q >= 0"):
+        TABLE_CUBIC.moment(p, q)
+
+
+def test_table_functionals_run_no_quadrature(quadrature_calls, rng_factory):
+    # fresh tables, so no cache answers for them
+    for order in (1, 3):
+        table = DensityTableMeasure(TABLE_XS, 6.0 * TABLE_XS * (1.0 - TABLE_XS), order=order)
+        build_rate_table(table, 12)
+        first_part_laws_upto(table, 1.0, 12)
+        litter_intensity_tail(table, 0.3)
+        require_population_support(table)
+        lc.sample_window(table, 1.0, 3.0, rng=rng_factory(1, "table-window", order))
+    assert quadrature_calls == []
+
+
+def test_sample_jump_sizes_table_matches_moments(rng_factory):
+    # the draws come from L(x)/x**2 of the interpolant the moments read,
+    # here a cubic that dips below 0 between nodes and is clipped there
+    xs = np.linspace(0.1, 0.9, 5)
+    m = DensityTableMeasure(xs, (0.0, 1.0, 0.0, 0.0, 2.0), order=3)
+    for eps in (0.0, 0.37):
+        draws = sample_jump_sizes(m, eps, 20000, rng_factory(1, "jump-table-cubic", int(100 * eps)))
+        assert np.all(draws > max(eps, 0.1)) and np.all(draws <= 0.9)
+        norm = m.moment(-2.0, 0.0, eps, 1.0)
+
+        def cdf(v):
+            return np.array([m.moment(-2.0, 0.0, eps, x) for x in np.atleast_1d(v)]) / norm
+
+        assert kstest(draws, cdf).pvalue > 1e-3
 
 
 def test_atom_at_eps_counts_below():

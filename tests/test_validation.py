@@ -9,6 +9,7 @@ exact side runs at a different mutation rate.
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
@@ -309,6 +310,22 @@ def test_window_samplers_match_laws_for_beta_below_one():
         assert report.error is None
         assert report.p_value >= 1e-3, report.case_id
         assert 0.0 < report.truncation_bias <= 1e-6
+
+
+def test_window_samplers_match_laws_on_a_density_table(tmp_path):
+    # the 6-node cubic table 6x(1-x): the window draws its jump sizes from
+    # the table's nu, which must be the nu its rates and laws integrate
+    xs = np.linspace(0.1, 0.9, 6)
+    path = tmp_path / "table.txt"
+    np.savetxt(path, np.column_stack((xs, 6.0 * xs * (1.0 - xs))), fmt="%.17g")
+    spec = f"density-file:{path}"
+    plan = [
+        ValidationCase("set-table", "sampler_vs_exact", spec, 1.0, 5, sampler="set"),
+        ValidationCase("fp-table", "first_part", spec, 1.0, 5),
+    ]
+    for report in run_validation(plan, 20000, 11, workers=2):
+        assert report.error is None
+        assert report.passed, (report.case_id, report.tvd, report.p_value)
 
 
 def test_truncation_bias_reported_for_infinite_activity():
