@@ -26,6 +26,10 @@ from .errors import NonIntegrableError
 
 # Knots inserted near both endpoints before refinement starts.
 ENDPOINT_KNOTS = (1e-12, 1e-6, 1e-3)
+# Relative tolerance of the summed error estimate, and the most interval
+# bisections before the integral is declared divergent.
+REL_TOL = 1e-10
+MAX_SPLITS = 4000
 
 _X_LO, _W_LO = roots_legendre(10)
 _X_HI, _W_HI = roots_legendre(21)
@@ -57,13 +61,7 @@ def _initial_cuts(a: float, b: float) -> np.ndarray:
 
 
 def adaptive_integral(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_splits: int = 4000,
+    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float
 ) -> float:
     """Integrate a vectorized integrand over [a, b].
 
@@ -79,12 +77,12 @@ def adaptive_integral(
     lo, hi = list(lo), list(hi)
     vals, errs = list(vals), list(errs)
 
-    for _ in range(max_splits):
+    for _ in range(MAX_SPLITS):
         total = sum(vals)
         err = sum(errs)
         if not np.isfinite(total) or not np.isfinite(err):
             raise NonIntegrableError("integral is not finite")
-        if err <= max(rel_tol * abs(total), abs_tol, 1e-300):
+        if err <= max(REL_TOL * abs(total), 1e-300):
             return float(total)
         worst = int(np.argmax(errs))
         wa, wb = lo[worst], hi[worst]

@@ -191,7 +191,11 @@ def simulate_frozen_coalescent(
     Tracks only block weights; with b active blocks the next event freezes
     a uniform block with probability mu*b / (mu*b + total(b)) and is
     otherwise a k-merger of a uniform k-subset, with probability
-    proportional to C(b,k) rate(b,k).
+    proportional to C(b,k) rate(b,k).  At mu = 0 nothing freezes: the
+    chain merges down to one block, which is the one family.
     """
-    families = _block_chain(_frozen_table(rates, mu, n), [1] * n, rng)
-    return PartitionVector.from_sizes(families)
+    blocks = [1] * n
+    families = _block_chain(
+        _frozen_table(rates, mu, n), blocks, rng, until=0 if mu > 0.0 else 1
+    )
+    return PartitionVector.from_sizes(families + blocks)

@@ -15,15 +15,16 @@ population just before its birth, i.e. in the sub-window of strictly
 older litters.  Chasing marks backwards ends at a litter whose mark fell
 on the regenerative set; that litter is a root carrying a fresh genotype,
 and the number of steps to reach it is geometric.  Root resolution may
-need litters older than the realized window, in which case the window is
-doubled backwards; a hard cap (default 2**10 times the initial horizon)
-turns runaway extension into an explicit error.
+need litters older than the realized window, which the window's own
+ensure_coverage doubles backwards up to its one cap (default 2**10 times
+the initial horizon, then WindowExhaustionError).
 
 Two family-size samplers are cross-checked against the exact recursion:
 
-* set-based: drop n uniforms on the time-0 window, map each to its litter
-  (or to the regenerative set, giving a singleton mutant family), and
-  merge litters that share a root;
+* set-based: take the hits of the window's composition of n (the
+  subordinator module's one drop-and-invert step); a hit on the
+  regenerative set is a singleton mutant family, and litter hits pool by
+  the root of their litter;
 * chain-based: the block chain of the coalescent module, with row b of
   its event table set to the first-part law of b: a mutant first part
   freezes a uniform lineage, a lone-litter first part leaves the state as
@@ -49,7 +50,6 @@ from .errors import (
     DustConditionError,
     InfiniteActivityError,
     PopulationSupportError,
-    WindowExhaustionError,
 )
 from .measures import (
     FirstPartLaw,
@@ -64,6 +64,7 @@ from .sampling_formula import PartitionVector
 from .subordinator import (
     SubordinatorWindow,
     default_window_horizon,
+    sample_composition_detailed,
     sample_window,
     window_from_points,
 )
@@ -81,7 +82,6 @@ __all__ = [
 ]
 
 ROOT = -2
-_UNRESOLVED = -1
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,9 @@ class LitterHistory:
 
     Litters are addressed by their age-sorted index in the window.  The
     parent, root and height of each litter are resolved lazily and
-    memoized; extension keeps already-resolved entries valid because it
-    only appends strictly older litters.
+    memoized in dicts keyed by index, which stay valid however the window
+    grows, since extension only appends strictly older litters.
+    max_doublings sets the window's extension cap.
     """
 
     def __init__(self, window: SubordinatorWindow, max_doublings: int = 10):
@@ -134,12 +135,9 @@ class LitterHistory:
                 "the stationary construction needs a positive mutation rate"
             )
         self.window = window
-        self.snapshot_T = window.T
-        self.max_T = window.T * (2.0**max_doublings)
-        m = window.npoints
-        self._parent = np.full(m, _UNRESOLVED, dtype=np.int64)
-        self._root = np.full(m, _UNRESOLVED, dtype=np.int64)
-        self._height = np.full(m, _UNRESOLVED, dtype=np.int64)
+        window.max_doublings = max_doublings
+        self._parent: dict[int, int] = {}
+        self._root: dict[int, tuple[int, int]] = {}
 
     @classmethod
     def build(
@@ -149,7 +147,6 @@ class LitterHistory:
         rng: np.random.Generator,
         T0: float | None = None,
         eps: float | str = "auto",
-        max_doublings: int = 10,
         n_hint: int = 1,
     ) -> "LitterHistory":
         # the support check is part of sample_window's cached set-up; only
@@ -164,8 +161,7 @@ class LitterHistory:
                 T0 = default_window_horizon(measure, mu, n_hint)
             except DustConditionError as exc:
                 raise PopulationSupportError(str(exc)) from exc
-        window = sample_window(measure, mu, T0, eps, rng)
-        return cls(window, max_doublings=max_doublings)
+        return cls(sample_window(measure, mu, T0, eps, rng))
 
     @classmethod
     def from_points(
@@ -174,62 +170,33 @@ class LitterHistory:
         """Deterministic history from (age, size, mark) triples."""
         return cls(window_from_points(mu, points, T), max_doublings=max_doublings)
 
-    @property
-    def npoints(self) -> int:
-        return self.window.npoints
-
-    def _grow(self):
-        m = self.window.npoints
-        if len(self._parent) < m:
-            pad = m - len(self._parent)
-            fill = np.full(pad, _UNRESOLVED, dtype=np.int64)
-            self._parent = np.concatenate((self._parent, fill))
-            self._root = np.concatenate((self._root, fill))
-            self._height = np.concatenate((self._height, fill))
-
-    def _ensure_coverage(self, v: float, after: int):
-        while not self.window.coverage_ok(v, after):
-            if self.window.T * 2.0 > self.max_T * (1.0 + 1e-9):
-                raise WindowExhaustionError(
-                    f"window extension cap {self.max_T:g} hit while resolving "
-                    "origination; increase max_doublings"
-                )
-            self.window.extend()
-            self._grow()
-
     def resolve_parent(self, index: int) -> int:
         """Sorted index of the originating litter, or ROOT."""
         index = int(index)
-        if self._parent[index] != _UNRESOLVED:
-            return int(self._parent[index])
-        u = float(self.window.marks[index])
-        self._ensure_coverage(u, index)
-        hit = self.window.invert_after(index, u)
-        parent = ROOT if hit.kind == "regenerative" else int(hit.index)
-        self._parent[index] = parent
+        parent = self._parent.get(index)
+        if parent is None:
+            u = float(self.window.marks[index])
+            self.window.ensure_coverage(u, index)
+            hit = self.window.invert_after(index, u)
+            parent = ROOT if hit.kind == "regenerative" else int(hit.index)
+            self._parent[index] = parent
         return parent
 
     def resolve_root(self, index: int) -> tuple[int, int]:
         """(root litter index, chain height) for a litter."""
         chain = []
         cur = int(index)
-        while True:
-            if self._root[cur] != _UNRESOLVED:
-                root, extra = int(self._root[cur]), int(self._height[cur])
-                break
-            chain.append(cur)
+        while cur not in self._root:
             parent = self.resolve_parent(cur)
             if parent == ROOT:
-                root, extra = cur, 0
-                chain.pop()  # cur resolves to itself at height 0
-                self._root[cur] = cur
-                self._height[cur] = 0
+                self._root[cur] = (cur, 0)
                 break
+            chain.append(cur)
             cur = parent
+        root, height = self._root[cur]
         for back, idx in enumerate(reversed(chain), start=1):
-            self._root[idx] = root
-            self._height[idx] = extra + back
-        return (int(self._root[index]), int(self._height[index]))
+            self._root[idx] = (root, height + back)
+        return self._root[int(index)]
 
     def genotype(self, index: int) -> float:
         """Genotype carried by a litter = mark of its root."""
@@ -263,7 +230,7 @@ def rho_state(history: LitterHistory) -> PopulationMeasure:
     exp(-mu * T0).
     """
     w = history.window
-    cutoff = history.snapshot_T
+    cutoff = w.T0
     by_root: dict[int, list[float]] = {}
     n_snapshot = int(np.searchsorted(w.ages, cutoff, side="left"))
     # interval length of litter i = F(age_i) - F(age_i-)
@@ -285,28 +252,21 @@ def sample_family_partition_set(
     mu: float,
     n: int,
     rng: np.random.Generator,
-    eps: float | str = "auto",
     T0: float | None = None,
-    max_doublings: int = 10,
 ) -> PartitionVector:
     """Family sizes of n individuals sampled from the stationary population.
 
-    Each uniform either lands on the regenerative set (its own mutant
-    family) or inside a litter; litters sharing a root share a genotype
-    and pool into one family.
+    The window's composition of n gives each individual's hit: one on the
+    regenerative set is its own mutant family, and litter hits pool by
+    the root of their litter, since litters sharing a root share a
+    genotype.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    history = LitterHistory.build(
-        measure, mu, rng, T0=T0, eps=eps, max_doublings=max_doublings, n_hint=n
-    )
-    w = history.window
+    history = LitterHistory.build(measure, mu, rng, T0=T0, n_hint=n)
     singles = 0
     families: dict[int, int] = {}
-    for v in rng.random(n):
-        v = float(v)
-        history._ensure_coverage(v, after=-1)
-        hit = w.invert(v)
+    for hit in sample_composition_detailed(history.window, n, rng).hits:
         if hit.kind == "regenerative":
             singles += 1
         else:

@@ -23,6 +23,14 @@ Sampling n uniforms against the window and grouping consecutive order
 statistics that share a litter yields the composition of n in age order;
 the same composition law also arises part by part from the first-part law
 (sequential_composition), which is the cheap exact reference sampler.
+sample_composition_detailed is the one place uniforms are dropped on a
+window; the population module's set sampler pools its litter hits by
+genealogy root.
+
+ensure_coverage is the one loop that extends a window backwards, one
+doubling of T per extend(); after max_doublings of them (default 10, so
+2**10 times the initial horizon) extend() raises WindowExhaustionError,
+whichever sampler reads the window.
 
 The window set-up (the population support check, the cutoff eps and the
 intensity nu(eps, 1]) depends only on (measure, T, eps), so it is computed
@@ -41,7 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeyondWindowError, DegenerateMeasureError, WindowBudgetError
+from .errors import (
+    BeyondWindowError,
+    DegenerateMeasureError,
+    WindowBudgetError,
+    WindowExhaustionError,
+)
 from .measures import (
     FirstPartLaw,
     LambdaMeasure,
@@ -55,7 +68,6 @@ from .measures import (
 )
 
 __all__ = [
-    "LitterPoint",
     "HitResult",
     "Composition",
     "CompositionSample",
@@ -63,7 +75,6 @@ __all__ = [
     "sample_window",
     "default_window_horizon",
     "window_from_points",
-    "composition_from_window",
     "sample_composition_detailed",
     "sequential_composition",
     "delete_random_ball",
@@ -73,21 +84,6 @@ __all__ = [
 # Largest expected number of litter points a window may hold; beyond it
 # the jump-size cutoff is too small for the horizon to sample in memory.
 MAX_WINDOW_POINTS = 1e7
-
-
-@dataclass(frozen=True)
-class LitterPoint:
-    """One realized litter: birth time tau <= 0, size X, mark U."""
-
-    tau: float
-    size: float
-    mark: float
-
-    def __post_init__(self):
-        if not (0.0 < self.size < 1.0):
-            raise ValueError("litter size must lie strictly inside (0, 1)")
-        if not (0.0 < self.mark < 1.0):
-            raise ValueError("litter mark must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -147,6 +143,7 @@ class SubordinatorWindow:
         "left_g",
         "right_g",
         "n_extensions",
+        "max_doublings",
         "_measure",
         "_rng",
         "_intensity",
@@ -163,6 +160,7 @@ class SubordinatorWindow:
         self._intensity = None
         self._moment_below = 0.0
         self.n_extensions = 0
+        self.max_doublings = 10
         order = np.argsort(ages, kind="stable")
         self.ages = np.asarray(ages, dtype=float)[order]
         self.sizes = np.asarray(sizes, dtype=float)[order]
@@ -181,13 +179,6 @@ class SubordinatorWindow:
     @property
     def npoints(self) -> int:
         return len(self.ages)
-
-    @property
-    def points(self) -> tuple[LitterPoint, ...]:
-        return tuple(
-            LitterPoint(-a, x, u)
-            for a, x, u in zip(self.ages, self.sizes, self.marks)
-        )
 
     def g_max(self) -> float:
         """Log-survival coverage: G(T) over the realized points."""
@@ -264,7 +255,13 @@ class SubordinatorWindow:
         return self._intensity
 
     def extend(self) -> None:
-        """Double the window: fresh Poisson points on ages [T, 2T) only."""
+        """Double the window: fresh Poisson points on ages [T, 2T) only;
+        refused once T has been doubled max_doublings times."""
+        if self.n_extensions >= self.max_doublings:
+            raise WindowExhaustionError(
+                f"window extension cap {self.T:g} (2**{self.max_doublings} "
+                f"times the initial horizon {self.T0:g}) hit"
+            )
         if self._rng is None or self._measure is None:
             raise BeyondWindowError("window has no generator; cannot extend")
         lam = self._poisson_intensity() * self.T
@@ -399,12 +396,6 @@ def sample_composition_detailed(
     window.ensure_coverage(float(vs[-1]))
     hits = [window.invert(float(v)) for v in vs]
     return CompositionSample(_group_hits(hits), tuple(hits))
-
-
-def composition_from_window(
-    window: SubordinatorWindow, n: int, rng: np.random.Generator
-) -> Composition:
-    return sample_composition_detailed(window, n, rng).composition
 
 
 def sequential_composition(

@@ -298,6 +298,17 @@ def test_simulate_set_refuses_oversized_window(capsys):
     assert "WindowBudgetError" in err and "beta:1.5,1,1" in err
 
 
+def test_simulate_mu_zero_frozen_is_one_family(capsys):
+    # without mutation nothing freezes, so the sample is one family, as
+    # `exact` says; the stationary samplers still need mu > 0
+    argv = ["--measure", "poly3x2", "--mu", "0", "--n", "3", "--reps", "2", "--seed", "1"]
+    assert main(["simulate", "frozen"] + argv) == EXIT_OK
+    assert capsys.readouterr().out == "3^1\n3^1\n"
+    for sampler in ("chain", "set"):
+        assert main(["simulate", sampler] + argv) == EXIT_NUMERIC
+        assert "PopulationSupportError" in capsys.readouterr().err
+
+
 def test_simulate_requires_n(capsys):
     code = main(
         ["simulate", "frozen", "--measure", "delta:0", "--mu", "1", "--seed", "1"]
@@ -552,17 +563,51 @@ SIMULATE_POLY3X2_N6 = {
         "1,1,1,1,1,1",
     ],
 }
+# beta:1.9,1,1 has infinite activity, so these windows are truncated at
+# the auto cutoff
+SIMULATE_BETA19_N6 = {
+    "set": [
+        "1^3 3^1",
+        "6^1",
+        "6^1",
+        "1^2 4^1",
+        "1^1 2^1 3^1",
+        "1^3 3^1",
+        "1^1 5^1",
+        "6^1",
+    ],
+    "composition": [
+        "1,1,1,1,1,1",
+        "1,1,2,1,1",
+        "1,1,1,1,2",
+        "1,1,1,3",
+        "3,1,1,1",
+        "1,1,1,3",
+        "3,1,1,1",
+        "6",
+    ],
+}
 # sha256 of {case_id: [empirical, reference]} over the default plan
 VALIDATE_DEFAULT_TABLES_SHA256 = (
     "bf36abe7e0c91c03cbcc330def70a8dc734ecb82f548eb0f35de68a9c05fb64a"
 )
 
 
-@pytest.mark.parametrize("sampler", sorted(SIMULATE_POLY3X2_N6))
-def test_simulate_streams_pinned(capsys, sampler):
-    argv = ["simulate", sampler, "--measure", "poly3x2", "--mu", "1", "--n", "6"]
+@pytest.mark.parametrize(
+    "sampler, spec, expected",
+    [
+        pytest.param(s, "poly3x2", SIMULATE_POLY3X2_N6[s], id=s)
+        for s in sorted(SIMULATE_POLY3X2_N6)
+    ]
+    + [
+        pytest.param(s, "beta:1.9,1,1", SIMULATE_BETA19_N6[s], id=f"{s}-beta1.9")
+        for s in sorted(SIMULATE_BETA19_N6)
+    ],
+)
+def test_simulate_streams_pinned(capsys, sampler, spec, expected):
+    argv = ["simulate", sampler, "--measure", spec, "--mu", "1", "--n", "6"]
     assert main(argv + ["--reps", "8", "--seed", "3"]) == EXIT_OK
-    assert capsys.readouterr().out.split("\n")[:-1] == SIMULATE_POLY3X2_N6[sampler]
+    assert capsys.readouterr().out.split("\n")[:-1] == expected
 
 
 def test_validate_default_streams_pinned(capsys):

@@ -12,6 +12,7 @@ from lambdacoal import (
     simulate_coalescent_path,
     simulate_frozen_coalescent,
     simulate_frozen_path,
+    solve,
 )
 
 DELTA0 = parse_measure("delta:0")
@@ -134,6 +135,18 @@ def test_frozen_n2_marginal(rng_factory):
         hits += pv.counts == (0, 1)
     p_hat = hits / reps
     assert abs(p_hat - 0.5) < 3.0 * np.sqrt(0.25 / reps)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_frozen_mu_zero_matches_solve(rng_factory, n):
+    # nothing freezes: the chain merges down to one block, the one family
+    rates = build_rate_table(POLY, n)
+    dist = solve(rates, 0.0, n)
+    support = {counts: p for counts, p in dist.entries.items() if p > 0.0}
+    assert support == {PartitionVector.from_sizes([n]).counts: 1.0}
+    for rep in range(50):
+        pv = simulate_frozen_coalescent(rates, 0.0, n, rng_factory(4, "mu0", rep))
+        assert dist.prob(pv) == 1.0
 
 
 def test_frozen_deterministic_given_stream(rng_factory):

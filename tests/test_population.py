@@ -364,6 +364,26 @@ def test_window_exhaustion_cap():
         h.resolve_parent(0)
 
 
+def test_history_survives_outside_extension(rng_factory):
+    # the window grows from outside the history; the memos must still
+    # address the new, older litters
+    w = lc.sample_window(POLY, 0.5, 0.25, rng=rng_factory(5, "cover"))
+    h = LitterHistory(w)
+    w.ensure_coverage(0.999999)
+    assert w.n_extensions > 0
+    root, height = h.resolve_root(w.npoints - 1)
+    assert h.resolve_parent(root) == ROOT and height >= 0
+
+
+def test_composition_window_extension_is_capped(rng_factory):
+    # covering n uniforms needs a horizon of order 1, 2**10 * 1e-6 is
+    # not enough
+    w = lc.sample_window(POLY, 1.0, 1e-6, rng=rng_factory(6, "cap"))
+    with pytest.raises(WindowExhaustionError):
+        lc.sample_composition_detailed(w, 5, rng_factory(6, "cap", 1))
+    assert w.n_extensions == w.max_doublings == 10
+
+
 # ---------------------------------------------------------------------------
 # cutoff deviation
 # ---------------------------------------------------------------------------
