@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import LambdaCoalError, MeasureSpecError
@@ -325,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
+    for flag in ("mu", "horizon", "t0"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise MeasureSpecError(f"--{flag} must be finite")
     if getattr(args, "reps", 1) is not None and getattr(args, "reps", 1) < 1:
         raise MeasureSpecError("replicates must be >= 1")
     if getattr(args, "nmax", 2) is not None and getattr(args, "nmax", 2) < 2:

@@ -1,30 +1,39 @@
 """The block chain shared by every coalescent-type sampler.
 
-A state is a list of blocks: ints (block weights) when only family sizes
-matter, label tuples when a labelled path is recorded; merging blocks is
-`+` either way.  With b blocks the next event is read off row b of a
+A state is a row of integer blocks: block weights when only family sizes
+matter, label bitmasks when a labelled path is recorded; merging blocks is
+`+` either way.  With b live blocks the next event is read off row b of a
 cumulative event table whose columns are (freeze, stay, merge 2, ...,
-merge b): one uniform picks the column, then the chain freezes a uniform
-block as a finished family, does nothing, or merges a uniform k-subset.
-_block_chain runs that step until few enough blocks remain; the callers
-differ only in their table.
+merge b).  The stay column is always zero: a self-loop leaves the state
+as it is, so dropping it leaves the law of the partition unchanged and
+the chain that runs is the embedded jump chain, which ends within n
+events.
+
+_block_chain advances R replicates in lockstep on an (R, n) block array.
+Each replicate reads its uniforms from its own stream in one
+rng.random((n, 2)) block: at step t the first uniform of row t picks the
+event column, the second the slot a merged block moves to.  Live blocks
+sit in the row's last b slots in an exchangeable order, so the first k
+live slots are a uniform k-subset, and the first live slot a uniform
+block.  A freeze takes the first live slot as a finished family; a
+k-merger sums the first k live slots and swaps the merged block into a
+uniform live slot, which keeps the order exchangeable.
 
 * Frozen coalescent: row b is [mu*b, 0, C(b,2) rate(b,2), ..., C(b,b)
   rate(b,b)], the multiple-merger coalescent in which mutation at rate mu
   freezes a lineage.  Only the embedded jump chain matters for family
-  sizes, so simulate_frozen_coalescent never draws holding times.
-* First-part chain: the row is the first-part law of the regenerative
-  composition (population.sample_family_partition_chain); its merger
-  weights are the coalescent's, and the stay column is the lone-litter
-  first part.
+  sizes, so no holding times are drawn.
+* First-part chain: row b is the first-part law of the regenerative
+  composition of b (population.sample_family_partition_chain) without its
+  lone-litter part; its merger weights are the coalescent's.
 * Paths: simulate_frozen_path and simulate_coalescent_path (mu = 0,
-  stopped at one block) record, after each event, an exponential holding
-  time at the row total of the state the event left, and a snapshot.
+  stopped at one block) shuffle the labels once, run one row, and record
+  after each event an exponential holding time at the row total of the
+  state the event left, and a snapshot.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -79,35 +88,82 @@ class FrozenState:
     frozen: tuple[tuple[int, ...], ...]
 
 
-def _block_chain(table: np.ndarray, blocks: list, rng, until: int = 0, record=None):
-    """Run the block chain on `blocks` (mutated in place) until at most
-    `until` blocks remain; returns the frozen blocks in freezing order.
+def _block_chain(
+    table: np.ndarray, blocks: np.ndarray, u: np.ndarray, until: int = 0, record=None
+):
+    """Advance every row of `blocks` (R, n) in lockstep until at most
+    `until` blocks of each row are live; returns (frozen, blocks).
 
-    table[b] is the cumulative event row for b blocks (see the module
-    docstring).  bisect_right finds the index np.searchsorted(...,
-    side="right") would, at a fraction of the cost of a numpy call per
-    event.  record, if given, is called after every event with the row
-    total and the current blocks and frozen list.
+    table[b] is the cumulative event row for b blocks and u the (R, n, 2)
+    uniforms (see the module docstring).  Row r's live blocks are its
+    slots [start[r], n) of the returned blocks; frozen[r, t] is the block
+    row r froze at its step t, 0 where that step merged or never ran.
+    record, if given, is called after every step with the live rows'
+    indices and row totals, and the blocks, starts and frozen arrays.
     """
-    frozen: list = []
-    while len(blocks) > until:
-        b = len(blocks)
-        row = table[b]
-        total = row[-1]
-        if total <= 0.0:
+    R, n = blocks.shape
+    blocks = blocks.copy()
+    frozen = np.zeros_like(blocks)
+    start = np.zeros(R, dtype=np.intp)
+    u = u.transpose(1, 2, 0).copy()  # u[t, i] holds step t's i-th uniforms
+    for t in range(n):
+        live = (start < n - until).nonzero()[0]
+        if not live.size:
+            break
+        first = start[live]
+        rows = table[n - first]
+        total = rows[:, -1]
+        if not total.all():
+            b = n - first[np.argmin(total)]
             raise StuckChainError(f"stuck chain: no events from {b} blocks")
-        event = bisect.bisect_right(row, rng.random() * total)
-        if event == 0:
-            frozen.append(blocks.pop(int(rng.integers(b))))
-        elif event >= 2:
-            chosen = sorted(rng.choice(b, size=event, replace=False), reverse=True)
-            merged = blocks.pop(chosen[0])
-            for idx in chosen[1:]:
-                merged += blocks.pop(idx)
-            blocks.append(merged)
+        k = (rows <= (u[t, 0, live] * total)[:, None]).sum(1)
+        freeze = k == 0
+        k += freeze  # a freeze spends one slot, like a 1-merger
+        sums = blocks[live].cumsum(1)
+        at = np.arange(live.size)
+        last = first + k - 1
+        merged = sums[at, last] - sums[at, first] + blocks[live, first]
+        frozen[live, t] = merged * freeze
+        # a merged block moves to a uniform live slot; a frozen one stays
+        slot = last + (u[t, 1, live] * (n - last)).astype(np.intp) * ~freeze
+        blocks[live, last] = blocks[live, slot]
+        blocks[live, slot] = merged
+        start[live] = last + freeze
         if record is not None:
-            record(total, blocks, frozen)
+            record(live, total, blocks, start, frozen)
+    return frozen, blocks
+
+
+def _family_rows(table: np.ndarray, n: int, rngs) -> np.ndarray:
+    """(R, n) family sizes, one row per generator, zeros to be skipped.
+
+    A lone block can only freeze, so the chain stops at one live block
+    and takes it as the last family; that also ends a run whose lone
+    block cannot freeze (mu = 0) with the one family it merged into.
+    """
+    u = np.stack([rng.random((n, 2)) for rng in rngs])
+    frozen, blocks = _block_chain(
+        table, np.ones((len(rngs), n), dtype=np.int64), u, until=1
+    )
+    frozen[:, -1] = blocks[:, -1]  # a run to one block takes < n steps
     return frozen
+
+
+def _family_texts(table: np.ndarray, n: int, rngs) -> list[str]:
+    """Partition-vector texts of _family_rows, in generator order."""
+    sizes = _family_rows(table, n, rngs)
+    R = len(sizes)
+    counts = np.bincount(
+        (sizes + (n + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (n + 1)
+    ).reshape(R, n + 1)[:, 1:]
+    texts: dict = {}
+    out = []
+    for row in map(tuple, counts.tolist()):
+        text = texts.get(row)
+        if text is None:
+            text = texts[row] = PartitionVector(row).to_text()
+        out.append(text)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,6 +180,8 @@ def _frozen_table(rates: RateTable, mu: float, n: int) -> np.ndarray:
     """Cumulative event table of the frozen coalescent for up to n blocks;
     rates.rates is zero in columns 0 and 1, so only the freeze column
     needs filling in."""
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     if not (1 <= n <= rates.n_max):
@@ -134,19 +192,33 @@ def _frozen_table(rates: RateTable, mu: float, n: int) -> np.ndarray:
 
 
 def _labelled_path(table: np.ndarray, n: int, rng, snapshot, until: int = 0) -> list:
-    """Block chain on the labels 1..n, snapshotted at time 0 and after
-    every event; the holding time before an event is exponential at the
-    row total of the state it left."""
-    blocks = [(i,) for i in range(1, n + 1)]
+    """One row of the block chain on the labels 1..n, held as bitmasks
+    (label i is bit i - 1) in a shuffled order, snapshotted at time 0 and
+    after every event; the holding time before an event is exponential at
+    the row total of the state it left."""
+    dtype = np.int64 if n < 63 else object
+    labels = np.array([1 << int(i) for i in rng.permutation(n)], dtype=dtype)
+    u = rng.random((1, n, 2))
+    holds = rng.standard_exponential(n)
+
+    def decode(masks):
+        return [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
+
     t = 0.0
-    path = [snapshot(t, blocks, [])]
+    path = [snapshot(t, sorted(decode(labels.tolist())), [])]
 
-    def record(total, active, frozen):
+    def record(live, total, blocks, start, frozen):
         nonlocal t
-        t += rng.exponential(1.0 / total)
-        path.append(snapshot(t, active, frozen))
+        t += float(holds[len(path) - 1] / total[0])
+        path.append(
+            snapshot(
+                t,
+                sorted(decode(blocks[0, start[0]:].tolist())),
+                decode(m for m in frozen[0].tolist() if m),
+            )
+        )
 
-    _block_chain(table, blocks, rng, until, record)
+    _block_chain(table, labels[None, :], u, until, record)
     return path
 
 
@@ -174,11 +246,7 @@ def simulate_frozen_path(
     """Labelled freezing path; the final state has no active blocks."""
 
     def snapshot(t, active, frozen):
-        return FrozenState(
-            t,
-            tuple(tuple(sorted(b)) for b in active),
-            tuple(tuple(sorted(b)) for b in frozen),
-        )
+        return FrozenState(t, tuple(active), tuple(frozen))
 
     return _labelled_path(_frozen_table(rates, mu, n), n, rng, snapshot)
 
@@ -194,8 +262,5 @@ def simulate_frozen_coalescent(
     proportional to C(b,k) rate(b,k).  At mu = 0 nothing freezes: the
     chain merges down to one block, which is the one family.
     """
-    blocks = [1] * n
-    families = _block_chain(
-        _frozen_table(rates, mu, n), blocks, rng, until=0 if mu > 0.0 else 1
-    )
-    return PartitionVector.from_sizes(families + blocks)
+    (sizes,) = _family_rows(_frozen_table(rates, mu, n), n, [rng])
+    return PartitionVector.from_sizes(s for s in sizes.tolist() if s)

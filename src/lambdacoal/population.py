@@ -25,13 +25,15 @@ Two family-size samplers are cross-checked against the exact recursion:
   subordinator module's one drop-and-invert step); a hit on the
   regenerative set is a singleton mutant family, and litter hits pool by
   the root of their litter;
-* chain-based: the block chain of the coalescent module, with row b of
-  its event table set to the first-part law of b: a mutant first part
-  freezes a uniform lineage, a lone-litter first part leaves the state as
-  it is, and a first part of size m merges a uniform m-subset.  For
-  m >= 2 the first-part weight C(b,m) rate(b,m) is the frozen
-  coalescent's merger weight, so the two samplers share the kernel and
-  differ only by the lone-litter self-loop.
+* chain-based: the embedded first-part chain, run on the block chain of
+  the coalescent module with row b of its event table set to the
+  first-part law of b: a mutant first part freezes a uniform lineage and
+  a first part of size m merges a uniform m-subset.  A lone-litter first
+  part would leave the state as it is, so the chain skips it (its column
+  is zero).  For m >= 2 the first-part weight C(b,m) rate(b,m) is the
+  frozen coalescent's merger weight, so without the self-loop each row is
+  the frozen coalescent's row up to normalisation, and the two samplers
+  differ only in how their tables are computed.
 
 forward_simulate runs the same population forwards in time from an
 arbitrary start: jumps at Poisson times (finite jump intensity required)
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalescent import _block_chain
+from .coalescent import _family_rows
 from .errors import (
     DustConditionError,
     InfiniteActivityError,
@@ -276,6 +278,34 @@ def sample_family_partition_set(
     return PartitionVector.from_sizes(sizes)
 
 
+def _chain_table(
+    measure: LambdaMeasure,
+    mu: float,
+    n: int,
+    laws: list[FirstPartLaw | None] | None = None,
+) -> np.ndarray:
+    """Cumulative block-chain table of the first-part chain for up to n
+    lineages: row b is (p_single_mutant, 0, P(first part = 2), ...,
+    P(first part = b)), the first-part law of b without its lone-litter
+    part."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+    if mu <= 0.0:
+        raise PopulationSupportError(
+            "the chain sampler needs a positive mutation rate to terminate"
+        )
+    require_population_support(measure)
+    if laws is None:
+        laws = first_part_laws_upto(measure, mu, n)
+    table = np.zeros((n + 1, n + 1))
+    for b in range(1, n + 1):
+        table[b, 0] = laws[b].p_single_mutant
+        table[b, 2 : b + 1] = laws[b].probs[1:]
+    return np.add.accumulate(table, axis=1)
+
+
 def sample_family_partition_chain(
     measure: LambdaMeasure,
     mu: float,
@@ -286,26 +316,13 @@ def sample_family_partition_chain(
     """Family sizes via the first-part chain.
 
     State: weighted lineages, initially n singletons.  With b lineages the
-    first-part law of b decides the next event: mutant part (freeze one
-    lineage as a family), lone-litter part (no-op; the lineage stays), or
-    an m-merger of a uniform m-subset.  Row b of the block-chain table is
-    (p_single_mutant, p_single_alone, P(first part = 2), ...).
+    first-part law of b, conditioned on a part other than a lone-litter
+    single (which would leave the state as it is), decides the next event:
+    a mutant part freezes one lineage as a family, a part of size m merges
+    a uniform m-subset.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if mu <= 0.0:
-        raise PopulationSupportError(
-            "the chain sampler needs a positive mutation rate to terminate"
-        )
-    require_population_support(measure)
-    if laws is None:
-        laws = first_part_laws_upto(measure, mu, n)
-    table = np.zeros((n + 1, n + 1))
-    for b in range(1, n + 1):
-        law = laws[b]
-        table[b, : b + 1] = (law.p_single_mutant, law.p_single_alone) + law.probs[1:]
-    families = _block_chain(np.add.accumulate(table, axis=1), [1] * n, rng)
-    return PartitionVector.from_sizes(families)
+    (sizes,) = _family_rows(_chain_table(measure, mu, n, laws), n, [rng])
+    return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
 
 
 # ---------------------------------------------------------------------------

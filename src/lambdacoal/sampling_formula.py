@@ -306,11 +306,13 @@ def _solve_levels(rates, totals, mu, n: int) -> np.ndarray:
 def solve(rates: RateTable, mu: float, n: int) -> SamplingDistribution:
     """Exact family-size distribution for a sample of size n.
 
-    Requires rates.n_max >= n and mu >= 0 with mu + total(m) > 0 for all
-    2 <= m <= n.
+    Requires rates.n_max >= n and a finite mu >= 0 with mu + total(m) > 0
+    for all 2 <= m <= n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     if rates.n_max < n:

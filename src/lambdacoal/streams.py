@@ -11,6 +11,7 @@ depend on the split.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -21,10 +22,17 @@ import numpy as np
 __all__ = ["derive_rng"]
 
 
+@functools.lru_cache(maxsize=1024)
+def _hash_label(label: str) -> int:
+    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 def _label_to_int(label) -> int:
+    # a run hashes the same few tags once per replicate, so string digests
+    # are cached
     if isinstance(label, str):
-        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
+        return _hash_label(label)
     return int(label)
 
 

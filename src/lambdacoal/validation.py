@@ -27,11 +27,13 @@ from .measures import (
     first_part_laws_upto,
     parse_measure,
 )
-from .population import (
-    sample_family_partition_chain,
-    sample_family_partition_set,
+from .population import _chain_table, sample_family_partition_set
+# perfbench's tracer test reads validation.simulate_frozen_coalescent
+from .coalescent import (  # noqa: F401
+    _family_texts,
+    _frozen_table,
+    simulate_frozen_coalescent,
 )
-from .coalescent import simulate_frozen_coalescent
 from .sampling_formula import ewens, solve
 from .streams import derive_rng, fan_out
 from .subordinator import (
@@ -282,9 +284,9 @@ def load_plan(path) -> list[ValidationCase]:
 
 class _Sampler(NamedTuple):
     """prepare(measure, mu, n) -> the table every replicate shares;
-    draw(measure, mu, n, shared, rng) -> one outcome as text; window: the
-    draw reads a subordinator window, so its small-jump truncation biases
-    the outcome."""
+    draw(measure, mu, n, shared, rngs) -> one outcome text per generator,
+    in order; window: the draw reads a subordinator window, so its
+    small-jump truncation biases the outcome."""
 
     prepare: Callable
     draw: Callable
@@ -301,51 +303,69 @@ def _first_part(measure, mu, n, T0, rng) -> str:
     return str(first)
 
 
+def _each(draw) -> Callable:
+    """A list draw that maps the one-replicate draw(measure, mu, n,
+    shared, rng) over the generators."""
+    return lambda measure, mu, n, shared, rngs: [
+        draw(measure, mu, n, shared, rng) for rng in rngs
+    ]
+
+
 # The one map from a sampler name to its shared table and its draw.  The
 # entries reach every library function by its module-global name at call
 # time, so a caller that rebinds a module attribute (a tracer) sees the call.
+# frozen and chain run all their replicates through one lockstep block
+# chain; the other samplers draw one replicate at a time.
 _SAMPLERS = {
     "frozen": _Sampler(
-        lambda measure, mu, n: build_rate_table(measure, n),
-        lambda measure, mu, n, rates, rng: simulate_frozen_coalescent(
-            rates, mu, n, rng
-        ).to_text(),
+        lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
+        lambda measure, mu, n, table, rngs: _family_texts(table, n, rngs),
         False,
     ),
     "chain": _Sampler(
-        lambda measure, mu, n: first_part_laws_upto(measure, mu, n),
-        lambda measure, mu, n, laws, rng: sample_family_partition_chain(
-            measure, mu, n, rng, laws=laws
-        ).to_text(),
+        lambda measure, mu, n: _chain_table(
+            measure, mu, n, first_part_laws_upto(measure, mu, n)
+        ),
+        lambda measure, mu, n, table, rngs: _family_texts(table, n, rngs),
         False,
     ),
     "set": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        lambda measure, mu, n, T0, rng: sample_family_partition_set(
-            measure, mu, n, rng, T0=T0
-        ).to_text(),
+        _each(
+            lambda measure, mu, n, T0, rng: sample_family_partition_set(
+                measure, mu, n, rng, T0=T0
+            ).to_text()
+        ),
         True,
     ),
     "composition": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        lambda measure, mu, n, T0, rng: sample_composition_detailed(
-            sample_window(measure, mu, T0, rng=rng), n, rng
-        ).composition.to_text(),
+        _each(
+            lambda measure, mu, n, T0, rng: sample_composition_detailed(
+                sample_window(measure, mu, T0, rng=rng), n, rng
+            ).composition.to_text()
+        ),
         True,
     ),
     "first-part": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        lambda measure, mu, n, T0, rng: _first_part(measure, mu, n, T0, rng),
+        _each(_first_part),
         True,
     ),
     "sequential": _Sampler(
         lambda measure, mu, n: first_part_laws_upto(measure, mu, n),
-        lambda measure, mu, n, laws, rng: sequential_composition(
-            measure, mu, n, rng, laws=laws
-        ).to_text(),
+        _each(
+            lambda measure, mu, n, laws, rng: sequential_composition(
+                measure, mu, n, rng, laws=laws
+            ).to_text()
+        ),
         False,
     ),
 }
+
+# Replicates handed to one draw call at most, which bounds the memory of a
+# span (its generators and block-chain arrays) whatever its length.
+_DRAW_BLOCK = 512
 
 
 def prepare_shared(names, measure, mu: float, n: int) -> tuple:
@@ -357,12 +377,17 @@ def draw_span(names, spec, mu, n, seed, tag, shared, start, stop) -> list[str]:
     """Outcome texts of replicates [start, stop) in replicate order:
     replicate r runs names[r % len(names)] on the stream (seed, tag, r)."""
     measure = parse_measure(spec)
-    samplers = [_SAMPLERS[name] for name in names]
-    out = []
-    for r in range(start, stop):
-        i = r % len(names)
-        rng = derive_rng(seed, tag, r)
-        out.append(samplers[i].draw(measure, mu, n, shared[i], rng))
+    m = len(names)
+    out = [""] * (stop - start)
+    for lo in range(start, stop, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, stop)
+        for i, name in enumerate(names):
+            reps = range(lo + (i - lo) % m, hi, m)
+            if reps:
+                rngs = [derive_rng(seed, tag, r) for r in reps]
+                out[reps.start - start : hi - start : m] = _SAMPLERS[name].draw(
+                    measure, mu, n, shared[i], rngs
+                )
     return out
 
 

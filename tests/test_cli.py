@@ -269,6 +269,46 @@ def test_simulate_forward_requires_horizon(capsys):
     assert "--horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["exact", "--measure", "poly3x2", "--mu", "nan", "--n", "4"], "--mu"),
+        (["exact", "--measure", "poly3x2", "--mu", "inf", "--n", "4"], "--mu"),
+        (["simulate", "forward", "--measure", "poly3x2", "--mu", "nan",
+          "--horizon", "1", "--seed", "1"], "--mu"),
+        (["simulate", "frozen", "--measure", "poly3x2", "--mu", "nan",
+          "--n", "4", "--seed", "1"], "--mu"),
+        (["simulate", "forward", "--measure", "poly3x2", "--mu", "1",
+          "--horizon", "inf", "--seed", "1"], "--horizon"),
+        (["forward-snapshot", "--measure", "poly3x2", "--mu", "1",
+          "--horizon", "nan", "--seed", "1"], "--horizon"),
+        (["forward-snapshot", "--measure", "poly3x2", "--mu", "1",
+          "--stationary", "--t0", "nan", "--seed", "1"], "--t0"),
+    ],
+    ids=["exact-nan", "exact-inf", "forward-nan", "frozen-nan", "forward-horizon-inf",
+         "snapshot-horizon-nan", "snapshot-t0-nan"],
+)
+def test_non_finite_mu_or_horizon_is_usage_error(capsys, argv, flag):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be finite" in captured.err
+
+
+def test_simulate_chain_tiny_mu_terminates():
+    # at one lineage the lone-litter part has probability 1 - O(mu); the
+    # chain skips it, so each replicate ends after one freeze
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdacoal.cli", "simulate", "chain", "--measure",
+         "poly3x2", "--mu", "1e-300", "--n", "5", "--reps", "2", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5^1\n5^1\n"
+
+
 def test_simulate_forward_infinite_intensity(capsys):
     code = main(
         [
@@ -523,14 +563,14 @@ def test_validate_output_file(tmp_path, capsys):
 # as an explicit edit of these values.
 SIMULATE_POLY3X2_N6 = {
     "frozen": [
-        "1^1 5^1",
+        "1^2 4^1",
         "6^1",
         "3^2",
+        "6^1",
+        "1^3 3^1",
+        "1^2 4^1",
         "1^2 4^1",
         "1^3 3^1",
-        "1^3 3^1",
-        "1^4 2^1",
-        "1^6",
     ],
     "chain": [
         "1^6",
@@ -540,7 +580,7 @@ SIMULATE_POLY3X2_N6 = {
         "1^2 4^1",
         "1^3 3^1",
         "1^4 2^1",
-        "1^2 4^1",
+        "1^3 3^1",
     ],
     "set": [
         "1^4 2^1",
@@ -589,7 +629,7 @@ SIMULATE_BETA19_N6 = {
 }
 # sha256 of {case_id: [empirical, reference]} over the default plan
 VALIDATE_DEFAULT_TABLES_SHA256 = (
-    "bf36abe7e0c91c03cbcc330def70a8dc734ecb82f548eb0f35de68a9c05fb64a"
+    "639213e4b7458cf2e4b6346470611cc5ce8a89b6f2df202227f7551362dd57af"
 )
 
 

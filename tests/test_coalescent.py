@@ -1,7 +1,11 @@
 """Coalescent path simulation and the frozen-family jump chain."""
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from lambdacoal import (
     PartitionVector,
@@ -64,6 +68,20 @@ def test_path_lebesgue_triple_merge_probability(rng_factory):
         hits += len(path[1][1].blocks) == 1
     p_hat = hits / reps
     assert abs(p_hat - 0.25) < 3.0 * np.sqrt(0.25 * 0.75 / reps)
+
+
+def test_path_kingman_first_merge_is_a_uniform_pair(rng_factory):
+    # under Kingman each of the C(4, 2) = 6 label pairs merges first with
+    # probability 1/6
+    rates = build_rate_table(DELTA0, 4)
+    reps = 6000
+    counts = Counter()
+    for rep in range(reps):
+        path = simulate_coalescent_path(rates, 4, rng_factory(4, "pair", rep))
+        (pair,) = [b for b in path[1][1].blocks if len(b) == 2]
+        counts[pair] += 1
+    assert sorted(counts) == list(combinations(range(1, 5), 2))
+    assert chisquare([counts[p] for p in sorted(counts)]).pvalue >= 1e-3
 
 
 def test_path_zero_rate_raises(rng_factory):

@@ -7,6 +7,7 @@ every mark interval was located by hand in log-survival coordinates.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lambdacoal import (
     PopulationSupportError,
     WindowBudgetError,
     WindowExhaustionError,
+    chi_square_two_sample,
     cutoff_deviation,
     derive_rng,
     first_part_law,
@@ -323,14 +325,28 @@ def test_samplers_return_partitions_of_n(rng_factory):
 
 @pytest.mark.parametrize("n", [5, 20])
 def test_chain_matches_reference_loop(rng_factory, n):
-    # same stream, same outcome as the first-part chain written out alone
+    # the sampler and the first-part chain written out alone, on streams of
+    # their own, agree in law: the full partition at n = 5, the number of
+    # families at n = 20
     laws = first_part_laws_upto(POLY, 1.0, n)
-    for rep in range(300):
-        pv = sample_family_partition_chain(
+    reps = 3000 if n == 5 else 1500
+
+    def key(pv):
+        return pv.to_text() if n == 5 else pv.num_families
+
+    sampler = Counter(
+        key(sample_family_partition_chain(
             POLY, 1.0, n, rng_factory(6, "chain-ref", rep), laws=laws
-        )
-        ref = first_part_chain_reference(laws, n, rng_factory(6, "chain-ref", rep))
-        assert pv == PartitionVector.from_sizes(ref)
+        ))
+        for rep in range(reps)
+    )
+    reference = Counter(
+        key(PartitionVector.from_sizes(
+            first_part_chain_reference(laws, n, rng_factory(6, "chain-loop", rep))
+        ))
+        for rep in range(reps)
+    )
+    assert chi_square_two_sample(sampler, reference)[2] >= 1e-3
 
 
 def test_set_sampler_n2_marginal(rng_factory):

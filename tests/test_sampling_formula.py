@@ -132,6 +132,12 @@ def test_solve_mu_zero_single_family():
                 assert p == 0.0
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_solve_rejects_non_finite_mu(mu):
+    with pytest.raises(ValueError, match="finite"):
+        solve(build_rate_table(POLY, 4), mu, 4)
+
+
 def test_solve_n1():
     dist = solve(build_rate_table(DELTA0, 2), 0.7, 1)
     assert dist.prob(PartitionVector((1,))) == 1.0

@@ -15,15 +15,21 @@ from scipy.stats import chi2 as chi2_dist
 
 from lambdacoal import (
     ValidationCase,
+    build_rate_table,
     chi_square_gof,
     chi_square_two_sample,
     default_plan,
     load_plan,
     reports_to_csv,
     reports_to_json,
+    derive_rng,
+    parse_measure,
     run_validation,
+    sample_family_partition_chain,
+    simulate_frozen_coalescent,
     total_variation,
 )
+from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, draw_span, prepare_shared
 
 # ---------------------------------------------------------------------------
 # total variation
@@ -349,6 +355,64 @@ def test_truncation_bias_zero_for_chain():
     (report,) = run_validation([case], 200, 1)
     assert report.error is None
     assert report.truncation_bias == 0.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep draws
+# ---------------------------------------------------------------------------
+
+
+def _one_row(sampler, measure, mu, n, rng):
+    if sampler == "frozen":
+        return simulate_frozen_coalescent(
+            build_rate_table(measure, n), mu, n, rng
+        ).to_text()
+    return sample_family_partition_chain(measure, mu, n, rng).to_text()
+
+
+@pytest.mark.parametrize(
+    "sampler, mu",
+    [("frozen", 1.0), ("frozen", 0.0), ("chain", 1.0)],
+    ids=["frozen", "frozen-mu0", "chain"],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_lockstep_draw_matches_one_row_calls(sampler, mu, n):
+    # one block-chain call over many replicates gives, byte for byte, what
+    # the public one-replicate samplers give on the same streams
+    measure = parse_measure("poly3x2")
+    (shared,) = prepare_shared((sampler,), measure, mu, n)
+    reps = range(60 if n < 40 else 20)
+    lockstep = _SAMPLERS[sampler].draw(
+        measure, mu, n, shared, [derive_rng(11, "lockstep", r) for r in reps]
+    )
+    one_row = [
+        _one_row(sampler, measure, mu, n, derive_rng(11, "lockstep", r)) for r in reps
+    ]
+    assert lockstep == one_row
+    if mu == 0.0:
+        assert set(lockstep) == {f"{n}^1"}
+
+
+@pytest.mark.parametrize(
+    "names, n",
+    [(("frozen",), 5), (("chain",), 5), (("sequential", "composition"), 4)],
+    ids=["frozen", "chain", "sequential-composition"],
+)
+def test_draw_span_does_not_depend_on_the_split(names, n):
+    # spans longer than one draw block, cut at several points, concatenate
+    # to the whole span; an interleaved pair of samplers matches its
+    # replicates drawn one at a time
+    measure = parse_measure("poly3x2")
+    shared = prepare_shared(names, measure, 1.0, n)
+    args = (names, "poly3x2", 1.0, n, 3, "split", shared)
+    reps = _DRAW_BLOCK + 88
+    whole = draw_span(*args, 0, reps)
+    for cuts in ([1, 300], [_DRAW_BLOCK - 1, _DRAW_BLOCK + 1], [7, 8, 9, 555]):
+        edges = [0] + cuts + [reps]
+        parts = [draw_span(*args, a, b) for a, b in zip(edges, edges[1:])]
+        assert [text for part in parts for text in part] == whole
+    singles = [draw_span(*args, r, r + 1)[0] for r in range(40)]
+    assert singles == whole[:40]
 
 
 # ---------------------------------------------------------------------------
