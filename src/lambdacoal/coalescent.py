@@ -151,8 +151,13 @@ def _family_rows(table: np.ndarray, n: int, rngs) -> np.ndarray:
 
 def _family_texts(table: np.ndarray, n: int, rngs) -> list[str]:
     """Partition-vector texts of _family_rows, in generator order."""
-    sizes = _family_rows(table, n, rngs)
-    R = len(sizes)
+    return _partition_texts(_family_rows(table, n, rngs))
+
+
+def _partition_texts(sizes: np.ndarray) -> list[str]:
+    """Partition-vector text of each row of (R, n) family sizes, zeros
+    skipped."""
+    R, n = sizes.shape
     counts = np.bincount(
         (sizes + (n + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (n + 1)
     ).reshape(R, n + 1)[:, 1:]

@@ -148,20 +148,34 @@ class AtomicMeasure:
         return math.fsum(terms)
 
     def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        locs = np.array(self.locations)
-        wts = np.array(self.weights)
-        keep = locs > eps
-        if not np.any(keep):
-            raise DegenerateMeasureError("no atoms above the cutoff")
-        locs, wts = locs[keep], wts[keep]
-        p = wts / (locs * locs)
-        return rng.choice(locs, size=count, p=p / p.sum())
+        # numpy's rng.choice(locs, size=count, p=p) without its checks of p:
+        # the same uniforms against the same cdf
+        locs, cdf = _atom_nu_cdf(self, eps)
+        return locs[cdf.searchsorted(rng.random(count), side="right")]
 
     def descriptor(self) -> str:
         if len(self.locations) == 1 and self.weights[0] == 1.0:
             return f"delta:{self.locations[0]:g}"
         body = ",".join(f"{x:g}={w:g}" for x, w in zip(self.locations, self.weights))
         return f"atoms:{body}"
+
+
+@functools.lru_cache(maxsize=64)
+def _atom_nu_cdf(measure: AtomicMeasure, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(locations above eps, the cdf of their nu weights normalised as
+    rng.choice normalises p); no atom above eps raises, uncached."""
+    locs = np.array(measure.locations)
+    wts = np.array(measure.weights)
+    keep = locs > eps
+    if not np.any(keep):
+        raise DegenerateMeasureError("no atoms above the cutoff")
+    locs, wts = locs[keep], wts[keep]
+    p = wts / (locs * locs)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    locs.setflags(write=False)
+    cdf.setflags(write=False)
+    return locs, cdf
 
 
 @dataclass(frozen=True)
@@ -620,6 +634,13 @@ class FirstPartLaw:
     def __post_init__(self):
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
             raise ValueError("first-part probabilities do not sum to 1")
+
+    @functools.cached_property
+    def cumulative(self) -> np.ndarray:
+        """Read-only np.cumsum(probs), built once per law."""
+        cum = np.cumsum(self.probs)
+        cum.setflags(write=False)
+        return cum
 
 
 def first_part_law(measure: LambdaMeasure, mu: float, n: int) -> FirstPartLaw:

@@ -14,17 +14,23 @@ Genealogy: litter i originated from whatever its mark U_i hits in the
 population just before its birth, i.e. in the sub-window of strictly
 older litters.  Chasing marks backwards ends at a litter whose mark fell
 on the regenerative set; that litter is a root carrying a fresh genotype,
-and the number of steps to reach it is geometric.  Root resolution may
-need litters older than the realized window, which the window's own
-ensure_coverage doubles backwards up to its one cap (default 2**10 times
-the initial horizon, then WindowExhaustionError).
+and the number of steps to reach it is geometric.  Every parent step is
+one invert_after query of the subordinator module's inversion kernel:
+resolve_parent and resolve_root ask one query per step, rho_state and
+the set sampler chase all their litters at once (_Rows.roots).  Root
+resolution may need litters older than the realized window, which the
+window's own ensure_coverage doubles backwards up to its one cap
+(default 2**10 times the initial horizon, then WindowExhaustionError);
+the k-th extension of a window draws the same numbers whichever query
+needs it.
 
 Two family-size samplers are cross-checked against the exact recursion:
 
-* set-based: take the hits of the window's composition of n (the
-  subordinator module's one drop-and-invert step); a hit on the
-  regenerative set is a singleton mutant family, and litter hits pool by
-  the root of their litter;
+* set-based: take the hits of the window's composition of n; a hit on
+  the regenerative set is a singleton mutant family, and litter hits
+  pool by the root of their litter.  The lockstep draw (_set_texts)
+  drops the uniforms of a whole block of replicates and chases all
+  their roots on one block of windows;
 * chain-based: the embedded first-part chain, run on the block chain of
   the coalescent module with row b of its event table set to the
   first-part law of b: a mutant first part freezes a uniform lineage and
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalescent import _family_rows
+from .coalescent import _family_rows, _partition_texts
 from .errors import (
     DustConditionError,
     InfiniteActivityError,
@@ -65,8 +71,12 @@ from .measures import (
 from .sampling_formula import PartitionVector
 from .subordinator import (
     SubordinatorWindow,
+    _locate,
+    _part_starts,
+    _Rows,
+    _window_blocks,
+    _window_hits,
     default_window_horizon,
-    sample_composition_detailed,
     sample_window,
     window_from_points,
 )
@@ -124,11 +134,11 @@ class PopulationMeasure:
 class LitterHistory:
     """A subordinator window annotated with the origination genealogy.
 
-    Litters are addressed by their age-sorted index in the window.  The
-    parent, root and height of each litter are resolved lazily and
-    memoized in dicts keyed by index, which stay valid however the window
-    grows, since extension only appends strictly older litters.
-    max_doublings sets the window's extension cap.
+    Litters are addressed by their age-sorted index in the window; a
+    litter's parent, root and height are answers of the window's one
+    inversion kernel, stable however the window grows, since extension
+    only appends strictly older litters.  max_doublings sets the window's
+    extension cap.
     """
 
     def __init__(self, window: SubordinatorWindow, max_doublings: int = 10):
@@ -138,8 +148,6 @@ class LitterHistory:
             )
         self.window = window
         window.max_doublings = max_doublings
-        self._parent: dict[int, int] = {}
-        self._root: dict[int, tuple[int, int]] = {}
 
     @classmethod
     def build(
@@ -173,32 +181,22 @@ class LitterHistory:
         return cls(window_from_points(mu, points, T), max_doublings=max_doublings)
 
     def resolve_parent(self, index: int) -> int:
-        """Sorted index of the originating litter, or ROOT."""
+        """Sorted index of the originating litter, or ROOT: one
+        invert_after query of the litter's mark, on the kernel."""
         index = int(index)
-        parent = self._parent.get(index)
-        if parent is None:
-            u = float(self.window.marks[index])
-            self.window.ensure_coverage(u, index)
-            hit = self.window.invert_after(index, u)
-            parent = ROOT if hit.kind == "regenerative" else int(hit.index)
-            self._parent[index] = parent
-        return parent
+        w = self.window
+        u = float(w.marks[index])
+        w.ensure_coverage(u, index)
+        t = -math.log1p(-u) + float(w.right_g[index])
+        j, litter = _locate(w._edges, 0, t, index + 1)
+        return int(j) if litter else ROOT
 
     def resolve_root(self, index: int) -> tuple[int, int]:
         """(root litter index, chain height) for a litter."""
-        chain = []
-        cur = int(index)
-        while cur not in self._root:
-            parent = self.resolve_parent(cur)
-            if parent == ROOT:
-                self._root[cur] = (cur, 0)
-                break
-            chain.append(cur)
-            cur = parent
-        root, height = self._root[cur]
-        for back, idx in enumerate(reversed(chain), start=1):
-            self._root[idx] = (root, height + back)
-        return self._root[int(index)]
+        root, height = int(index), 0
+        while (parent := self.resolve_parent(root)) != ROOT:
+            root, height = parent, height + 1
+        return root, height
 
     def genotype(self, index: int) -> float:
         """Genotype carried by a litter = mark of its root."""
@@ -229,17 +227,18 @@ def rho_state(history: LitterHistory) -> PopulationMeasure:
     Atom masses are the litter interval lengths, aggregated by root
     genotype; everything older than the initial horizon stays in the
     diffuse remainder, which bounds the truncation error by
-    exp(-mu * T0).
+    exp(-mu * T0).  The roots of all those litters come from one chase.
     """
     w = history.window
-    cutoff = w.T0
-    by_root: dict[int, list[float]] = {}
-    n_snapshot = int(np.searchsorted(w.ages, cutoff, side="left"))
+    n_snapshot = int(np.searchsorted(w.ages, w.T0, side="left"))
+    roots, _ = _Rows([w]).roots(
+        np.zeros(n_snapshot, dtype=np.intp), np.arange(n_snapshot)
+    )
     # interval length of litter i = F(age_i) - F(age_i-)
     lengths = np.exp(-w.left_g[:n_snapshot]) - np.exp(-w.right_g[:n_snapshot])
-    for i in range(n_snapshot):
-        root, _ = history.resolve_root(i)
-        by_root.setdefault(root, []).append(float(lengths[i]))
+    by_root: dict[int, list[float]] = {}
+    for root, length in zip(roots.tolist(), lengths.tolist()):
+        by_root.setdefault(root, []).append(length)
     # distinct roots carry distinct marks almost surely; merge defensively
     by_genotype: dict[float, list[float]] = {}
     for root, sizes in by_root.items():
@@ -247,6 +246,44 @@ def rho_state(history: LitterHistory) -> PopulationMeasure:
     atoms = tuple((g, math.fsum(sizes)) for g, sizes in by_genotype.items())
     diffuse = 1.0 - math.fsum(s for _, s in atoms)
     return PopulationMeasure(atoms, diffuse)
+
+
+def _family_sizes(block: _Rows, j: np.ndarray, litter: np.ndarray) -> np.ndarray:
+    """(R, n) family sizes of the block's hits, zeros to be skipped.
+
+    A regenerative hit is a family of its own; litter hits pool by the
+    root of their litter, which one chase finds for the first hit of
+    every litter (hits on one litter are consecutive).
+    """
+    R, n = j.shape
+    starts = _part_starts(j, litter)
+    heads = starts & litter
+    rows, slots = heads.nonzero()
+    roots, _ = block.roots(rows, j[rows, slots])
+    # a family key per hit: its root, or a negative key of its own
+    key = np.where(litter, 0, -1 - np.arange(n))
+    key[rows, slots] = roots
+    run = np.where(starts, np.arange(n), 0)
+    np.maximum.accumulate(run, axis=1, out=run)
+    key = np.sort(np.take_along_axis(key, run, axis=1), axis=1)
+    first = np.ones((R, n), dtype=bool)
+    first[:, 1:] = key[:, 1:] != key[:, :-1]
+    at = first.ravel().nonzero()[0]
+    sizes = np.zeros(R * n, dtype=np.int64)
+    sizes[at] = np.diff(at, append=R * n)
+    return sizes.reshape(R, n)
+
+
+def _set_texts(measure, mu, n, T0, rngs) -> list[str]:
+    """Set-sampler partition texts, one per generator: each replicate
+    builds its history, then draws its uniforms; a block inverts them
+    and chases the roots of all its replicates at once."""
+    return _window_blocks(
+        lambda rng: LitterHistory.build(measure, mu, rng, T0=T0).window,
+        rngs,
+        n,
+        lambda *hits: _partition_texts(_family_sizes(*hits)),
+    )
 
 
 def sample_family_partition_set(
@@ -266,16 +303,8 @@ def sample_family_partition_set(
     if n < 1:
         raise ValueError("n must be at least 1")
     history = LitterHistory.build(measure, mu, rng, T0=T0, n_hint=n)
-    singles = 0
-    families: dict[int, int] = {}
-    for hit in sample_composition_detailed(history.window, n, rng).hits:
-        if hit.kind == "regenerative":
-            singles += 1
-        else:
-            root, _ = history.resolve_root(hit.index)
-            families[root] = families.get(root, 0) + 1
-    sizes = list(families.values()) + [1] * singles
-    return PartitionVector.from_sizes(sizes)
+    (sizes,) = _family_sizes(*_window_hits([history.window], [rng], n))
+    return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
 
 
 def _chain_table(

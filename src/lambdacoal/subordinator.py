@@ -23,9 +23,19 @@ Sampling n uniforms against the window and grouping consecutive order
 statistics that share a litter yields the composition of n in age order;
 the same composition law also arises part by part from the first-part law
 (sequential_composition), which is the cheap exact reference sampler.
-sample_composition_detailed is the one place uniforms are dropped on a
-window; the population module's set sampler pools its litter hits by
-genealogy root.
+
+_locate is the one inversion rule.  It reads a block of windows as padded
+rows of their interval edges (_Rows: inf past each row's points) and
+places any number of g-coordinate queries at once, one searchsorted per
+row; a query may be restricted to the litters older than a given one,
+which is the genealogy's parent query.  The lockstep window samplers drop
+the uniforms of a whole draw block on one _Rows block (_window_hits; a
+block holds at most _BLOCK_POINTS window points), and the set sampler
+chases the roots of all its litter hits in one _Rows.roots call, one
+parent step per generation.  invert, invert_after
+and sample_composition_detailed are one-query or one-row calls of it.
+Queries are g = -log1p(-v) by math.log1p, the scalar rounding, wherever
+they are formed.
 
 ensure_coverage is the one loop that extends a window backwards, one
 doubling of T per extend(); after max_doublings of them (default 10, so
@@ -128,7 +138,10 @@ class SubordinatorWindow:
     """Poisson litter points with ages in [0, T), sorted by age, plus the
     prefix log-products that make cdf/invert O(log m).
 
-    Mutable only through extend(); a single sampling task owns a window.
+    left_g and right_g are views of one (2, 1, m + 1) array padded with
+    inf, the window as a one-row block of the inversion kernel's edges
+    (see _Rows).  Mutable only through extend(); a single sampling task
+    owns a window.
     """
 
     __slots__ = (
@@ -144,6 +157,7 @@ class SubordinatorWindow:
         "right_g",
         "n_extensions",
         "max_doublings",
+        "_edges",
         "_measure",
         "_rng",
         "_intensity",
@@ -161,18 +175,22 @@ class SubordinatorWindow:
         self._moment_below = 0.0
         self.n_extensions = 0
         self.max_doublings = 10
-        order = np.argsort(ages, kind="stable")
+        order = np.asarray(ages).argsort(kind="stable")
         self.ages = np.asarray(ages, dtype=float)[order]
         self.sizes = np.asarray(sizes, dtype=float)[order]
         self.marks = np.asarray(marks, dtype=float)[order]
         self._rebuild_prefix()
 
     def _rebuild_prefix(self):
-        log_surv = np.log1p(-self.sizes)
-        self.log_prefix = np.concatenate(([0.0], np.cumsum(log_surv)))
+        m = len(self.ages)
+        self.log_prefix = np.empty(m + 1)
+        self.log_prefix[0] = 0.0
+        np.log1p(-self.sizes).cumsum(out=self.log_prefix[1:])
         base = self.mu * self.ages
-        self.left_g = base - self.log_prefix[:-1]
-        self.right_g = base - self.log_prefix[1:]
+        self._edges = np.empty((2, 1, m + 1))
+        self.left_g = np.subtract(base, self.log_prefix[:-1], out=self._edges[0, 0, :m])
+        self.right_g = np.subtract(base, self.log_prefix[1:], out=self._edges[1, 0, :m])
+        self._edges[:, 0, m] = np.inf
 
     # -- basic queries ----------------------------------------------------
 
@@ -198,21 +216,14 @@ class SubordinatorWindow:
 
     # -- inversion ---------------------------------------------------------
 
-    def _invert_g(self, g: float, after: int) -> HitResult:
-        """Resolve a log-survival query among points with sorted index
-        > after (after = -1 for time-0 queries)."""
-        start = after + 1
-        offset = 0.0 if after < 0 else float(self.right_g[after])
-        t = g + offset
-        if t >= self.g_max():
-            raise BeyondWindowError(
-                "query beyond realized window; extend before inverting"
-            )
-        j = start + int(np.searchsorted(self.right_g[start:], t, side="left"))
-        if j < self.npoints and self.left_g[j] < t < self.right_g[j]:
+    def _hit(self, t: float, j: int, litter: bool, after: int) -> HitResult:
+        """The HitResult of a query at g-coordinate t that _locate sent to
+        litter index j: that litter, or the range point where the flat
+        segment before litter j (after it, on a tie with its right edge)
+        reaches t; ages are relative to litter `after`."""
+        if litter:
             return HitResult("litter", float(self.ages[j]), j)
-        # on the closed range; solve mu*s - prefix = t on the flat segment
-        if j < self.npoints and t >= self.right_g[j]:
+        if t >= self._edges[1, 0, j]:
             j += 1
         if self.mu > 0.0:
             s_abs = (t + self.log_prefix[j]) / self.mu
@@ -220,7 +231,20 @@ class SubordinatorWindow:
             # drift-free path is flat between jumps; ties only
             s_abs = float(self.ages[j - 1]) if j > 0 else 0.0
         base_age = 0.0 if after < 0 else float(self.ages[after])
-        return HitResult("regenerative", max(s_abs - base_age, 0.0), None)
+        return HitResult("regenerative", float(max(s_abs - base_age, 0.0)), None)
+
+    def _invert_one(self, v: float, after: int) -> HitResult:
+        if not (0.0 < v < 1.0):
+            raise ValueError("v must lie strictly inside (0, 1)")
+        t = -math.log1p(-v)
+        if after >= 0:
+            t += float(self.right_g[after])
+        if t >= self.g_max():
+            raise BeyondWindowError(
+                "query beyond realized window; extend before inverting"
+            )
+        j, litter = _locate(self._edges, 0, t, after + 1)
+        return self._hit(t, int(j), bool(litter), after)
 
     def invert(self, v: float) -> HitResult:
         """Smallest age s with F(s) >= v, tagged by what was hit.
@@ -228,9 +252,7 @@ class SubordinatorWindow:
         Raises BeyondWindowError when v >= cdf(T); the caller decides
         whether to extend.
         """
-        if not (0.0 < v < 1.0):
-            raise ValueError("v must lie strictly inside (0, 1)")
-        return self._invert_g(-math.log1p(-v), after=-1)
+        return self._invert_one(v, -1)
 
     def invert_after(self, index: int, v: float) -> HitResult:
         """Inversion against the sub-window of litters strictly older than
@@ -238,9 +260,7 @@ class SubordinatorWindow:
         This is the parent query of the genealogy."""
         if not (0.0 <= index < self.npoints):
             raise ValueError("index outside window")
-        if not (0.0 < v < 1.0):
-            raise ValueError("v must lie strictly inside (0, 1)")
-        return self._invert_g(-math.log1p(-v), after=int(index))
+        return self._invert_one(v, int(index))
 
     def coverage_ok(self, v: float, after: int = -1) -> bool:
         g = -math.log1p(-v)
@@ -281,6 +301,114 @@ class SubordinatorWindow:
     def ensure_coverage(self, v: float, after: int = -1) -> None:
         while not self.coverage_ok(v, after):
             self.extend()
+
+
+def _neg_log1m(v: np.ndarray) -> np.ndarray:
+    """-log(1 - v) elementwise by math.log1p, the rounding of every scalar
+    query (numpy's vectorised log1p may differ from it in the last bit)."""
+    return np.array([-math.log1p(-x) for x in v.ravel().tolist()]).reshape(v.shape)
+
+
+def _locate(planes: np.ndarray, rows, t, start):
+    """The one inversion rule, for queries on a block of padded window rows.
+
+    planes[0] and planes[1] are the (R, W) left and right edge rows (see
+    _Rows).  Query q reads row rows[q] at the g-coordinate t[q], covered
+    by that row, among the litters with index >= start[q].  Returns
+    (j, litter): j is the first such litter whose right edge is >= t, and
+    litter says whether t lies strictly inside its interval; otherwise t
+    is on the regenerative set, ties at either edge included.  rows
+    ascend; an int row with a float t and an int start is one query and
+    gives scalars.  Right edges below t are counted by one searchsorted
+    per row.
+    """
+    if isinstance(rows, int) or rows[0] == rows[-1]:
+        row = rows if isinstance(rows, int) else int(rows[0])
+        left, right = planes[0, row], planes[1, row]
+        j = at = np.maximum(right.searchsorted(t), start)
+    else:
+        width = planes.shape[2]
+        left, right = planes[0].ravel(), planes[1].ravel()
+        cuts = ((rows[1:] != rows[:-1]).nonzero()[0] + 1).tolist()
+        below = np.concatenate(
+            [
+                right[rows[a] * width : (rows[a] + 1) * width].searchsorted(t[a:b])
+                for a, b in zip([0] + cuts, cuts + [len(t)])
+            ]
+        )
+        j = np.maximum(below, start)
+        at = j + rows * width
+    return j, (left[at] < t) & (t < right[at])
+
+
+class _Rows:
+    """A block of R windows read as padded rows, for the lockstep samplers.
+
+    planes (3, R, W) stacks the windows' (left edge, right edge, mark)
+    rows padded with inf to W = 1 + the largest point count, so the first
+    right edge at or above a covered query always lies in its own row;
+    gmax (R,) is each window's coverage.  A query past its row's coverage
+    extends that window through its own ensure_coverage, and the rows are
+    padded afresh; the window's k-th extension draws the same numbers
+    whichever query asks for it.
+    """
+
+    __slots__ = ("windows", "planes", "gmax")
+
+    def __init__(self, windows):
+        self.windows = windows
+        self._fill()
+
+    def _fill(self):
+        ws = self.windows
+        width = 1 + max(w.npoints for w in ws)
+        self.planes = np.full((3, len(ws), width), np.inf)
+        for r, w in enumerate(ws):
+            self.planes[:2, r, : w.npoints + 1] = w._edges[:, 0]
+            self.planes[2, r, : w.npoints] = w.marks
+        self.gmax = np.array([w.g_max() for w in ws])
+
+    def hits(self, vs: np.ndarray):
+        """(j, litter) of the sorted uniforms vs (R, n), row r on window r,
+        each window first extended to cover its largest uniform."""
+        t = _neg_log1m(vs)
+        beyond = (t[:, -1] >= self.gmax).nonzero()[0].tolist()
+        for r in beyond:
+            self.windows[r].ensure_coverage(float(vs[r, -1]))
+        if beyond:
+            self._fill()
+        R, n = vs.shape
+        j, litter = _locate(self.planes, np.arange(R).repeat(n), t.ravel(), 0)
+        return j.reshape(R, n), litter.reshape(R, n)
+
+    def roots(self, rows: np.ndarray, cur: np.ndarray):
+        """(root, height) of each litter cur[q] of window rows[q] (rows
+        ascending): every live query takes one invert_after step per
+        generation, from its litter's mark into the older litters, until
+        the mark lands on the regenerative set; that litter is the root
+        and the generation its height."""
+        root = np.empty_like(cur)
+        height = np.empty_like(cur)
+        q = np.arange(len(cur))
+        gen = 0
+        while q.size:
+            at = rows * self.planes.shape[2] + cur
+            marks = self.planes[2].ravel()[at]
+            t = self.planes[1].ravel()[at] + _neg_log1m(marks)
+            beyond = (t >= self.gmax[rows]).nonzero()[0].tolist()
+            for i in beyond:
+                self.windows[rows[i]].ensure_coverage(float(marks[i]), int(cur[i]))
+            if beyond:
+                self._fill()
+            j, litter = _locate(self.planes, rows, t, cur + 1)
+            if not litter.all():
+                done = ~litter
+                root[q[done]] = cur[done]
+                height[q[done]] = gen
+                q, rows, j = q[litter], rows[litter], j[litter]
+            cur = j
+            gen += 1
+        return root, height
 
 
 def default_window_horizon(measure: LambdaMeasure, mu: float, n: int) -> float:
@@ -371,18 +499,78 @@ def window_from_points(
 # ---------------------------------------------------------------------------
 
 
-def _group_hits(hits: list[HitResult]) -> Composition:
-    """Parts = runs of consecutive sorted uniforms sharing a litter;
-    regenerative hits are singleton parts."""
-    parts = []
-    prev_index = None
-    for hit in hits:
-        if hit.kind == "litter" and hit.index == prev_index:
-            parts[-1] += 1
-        else:
-            parts.append(1)
-            prev_index = hit.index if hit.kind == "litter" else None
-    return Composition(tuple(parts))
+def _part_starts(j: np.ndarray, litter: np.ndarray) -> np.ndarray:
+    """Flags, along the last axis of the kernel's hits of sorted uniforms,
+    of the hits that open a part: every hit but one that shares a litter
+    with the hit before it (a regenerative hit is a singleton part)."""
+    # hit i shares a litter with hit i - 1 when it is a litter hit and both
+    # have one code 2 j + litter: a regenerative hit sent to litter j has
+    # an even code
+    code = 2 * j + litter
+    starts = np.ones(j.shape, dtype=bool)
+    starts[..., 1:] = code[..., 1:] != code[..., :-1]
+    starts |= ~litter
+    return starts
+
+
+def _parts(starts) -> tuple[int, ...]:
+    """Part sizes of one row of _part_starts flags."""
+    at = starts.nonzero()[0].tolist() + [len(starts)]
+    return tuple(b - a for a, b in zip(at, at[1:]))
+
+
+def _window_hits(windows: list, rngs, n: int):
+    """Drop n uniforms on each window from its own generator, after the
+    draws of the window itself: (block, j, litter), the _Rows block of the
+    windows and the kernel's (R, n) hits of their sorted uniforms."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    vs = np.stack([rng.random(n) for rng in rngs])
+    vs.sort(axis=1)
+    block = _Rows(windows)
+    return (block, *block.hits(vs))
+
+
+# Window points one lockstep block holds at most: every window of a block
+# stays alive, with its padded rows, until its uniforms are placed.  A
+# window above it is a block of its own, as one window always was.
+_BLOCK_POINTS = 1 << 16
+
+
+def _window_blocks(make_window, rngs, n: int, read) -> list:
+    """Concatenated read(block, j, litter) of _window_hits, one block of
+    whole windows at a time, in generator order: replicate r draws its
+    window make_window(rng), and a block closes once its windows hold
+    _BLOCK_POINTS points between them."""
+    out = []
+    windows: list = []
+    points = 0
+    for i, rng in enumerate(rngs):
+        windows.append(make_window(rng))
+        points += windows[-1].npoints
+        if points >= _BLOCK_POINTS or i == len(rngs) - 1:
+            out += read(*_window_hits(windows, rngs[i + 1 - len(windows) : i + 1], n))
+            windows, points = [], 0
+    return out
+
+
+def _composition_texts(measure, mu, n, T0, rngs) -> list[str]:
+    """Window compositions of n, one text per generator."""
+
+    def read(block, j, litter):
+        texts: dict = {}
+        out = []
+        for row in _part_starts(j, litter):
+            key = row.tobytes()
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = ",".join(map(str, _parts(row)))
+            out.append(text)
+        return out
+
+    return _window_blocks(
+        lambda rng: sample_window(measure, mu, T0, rng=rng), rngs, n, read
+    )
 
 
 def sample_composition_detailed(
@@ -392,10 +580,13 @@ def sample_composition_detailed(
     composition together with the per-ball hits."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    vs = np.sort(rng.random(n))
+    vs = rng.random(n)
+    vs.sort()
     window.ensure_coverage(float(vs[-1]))
-    hits = [window.invert(float(v)) for v in vs]
-    return CompositionSample(_group_hits(hits), tuple(hits))
+    t = _neg_log1m(vs)
+    j, litter = _locate(window._edges, 0, t, 0)
+    hits = tuple(map(window._hit, t.tolist(), j.tolist(), litter.tolist(), [-1] * n))
+    return CompositionSample(Composition(_parts(_part_starts(j, litter))), hits)
 
 
 def sequential_composition(
@@ -415,8 +606,7 @@ def sequential_composition(
     parts = []
     remaining = n
     while remaining > 0:
-        law = laws[remaining]
-        cum = np.cumsum(law.probs)
+        cum = laws[remaining].cumulative
         m = 1 + int(np.searchsorted(cum, rng.random() * cum[-1]))
         m = min(m, remaining)
         parts.append(m)

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
+import numpy as np
 from scipy.special import gammaincc
 
 from .errors import LambdaCoalError
@@ -27,7 +28,7 @@ from .measures import (
     first_part_laws_upto,
     parse_measure,
 )
-from .population import _chain_table, sample_family_partition_set
+from .population import _chain_table, _set_texts
 # perfbench's tracer test reads validation.simulate_frozen_coalescent
 from .coalescent import (  # noqa: F401
     _family_texts,
@@ -37,9 +38,11 @@ from .coalescent import (  # noqa: F401
 from .sampling_formula import ewens, solve
 from .streams import derive_rng, fan_out
 from .subordinator import (
+    _composition_texts,
+    _part_starts,
+    _window_blocks,
     _window_setup,
     default_window_horizon,
-    sample_composition_detailed,
     sample_window,
     sequential_composition,
 )
@@ -293,14 +296,23 @@ class _Sampler(NamedTuple):
     window: bool
 
 
-def _first_part(measure, mu, n, T0, rng) -> str:
-    """'1m' mutant single, '1l' lone-litter single, '2'..'n' otherwise."""
-    window = sample_window(measure, mu, T0, rng=rng)
-    sample = sample_composition_detailed(window, n, rng)
-    first = sample.composition.parts[0]
-    if first == 1:
-        return "1m" if sample.hits[0].kind == "regenerative" else "1l"
-    return str(first)
+def _first_part_texts(measure, mu, n, T0, rngs) -> list[str]:
+    """'1m' mutant single, '1l' lone-litter single, '2'..'n' otherwise,
+    one per generator, read off blocks of windows."""
+
+    def read(block, j, litter):
+        starts = _part_starts(j, litter)
+        starts[:, 0] = False
+        first = np.where(starts.any(1), starts.argmax(1), n).tolist()
+        lone = litter[:, 0].tolist()
+        return [
+            str(m) if m > 1 else "1l" if alone else "1m"
+            for m, alone in zip(first, lone)
+        ]
+
+    return _window_blocks(
+        lambda rng: sample_window(measure, mu, T0, rng=rng), rngs, n, read
+    )
 
 
 def _each(draw) -> Callable:
@@ -315,7 +327,9 @@ def _each(draw) -> Callable:
 # entries reach every library function by its module-global name at call
 # time, so a caller that rebinds a module attribute (a tracer) sees the call.
 # frozen and chain run all their replicates through one lockstep block
-# chain; the other samplers draw one replicate at a time.
+# chain; set, composition and first-part draw each replicate's window and
+# uniforms from its own stream, then read all the windows through one block
+# of the inversion kernel; sequential draws one replicate at a time.
 _SAMPLERS = {
     "frozen": _Sampler(
         lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
@@ -331,25 +345,17 @@ _SAMPLERS = {
     ),
     "set": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        _each(
-            lambda measure, mu, n, T0, rng: sample_family_partition_set(
-                measure, mu, n, rng, T0=T0
-            ).to_text()
-        ),
+        _set_texts,
         True,
     ),
     "composition": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        _each(
-            lambda measure, mu, n, T0, rng: sample_composition_detailed(
-                sample_window(measure, mu, T0, rng=rng), n, rng
-            ).composition.to_text()
-        ),
+        _composition_texts,
         True,
     ),
     "first-part": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        _each(_first_part),
+        _first_part_texts,
         True,
     ),
     "sequential": _Sampler(

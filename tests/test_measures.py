@@ -557,6 +557,35 @@ def test_sample_jump_sizes_atomic(rng_factory):
     assert abs(frac - 0.9) < 0.01
 
 
+@pytest.mark.parametrize(
+    "spec, eps",
+    [("atoms:0.5=0.25", 0.0), ("atoms:0.25=0.5,0.75=0.5", 0.0), ("atoms:0.1=1,0.3=2,0.9=0.5", 0.2)],
+)
+def test_atom_jump_sizes_match_rng_choice(spec, eps):
+    # the cached-cdf draw is numpy's choice algorithm: the same sizes and
+    # the same generator state afterwards as rng.choice with p
+    m = parse_measure(spec)
+    locs = np.array(m.locations)
+    wts = np.array(m.weights)
+    keep = locs > eps
+    p = wts[keep] / (locs[keep] * locs[keep])
+    for seed in range(300):
+        for count in (1, 7, 40):
+            ours = np.random.default_rng([seed, count])
+            ref = np.random.default_rng([seed, count])
+            got = m.sample_nu(eps, count, ours)
+            want = ref.choice(locs[keep], size=count, p=p / p.sum())
+            assert got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_atom_jump_sizes_none_above_cutoff(rng_factory):
+    m = parse_measure("atoms:0.25=0.5,0.75=0.5")
+    for _ in range(2):  # the refusal is not cached away
+        with pytest.raises(DegenerateMeasureError):
+            m.sample_nu(0.8, 3, rng_factory(1, "none-above"))
+
+
 def test_sample_jump_sizes_poly_uniform(rng_factory):
     rng = rng_factory(1, "jump-poly")
     draws = sample_jump_sizes(POLY, 0.0, 20000, rng)

@@ -371,6 +371,32 @@ def test_large_mu_mostly_singletons(rng_factory):
     assert hits >= 180
 
 
+@pytest.mark.parametrize("T0", [14.0, 0.3])
+def test_block_chase_matches_one_query_roots(T0):
+    # one chase over every litter of several windows gives each litter's
+    # (root, height) as resolve_root does, query by query, on twins of the
+    # windows drawn from the same streams; both grow their windows alike
+    from lambdacoal.subordinator import _Rows
+
+    def windows():
+        return [lc.sample_window(POLY, 0.7, T0, rng=derive_rng(8, "chase", r)) for r in range(6)]
+
+    block, twins = windows(), windows()
+    rows = np.concatenate([np.full(w.npoints, r) for r, w in enumerate(block)]).astype(np.intp)
+    cur = np.concatenate([np.arange(w.npoints) for w in block])
+    root, height = _Rows(block).roots(rows, cur)
+    expected = []
+    for w in twins:
+        h = LitterHistory(w)
+        expected += [h.resolve_root(i) for i in range(w.npoints)]
+    assert list(zip(root.tolist(), height.tolist())) == expected
+    assert [(w.n_extensions, w.npoints) for w in block] == [
+        (w.n_extensions, w.npoints) for w in twins
+    ]
+    if T0 < 1.0:
+        assert any(w.n_extensions for w in block)
+
+
 def test_window_exhaustion_cap():
     # a replayed window has no generator, so max_doublings=0 plus an
     # uncovered mark must surface as exhaustion, not silence

@@ -122,6 +122,77 @@ def test_invert_consistent_with_cdf(rng_factory):
             assert w.cdf(hit.age) == pytest.approx(v, rel=1e-9)
 
 
+def _invert_reference(w, v, after):
+    """The scalar inversion loop: one searchsorted on the right edges of
+    the litters older than `after`, then the interval test."""
+    start = after + 1
+    offset = 0.0 if after < 0 else float(w.right_g[after])
+    t = -math.log1p(-v) + offset
+    j = start + int(np.searchsorted(w.right_g[start:], t, side="left"))
+    if j < w.npoints and w.left_g[j] < t < w.right_g[j]:
+        return ("litter", float(w.ages[j]), j)
+    if j < w.npoints and t >= w.right_g[j]:
+        j += 1
+    if w.mu > 0.0:
+        s_abs = (t + w.log_prefix[j]) / w.mu
+    else:
+        s_abs = float(w.ages[j - 1]) if j > 0 else 0.0
+    base_age = 0.0 if after < 0 else float(w.ages[after])
+    return ("regenerative", float(max(s_abs - base_age, 0.0)), None)
+
+
+def _as_tuple(hit):
+    return (hit.kind, hit.age, hit.index)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_window(POLY, 1.0, 10.0, rng=derive_rng(5, "ref-poly")),
+        lambda: sample_window(HALF_ATOM, 0.7, 12.0, rng=derive_rng(5, "ref-atom")),
+        # equal ages (touching intervals), and the drift-free path
+        lambda: window_from_points(0.5, [(1.0, 0.3, 0.5), (1.0, 0.2, 0.5), (2.0, 0.4, 0.1)], 4.0),
+        lambda: window_from_points(0.0, [(1.0, 0.3, 0.5), (2.0, 0.2, 0.5)], 4.0),
+    ],
+    ids=["poly3x2", "atoms", "touching", "drift-free"],
+)
+def test_invert_matches_scalar_reference(make):
+    # invert and invert_after equal the scalar loop exactly, at random
+    # values and at every interval edge
+    w = make()
+    rng = derive_rng(6, "ref-values")
+    edges = np.concatenate((w.left_g, w.right_g))
+    values = list(rng.random(200)) + [float(-np.expm1(-g)) for g in edges]
+    for after in [-1] + list(range(w.npoints)):
+        for v in values:
+            if not 0.0 < v < 1.0 or not w.coverage_ok(v, after):
+                continue
+            hit = w.invert(v) if after < 0 else w.invert_after(after, v)
+            assert _as_tuple(hit) == _invert_reference(w, v, after)
+
+
+def test_block_hits_match_one_row_inversion():
+    # a block of windows of different lengths, one of them empty, sends
+    # every sorted uniform where each window's own invert sends it
+    from lambdacoal.subordinator import _Rows
+
+    windows = [
+        sample_window(POLY, 1.0, T, rng=derive_rng(7, "block", i))
+        for i, T in enumerate([0.05, 3.0, 8.0, 0.5])
+    ]
+    windows.append(window_from_points(0.5, [], 20.0))
+    vs = np.sort(derive_rng(7, "block-u").random((len(windows), 9)), axis=1)
+    for w, row in zip(windows, vs):
+        w.ensure_coverage(float(row[-1]))
+    j, litter = _Rows(windows).hits(vs)
+    for r, w in enumerate(windows):
+        for i, v in enumerate(vs[r]):
+            kind, _, index = _invert_reference(w, float(v), -1)
+            assert litter[r, i] == (kind == "litter")
+            if index is not None:
+                assert j[r, i] == index
+
+
 def test_invert_beyond_window():
     w = window_from_points(0.0, [(1.0, 0.5, 0.3)], 4.0)
     # g_max = -log(0.5): values of v at or above 0.5 are uncovered

@@ -8,12 +8,15 @@ exact side runs at a different mutation rate.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from lambdacoal import (
+    DensityTableMeasure,
+    LitterHistory,
     ValidationCase,
     build_rate_table,
     chi_square_gof,
@@ -25,10 +28,14 @@ from lambdacoal import (
     derive_rng,
     parse_measure,
     run_validation,
+    sample_composition_detailed,
     sample_family_partition_chain,
+    sample_family_partition_set,
+    sample_window,
     simulate_frozen_coalescent,
     total_variation,
 )
+import lambdacoal.subordinator
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, draw_span, prepare_shared
 
 # ---------------------------------------------------------------------------
@@ -393,10 +400,105 @@ def test_lockstep_draw_matches_one_row_calls(sampler, mu, n):
         assert set(lockstep) == {f"{n}^1"}
 
 
+TABLE_XS = np.linspace(0.1, 0.9, 6)
+WINDOW_MEASURES = {
+    "poly3x2": parse_measure("poly3x2"),
+    "atoms": parse_measure("atoms:0.5=0.25"),
+    "beta1.9": parse_measure("beta:1.9,1,1"),
+    "table-cubic": DensityTableMeasure(TABLE_XS, 6.0 * TABLE_XS * (1.0 - TABLE_XS), order=3),
+}
+
+
+def _one_window_row(sampler, measure, mu, n, T0, rng):
+    if sampler == "set":
+        return sample_family_partition_set(measure, mu, n, rng, T0=T0).to_text()
+    sample = sample_composition_detailed(sample_window(measure, mu, T0, rng=rng), n, rng)
+    if sampler == "composition":
+        return sample.composition.to_text()
+    first = sample.composition.parts[0]
+    if first > 1:
+        return str(first)
+    return "1m" if sample.hits[0].kind == "regenerative" else "1l"
+
+
+def _extensions(measure, mu, n, T0, rng):
+    """Extensions of one set replicate while covering its uniforms, and
+    then while chasing the roots of its litter hits."""
+    history = LitterHistory.build(measure, mu, rng, T0=T0)
+    sample = sample_composition_detailed(history.window, n, rng)
+    covering = history.window.n_extensions
+    for hit in sample.hits:
+        if hit.kind == "litter":
+            history.resolve_root(hit.index)
+    return covering, history.window.n_extensions - covering
+
+
+@pytest.mark.parametrize("sampler", ["set", "composition", "first-part"])
+@pytest.mark.parametrize("label", list(WINDOW_MEASURES))
+@pytest.mark.parametrize("small_t0", [False, True], ids=["T0", "small-T0"])
+def test_window_block_matches_one_row_calls(sampler, label, small_t0):
+    # one block of windows gives, byte for byte, what the public one-row
+    # window functions give on the same streams; a small T0 makes rows
+    # extend while covering their uniforms and while chasing roots
+    measure = WINDOW_MEASURES[label]
+    mu, n, reps = 1.0, 6, 40
+    (T0,) = prepare_shared((sampler,), measure, mu, n)
+    if small_t0:
+        T0 = 0.05
+        grown = [_extensions(measure, mu, n, T0, derive_rng(12, "ext", r)) for r in range(reps)]
+        assert any(cover for cover, _ in grown) and any(chase for _, chase in grown)
+    block = _SAMPLERS[sampler].draw(
+        measure, mu, n, T0, [derive_rng(12, sampler, r) for r in range(reps)]
+    )
+    one_row = [
+        _one_window_row(sampler, measure, mu, n, T0, derive_rng(12, sampler, r))
+        for r in range(reps)
+    ]
+    assert block == one_row
+
+
+@pytest.mark.parametrize("sampler", ["set", "composition", "first-part"])
+def test_window_blocks_split_by_points(sampler, monkeypatch):
+    # a draw cut into blocks of a few window points gives the same texts
+    # as one block
+    measure = WINDOW_MEASURES["poly3x2"]
+    (T0,) = prepare_shared((sampler,), measure, 1.0, 5)
+
+    def draw():
+        rngs = [derive_rng(13, sampler, r) for r in range(30)]
+        return _SAMPLERS[sampler].draw(measure, 1.0, 5, T0, rngs)
+
+    whole = draw()
+    monkeypatch.setattr(lambdacoal.subordinator, "_BLOCK_POINTS", 40)
+    assert draw() == whole
+
+
+def test_window_block_memory_is_bounded():
+    # 512 replicates of 500-point windows: the block holds at most
+    # _BLOCK_POINTS window points, not all 512 windows at once (about
+    # 35 MB traced when it did)
+    measure = WINDOW_MEASURES["beta1.9"]
+    (T0,) = prepare_shared(("set",), measure, 1.0, 6)
+    rngs = [derive_rng(14, "memory", r) for r in range(512)]
+    tracemalloc.start()
+    try:
+        _SAMPLERS["set"].draw(measure, 1.0, 6, T0, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize(
     "names, n",
-    [(("frozen",), 5), (("chain",), 5), (("sequential", "composition"), 4)],
-    ids=["frozen", "chain", "sequential-composition"],
+    [
+        (("frozen",), 5),
+        (("chain",), 5),
+        (("sequential", "composition"), 4),
+        (("set",), 5),
+        (("first-part",), 5),
+    ],
+    ids=["frozen", "chain", "sequential-composition", "set", "first-part"],
 )
 def test_draw_span_does_not_depend_on_the_split(names, n):
     # spans longer than one draw block, cut at several points, concatenate
