@@ -334,6 +334,10 @@ def _check_args(args) -> None:
         raise MeasureSpecError("replicates must be >= 1")
     if getattr(args, "nmax", 2) is not None and getattr(args, "nmax", 2) < 2:
         raise MeasureSpecError("--nmax must be >= 2")
+    if getattr(args, "seed", 0) < 0:
+        raise MeasureSpecError("--seed must be >= 0")
+    if getattr(args, "workers", 1) < 1:
+        raise MeasureSpecError("--workers must be >= 1")
     forward = args.command == "simulate" and args.sampler == "forward"
     if forward and args.horizon is None:
         raise MeasureSpecError("forward sampler requires --horizon")

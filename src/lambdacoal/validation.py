@@ -520,6 +520,8 @@ def run_validation(
         plan = default_plan()
     if reps < 1:
         raise ValueError("reps must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     # a plan error raises before any case draws
     names = [_case_samplers(case) for case in plan]
     executor = None

@@ -295,6 +295,43 @@ def test_non_finite_mu_or_horizon_is_usage_error(capsys, argv, flag):
     assert f"{flag} must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--reps", "10", "--seed", "-1"],
+        ["simulate", "frozen", "--measure", "poly3x2", "--mu", "1", "--n", "4",
+         "--seed", "-1"],
+        ["forward-snapshot", "--measure", "poly3x2", "--mu", "1", "--stationary",
+         "--seed", "-2"],
+    ],
+    ids=["validate", "simulate", "snapshot"],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    # before, validate ran every case and listed each sampled one as failing
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "frozen", "--measure", "poly3x2", "--mu", "1", "--n", "4",
+         "--reps", "3", "--seed", "1"],
+        ["validate", "--reps", "10", "--seed", "1"],
+    ],
+    ids=["simulate", "validate"],
+)
+def test_workers_below_one_is_usage_error(capsys, argv, workers):
+    # before, a worker count below 1 silently ran one worker
+    assert main(argv + ["--workers", workers]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --workers must be >= 1\n"
+
+
 def test_simulate_chain_tiny_mu_terminates():
     # at one lineage the lone-litter part has probability 1 - O(mu); the
     # chain skips it, so each replicate ends after one freeze

@@ -233,6 +233,17 @@ def test_run_rejects_bad_reps():
         run_validation([FROZEN_CASE], 0, 1)
 
 
+def test_run_rejects_negative_seed_before_any_case_draws(monkeypatch):
+    import lambdacoal.validation
+
+    def refuse(*args):
+        raise AssertionError("a case was prepared before the seed was checked")
+
+    monkeypatch.setattr(lambdacoal.validation, "prepare_shared", refuse)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        run_validation([FROZEN_CASE], 10, -1)
+
+
 def test_ewens_case_passes():
     case = ValidationCase("ew", "ewens_equivalence", "delta:0", 0.75, 6)
     (report,) = run_validation([case], 1, 0)
