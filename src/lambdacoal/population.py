@@ -17,12 +17,15 @@ on the regenerative set; that litter is a root carrying a fresh genotype,
 and the number of steps to reach it is geometric.  Every parent step is
 one invert_after query of the subordinator module's inversion kernel:
 resolve_parent and resolve_root ask one query per step, rho_state and
-the set sampler chase all their litters at once (_Rows.roots).  Root
+the set sampler chase all their litters at once (_Rows.roots).  The set
+sampler's windows are settled together, one block settle per draw
+block; rho_state settles its window once and chases on it.  Root
 resolution may need litters older than the realized window, which the
 window's own ensure_coverage doubles backwards up to its one cap
 (default 2**10 times the initial horizon, then WindowExhaustionError);
-the k-th extension of a window draws the same numbers whichever query
-needs it.
+only the extended window's row of the block is written afresh, and the
+k-th extension of a window draws the same numbers whichever query needs
+it.
 
 Two family-size samplers are cross-checked against the exact recursion:
 
@@ -188,7 +191,7 @@ class LitterHistory:
         u = float(w.marks[index])
         w.ensure_coverage(u, index)
         t = -math.log1p(-u) + float(w.right_g[index])
-        j, litter = _locate(w._edges, 0, t, index + 1)
+        j, litter = _locate(w._rows(), 0, t, index + 1)
         return int(j) if litter else ROOT
 
     def resolve_root(self, index: int) -> tuple[int, int]:
@@ -227,7 +230,8 @@ def rho_state(history: LitterHistory) -> PopulationMeasure:
     Atom masses are the litter interval lengths, aggregated by root
     genotype; everything older than the initial horizon stays in the
     diffuse remainder, which bounds the truncation error by
-    exp(-mu * T0).  The roots of all those litters come from one chase.
+    exp(-mu * T0).  The window settles once, and the roots of all those
+    litters come from one chase on it.
     """
     w = history.window
     n_snapshot = int(np.searchsorted(w.ages, w.T0, side="left"))

@@ -179,16 +179,18 @@ def fan_out(fn, args: tuple, reps: int, workers: int, executor=None) -> list:
     """[fn(*args, start, stop), ...] over spans covering replicates [0, reps).
 
     With workers <= 1 the whole range is one span run in this process.
-    Otherwise spans of ceil(reps / (4 * workers)) replicates go to the
-    executor, or to a pool of `workers` processes made for this call when
-    none is given; results come back in span order.
+    Otherwise one span of ceil(reps / workers) replicates per worker goes
+    to the executor, or to a pool of `workers` processes made for this call
+    when none is given, since every span pays its own set-up (the measure
+    parse and the lockstep kernels' per-call work); results come back in
+    span order.
     """
     if workers <= 1:
         return [fn(*args, 0, reps)]
     if executor is None:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return fan_out(fn, args, reps, workers, pool)
-    chunk = max(1, math.ceil(reps / (workers * 4)))
+    chunk = max(1, math.ceil(reps / workers))
     spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
     futures = [executor.submit(fn, *args, a, b) for a, b in spans]
     return [f.result() for f in futures]

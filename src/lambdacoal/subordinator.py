@@ -24,23 +24,30 @@ statistics that share a litter yields the composition of n in age order;
 the same composition law also arises part by part from the first-part law
 (sequential_composition), which is the cheap exact reference sampler.
 
+A window keeps its points as drawn.  _settle is the one settle kernel:
+for a block of windows it sorts the points of every row, builds the
+prefix log-products and the interval edges, and pads the rows with inf,
+in one array pass over the whole block (_Rows); a window used on its own
+settles as a one-row block of the same kernel.
+
 _locate is the one inversion rule.  It reads a block of windows as padded
-rows of their interval edges (_Rows: inf past each row's points) and
-places any number of g-coordinate queries at once, one searchsorted per
-row; a query may be restricted to the litters older than a given one,
-which is the genealogy's parent query.  The lockstep window samplers drop
-the uniforms of a whole draw block on one _Rows block (_window_hits; a
-block holds at most _BLOCK_POINTS window points), and the set sampler
-chases the roots of all its litter hits in one _Rows.roots call, one
-parent step per generation.  invert, invert_after
-and sample_composition_detailed are one-query or one-row calls of it.
-Queries are g = -log1p(-v) by math.log1p, the scalar rounding, wherever
-they are formed.
+rows of their interval edges and places any number of g-coordinate
+queries at once: one searchsorted on one row, a lockstep lower-bound
+search on several (about log2 W gathers over all queries); a query may be
+restricted to the litters older than a given one, which is the
+genealogy's parent query.  The lockstep window samplers drop the uniforms
+of a whole draw block on one _Rows block (_window_hits; a block holds at
+most _BLOCK_POINTS window points), and the set sampler chases the roots
+of all its litter hits in one _Rows.roots call, one parent step per
+generation.  invert, invert_after and sample_composition_detailed are
+one-query or one-row calls of it.  Queries are g = -log1p(-v) by
+math.log1p, the scalar rounding, wherever they are formed.
 
 ensure_coverage is the one loop that extends a window backwards, one
 doubling of T per extend(); after max_doublings of them (default 10, so
 2**10 times the initial horizon) extend() raises WindowExhaustionError,
-whichever sampler reads the window.
+whichever sampler reads the window.  A block row whose window extends
+is written afresh from the window alone; the other rows stay as they are.
 
 The window set-up (the population support check, the cutoff eps and the
 intensity nu(eps, 1]) depends only on (measure, T, eps), so it is computed
@@ -138,10 +145,14 @@ class SubordinatorWindow:
     """Poisson litter points with ages in [0, T), sorted by age, plus the
     prefix log-products that make cdf/invert O(log m).
 
-    left_g and right_g are views of one (2, 1, m + 1) array padded with
-    inf, the window as a one-row block of the inversion kernel's edges
-    (see _Rows).  Mutable only through extend(); a single sampling task
-    owns a window.
+    points is the (3, m) array of (age, size, mark) rows.  The window keeps
+    them as drawn until its first one-row use (ages, sizes, marks,
+    log_prefix, left_g/right_g, cdf, invert, g_max), which settles it: the
+    block kernel _settle, run on this one window, sorts the points and
+    builds the prefix and the (3, 1, m + 1) planes (left edge, right edge,
+    mark; padded with inf), the window as a one-row block of the inversion
+    kernel (see _Rows).  npoints and n_extensions never settle.  Mutable
+    only through extend(); a single sampling task owns a window.
     """
 
     __slots__ = (
@@ -149,22 +160,19 @@ class SubordinatorWindow:
         "eps",
         "T",
         "T0",
-        "ages",
-        "sizes",
-        "marks",
-        "log_prefix",
-        "left_g",
-        "right_g",
         "n_extensions",
         "max_doublings",
-        "_edges",
+        "_points",
+        "_prefix",
+        "_planes",
+        "_gmax",
         "_measure",
         "_rng",
         "_intensity",
         "_moment_below",
     )
 
-    def __init__(self, measure, mu, T, eps, rng, ages, sizes, marks):
+    def __init__(self, measure, mu, T, eps, rng, points):
         self.mu = float(mu)
         self.eps = float(eps)
         self.T = float(T)
@@ -175,32 +183,59 @@ class SubordinatorWindow:
         self._moment_below = 0.0
         self.n_extensions = 0
         self.max_doublings = 10
-        order = np.asarray(ages).argsort(kind="stable")
-        self.ages = np.asarray(ages, dtype=float)[order]
-        self.sizes = np.asarray(sizes, dtype=float)[order]
-        self.marks = np.asarray(marks, dtype=float)[order]
-        self._rebuild_prefix()
+        self._points = points
+        self._planes = None
 
-    def _rebuild_prefix(self):
-        m = len(self.ages)
-        self.log_prefix = np.empty(m + 1)
-        self.log_prefix[0] = 0.0
-        np.log1p(-self.sizes).cumsum(out=self.log_prefix[1:])
-        base = self.mu * self.ages
-        self._edges = np.empty((2, 1, m + 1))
-        self.left_g = np.subtract(base, self.log_prefix[:-1], out=self._edges[0, 0, :m])
-        self.right_g = np.subtract(base, self.log_prefix[1:], out=self._edges[1, 0, :m])
-        self._edges[:, 0, m] = np.inf
+    def _rows(self) -> np.ndarray:
+        """The window's (3, 1, m + 1) planes, settling it first if its
+        points are as drawn."""
+        if self._planes is None:
+            m = self.npoints
+            points, prefix, self._planes, gmax = _settle([self])
+            self._points = points[:, 0, :m]
+            self._prefix = prefix[0, : m + 1]
+            self._gmax = gmax[0]
+        return self._planes
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def npoints(self) -> int:
-        return len(self.ages)
+        return self._points.shape[1]
+
+    @property
+    def ages(self) -> np.ndarray:
+        self._rows()
+        return self._points[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        self._rows()
+        return self._points[1]
+
+    @property
+    def marks(self) -> np.ndarray:
+        self._rows()
+        return self._points[2]
+
+    @property
+    def log_prefix(self) -> np.ndarray:
+        """log prod_{i < k} (1 - X_i), k = 0..m, over the litters by age."""
+        self._rows()
+        return self._prefix
+
+    @property
+    def left_g(self) -> np.ndarray:
+        return self._rows()[0, 0, : self.npoints]
+
+    @property
+    def right_g(self) -> np.ndarray:
+        return self._rows()[1, 0, : self.npoints]
 
     def g_max(self) -> float:
         """Log-survival coverage: G(T) over the realized points."""
-        return self.mu * self.T - self.log_prefix[-1]
+        self._rows()
+        return self._gmax
 
     def cdf(self, s: float) -> float:
         """F(s) = 1 - exp(-mu*s) * prod over litters of age <= s."""
@@ -223,7 +258,7 @@ class SubordinatorWindow:
         reaches t; ages are relative to litter `after`."""
         if litter:
             return HitResult("litter", float(self.ages[j]), j)
-        if t >= self._edges[1, 0, j]:
+        if t >= self._rows()[1, 0, j]:
             j += 1
         if self.mu > 0.0:
             s_abs = (t + self.log_prefix[j]) / self.mu
@@ -243,7 +278,7 @@ class SubordinatorWindow:
             raise BeyondWindowError(
                 "query beyond realized window; extend before inverting"
             )
-        j, litter = _locate(self._edges, 0, t, after + 1)
+        j, litter = _locate(self._rows(), 0, t, after + 1)
         return self._hit(t, int(j), bool(litter), after)
 
     def invert(self, v: float) -> HitResult:
@@ -287,16 +322,14 @@ class SubordinatorWindow:
         lam = self._poisson_intensity() * self.T
         _check_window_size(self._measure, 2.0 * lam, 2.0 * self.T, self.eps)
         count = int(self._rng.poisson(lam))
-        new_ages = self.T + self._rng.random(count) * self.T
-        new_sizes = sample_jump_sizes(self._measure, self.eps, count, self._rng)
-        new_marks = self._rng.random(count)
-        order = np.argsort(new_ages, kind="stable")
-        self.ages = np.concatenate((self.ages, new_ages[order]))
-        self.sizes = np.concatenate((self.sizes, new_sizes[order]))
-        self.marks = np.concatenate((self.marks, new_marks[order]))
+        new = _draw_points(self._measure, self.eps, count, self._rng, self.T)
+        new[0] += self.T
+        # every new point is older than the old ones, so the next settle
+        # sorts them after the old points, in the order they were drawn
+        self._points = np.concatenate((self._points, new), axis=1)
+        self._planes = None
         self.T *= 2.0
         self.n_extensions += 1
-        self._rebuild_prefix()
 
     def ensure_coverage(self, v: float, after: int = -1) -> None:
         while not self.coverage_ok(v, after):
@@ -309,6 +342,49 @@ def _neg_log1m(v: np.ndarray) -> np.ndarray:
     return np.array([-math.log1p(-x) for x in v.ravel().tolist()]).reshape(v.shape)
 
 
+# The (age, size, mark) a settled row is padded with: a size of 0 keeps
+# the prefix flat, and the age only enters edges that are set to inf.
+_PAD_POINT = np.array([[0.0], [0.0], [np.inf]])
+
+
+def _settle(windows):
+    """The one settle kernel: sort the points of a block of R windows and
+    build their prefixes and edges, all rows at once.
+
+    Row r holds window r's points, padded to W = 1 + the largest point
+    count.  One stable argsort along the rows orders them by age (the sort
+    keys of the pads are inf, so they stay last), one log1p and cumsum
+    along the rows give the prefixes, and two subtractions the edges.
+    Returns (points, prefix, planes, gmax): points (3, R, W) the sorted
+    (age, size, mark) rows, prefix (R, W + 1) the log-products, planes
+    (3, R, W) the (left edge, right edge, mark) rows with inf past each
+    row's points, and gmax (R,) each window's coverage G(T).
+    """
+    counts = [w.npoints for w in windows]
+    R, width = len(windows), 1 + max(counts)
+    counts = np.array(counts)
+    flat = np.concatenate([w._points for w in windows] + [_PAD_POINT], axis=1)
+    pad = np.arange(width) >= counts[:, None]
+    keys = np.full((R, width), np.inf)
+    keys[~pad] = flat[0, :-1]
+    order = keys.argsort(axis=1, kind="stable")
+    order += (counts.cumsum() - counts)[:, None]
+    order[pad] = flat.shape[1] - 1
+    points = flat.take(order, axis=1)
+    # the pads add log1p(-0) = -0.0, so the last column is each row's total
+    prefix = np.zeros((R, width + 1))
+    np.log1p(-points[1]).cumsum(axis=1, out=prefix[:, 1:])
+    mu = np.array([w.mu for w in windows])
+    planes = np.empty((3, R, width))
+    np.multiply(mu[:, None], points[0], out=planes[0])
+    np.subtract(planes[0], prefix[:, 1:], out=planes[1])
+    np.subtract(planes[0], prefix[:, :-1], out=planes[0])
+    np.copyto(planes[:2], np.inf, where=pad)
+    planes[2] = points[2]
+    gmax = mu * np.array([w.T for w in windows]) - prefix[:, -1]
+    return points, prefix, planes, gmax
+
+
 def _locate(planes: np.ndarray, rows, t, start):
     """The one inversion rule, for queries on a block of padded window rows.
 
@@ -319,8 +395,10 @@ def _locate(planes: np.ndarray, rows, t, start):
     litter says whether t lies strictly inside its interval; otherwise t
     is on the regenerative set, ties at either edge included.  rows
     ascend; an int row with a float t and an int start is one query and
-    gives scalars.  Right edges below t are counted by one searchsorted
-    per row.
+    gives scalars.  One row counts its right edges below t by one
+    searchsorted; several rows by one lockstep lower bound, ceil(log2 W)
+    gathers over all queries at once, which on each row equals
+    searchsorted(side="left").
     """
     if isinstance(rows, int) or rows[0] == rows[-1]:
         row = rows if isinstance(rows, int) else int(rows[0])
@@ -329,15 +407,16 @@ def _locate(planes: np.ndarray, rows, t, start):
     else:
         width = planes.shape[2]
         left, right = planes[0].ravel(), planes[1].ravel()
-        cuts = ((rows[1:] != rows[:-1]).nonzero()[0] + 1).tolist()
-        below = np.concatenate(
-            [
-                right[rows[a] * width : (rows[a] + 1) * width].searchsorted(t[a:b])
-                for a, b in zip([0] + cuts, cuts + [len(t)])
-            ]
-        )
-        j = np.maximum(below, start)
-        at = j + rows * width
+        base = rows * width
+        # the last column of every row is a pad (inf), so a probe past it
+        # reads that pad and never counts
+        last = base + (width - 1)
+        at = base.copy()
+        for k in reversed(range((width - 1).bit_length())):
+            probe = np.minimum(at + ((1 << k) - 1), last)
+            np.add(at, 1 << k, out=at, where=right[probe] < t)
+        j = np.maximum(at - base, start)
+        at = j + base
     return j, (left[at] < t) & (t < right[at])
 
 
@@ -347,26 +426,36 @@ class _Rows:
     planes (3, R, W) stacks the windows' (left edge, right edge, mark)
     rows padded with inf to W = 1 + the largest point count, so the first
     right edge at or above a covered query always lies in its own row;
-    gmax (R,) is each window's coverage.  A query past its row's coverage
-    extends that window through its own ensure_coverage, and the rows are
-    padded afresh; the window's k-th extension draws the same numbers
-    whichever query asks for it.
+    gmax (R,) is each window's coverage.  The rows of several windows come
+    from one _settle; one window settles itself, so the window and its
+    block share one settle.  A query past its row's coverage extends that
+    window through its own ensure_coverage, and only that row is written
+    afresh (the planes widen when it outgrows W); the window's k-th
+    extension draws the same numbers whichever query asks for it.
     """
 
     __slots__ = ("windows", "planes", "gmax")
 
     def __init__(self, windows):
         self.windows = windows
-        self._fill()
+        if len(windows) == 1:
+            self.planes = windows[0]._rows().copy()
+            self.gmax = np.array([windows[0].g_max()])
+        else:
+            _, _, self.planes, self.gmax = _settle(windows)
 
-    def _fill(self):
-        ws = self.windows
-        width = 1 + max(w.npoints for w in ws)
-        self.planes = np.full((3, len(ws), width), np.inf)
-        for r, w in enumerate(ws):
-            self.planes[:2, r, : w.npoints + 1] = w._edges[:, 0]
-            self.planes[2, r, : w.npoints] = w.marks
-        self.gmax = np.array([w.g_max() for w in ws])
+    def _patch(self, rows) -> None:
+        """Rewrite the rows of the windows that were extended."""
+        rows = set(rows)
+        width = 1 + max(self.windows[r].npoints for r in rows)
+        if width > self.planes.shape[2]:
+            grown = np.full((3, len(self.windows), width), np.inf)
+            grown[:, :, : self.planes.shape[2]] = self.planes
+            self.planes = grown
+        for r in rows:
+            w = self.windows[r]
+            self.planes[:, r, : w.npoints + 1] = w._rows()[:, 0]
+            self.gmax[r] = w.g_max()
 
     def hits(self, vs: np.ndarray):
         """(j, litter) of the sorted uniforms vs (R, n), row r on window r,
@@ -376,7 +465,7 @@ class _Rows:
         for r in beyond:
             self.windows[r].ensure_coverage(float(vs[r, -1]))
         if beyond:
-            self._fill()
+            self._patch(beyond)
         R, n = vs.shape
         j, litter = _locate(self.planes, np.arange(R).repeat(n), t.ravel(), 0)
         return j.reshape(R, n), litter.reshape(R, n)
@@ -399,7 +488,7 @@ class _Rows:
             for i in beyond:
                 self.windows[rows[i]].ensure_coverage(float(marks[i]), int(cur[i]))
             if beyond:
-                self._fill()
+                self._patch(rows[beyond].tolist())
             j, litter = _locate(self.planes, rows, t, cur + 1)
             if not litter.all():
                 done = ~litter
@@ -441,6 +530,17 @@ def _window_setup(measure: LambdaMeasure, T: float, eps) -> tuple[float, float, 
     return eps, above, below
 
 
+def _draw_points(measure, eps, count, rng, T) -> np.ndarray:
+    """(3, count) array of count litter points as drawn: ages uniform on
+    [0, T), then the jump sizes, then the marks."""
+    points = np.empty((3, count))
+    rng.random(out=points[0])
+    points[0] *= T
+    points[1] = sample_jump_sizes(measure, eps, count, rng)
+    rng.random(out=points[2])
+    return points
+
+
 def sample_window(
     measure: LambdaMeasure,
     mu: float,
@@ -465,10 +565,8 @@ def sample_window(
         raise DegenerateMeasureError("no drift and no jumps: empty subordinator")
     _check_window_size(measure, mass_above * T, T, eps)
     count = int(rng.poisson(mass_above * T))
-    ages = rng.random(count) * T
-    sizes = sample_jump_sizes(measure, eps, count, rng)
-    marks = rng.random(count)
-    window = SubordinatorWindow(measure, mu, T, eps, rng, ages, sizes, marks)
+    points = _draw_points(measure, eps, count, rng, T)
+    window = SubordinatorWindow(measure, mu, T, eps, rng, points)
     window._intensity = mass_above
     window._moment_below = moment_below
     return window
@@ -483,15 +581,13 @@ def window_from_points(
 ) -> SubordinatorWindow:
     """Deterministic window from explicit (age, size, mark) triples; used
     to replay known configurations."""
-    pts = list(points)
-    ages = np.array([p[0] for p in pts])
-    sizes = np.array([p[1] for p in pts])
-    marks = np.array([p[2] for p in pts])
+    pts = np.array(list(points), dtype=float).reshape(-1, 3).T
+    ages, sizes, _ = pts
     if np.any(ages < 0.0) or np.any(ages >= T):
         raise ValueError("ages must lie in [0, T)")
     if np.any((sizes <= 0.0) | (sizes >= 1.0)):
         raise ValueError("sizes must lie strictly inside (0, 1)")
-    return SubordinatorWindow(measure, mu, T, 0.0, rng, ages, sizes, marks)
+    return SubordinatorWindow(measure, mu, T, 0.0, rng, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +680,7 @@ def sample_composition_detailed(
     vs.sort()
     window.ensure_coverage(float(vs[-1]))
     t = _neg_log1m(vs)
-    j, litter = _locate(window._edges, 0, t, 0)
+    j, litter = _locate(window._rows(), 0, t, 0)
     hits = tuple(map(window._hit, t.tolist(), j.tolist(), litter.tolist(), [-1] * n))
     return CompositionSample(Composition(_parts(_part_starts(j, litter))), hits)
 

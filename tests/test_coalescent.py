@@ -18,6 +18,7 @@ from lambdacoal import (
     simulate_frozen_path,
     solve,
 )
+from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
 
 DELTA0 = parse_measure("delta:0")
 DELTA1 = parse_measure("delta:1")
@@ -145,12 +146,15 @@ def test_frozen_large_mu_all_singletons(rng_factory):
 
 def test_frozen_n2_marginal(rng_factory):
     # P(single family of 2) = rate(2,2) / (2 mu + rate(2,2)) = 1/2 at mu=1/2
-    rates = build_rate_table(POLY, 2)  # rate(2,2) = 1
+    # (rate(2,2) = 1); the replicates run a draw block at a time through
+    # the lockstep block chain, which gives what one-replicate calls give
+    # on the same streams
+    (table,) = prepare_shared(("frozen",), POLY, 0.5, 2)
     reps = 10**5
     hits = 0
-    for rep in range(reps):
-        pv = simulate_frozen_coalescent(rates, 0.5, 2, rng_factory(4, "n2", rep))
-        hits += pv.counts == (0, 1)
+    for lo in range(0, reps, _DRAW_BLOCK):
+        rngs = [rng_factory(4, "n2", rep) for rep in range(lo, min(lo + _DRAW_BLOCK, reps))]
+        hits += _SAMPLERS["frozen"].draw(POLY, 0.5, 2, table, rngs).count("2^1")
     p_hat = hits / reps
     assert abs(p_hat - 0.5) < 3.0 * np.sqrt(0.25 / reps)
 

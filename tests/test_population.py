@@ -37,8 +37,11 @@ from lambdacoal import (
     window_from_points,
 )
 from lambdacoal.population import ROOT
+from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
 
 from conftest import first_part_chain_reference
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 POLY = parse_measure("poly3x2")
 HALF_ATOM = parse_measure("atoms:0.5=0.25")
@@ -173,14 +176,22 @@ def test_litter_size_no_drift_telescoping():
     assert float(lengths.sum()) == pytest.approx(1.0 - 0.8 * 0.6 * 0.75, rel=1e-12)
 
 
-def test_rho_mass_conservation_sampled(rng_factory):
+def test_rho_mass_conservation_sampled(rng_factory, monkeypatch):
+    # the window settles once, and once more after each extension
     from lambdacoal import sample_window
 
+    settled = []
+    settle = lc.subordinator._settle
+    monkeypatch.setattr(
+        lc.subordinator, "_settle", lambda ws: settled.append(len(ws)) or settle(ws)
+    )
     for rep in range(5):
         rng = rng_factory(6, "rho-mass", rep)
         w = sample_window(POLY, 1.0, 14.0, rng=rng)
         h = LitterHistory(w)
+        settled.clear()
         state = rho_state(h)
+        assert settled == [1] * (1 + w.n_extensions)
         assert state.total() == pytest.approx(1.0, abs=1e-12)
         # diffuse cannot undercut the window's survival bound
         assert state.diffuse >= math.exp(-w.g_max()) - 1e-12
@@ -352,13 +363,14 @@ def test_chain_matches_reference_loop(rng_factory, n):
 def test_set_sampler_n2_marginal(rng_factory):
     # two lineages either merge (rate 1/4 under (1/4) delta_{1/2}) or one
     # freezes first (rate 2 mu), so P(one family of two) = 0.25 / 2.25
+    # the replicates run a draw block at a time through the block window
+    # kernel, which gives what one-replicate calls give on the same streams
+    (T0,) = prepare_shared(("set",), HALF_ATOM, 1.0, 2)
     reps = 20000
     hits = 0
-    for rep in range(reps):
-        pv = sample_family_partition_set(
-            HALF_ATOM, 1.0, 2, rng_factory(6, "set2", rep)
-        )
-        hits += pv.counts == (0, 1)
+    for lo in range(0, reps, _DRAW_BLOCK):
+        rngs = [rng_factory(6, "set2", rep) for rep in range(lo, min(lo + _DRAW_BLOCK, reps))]
+        hits += _SAMPLERS["set"].draw(HALF_ATOM, 1.0, 2, T0, rngs).count("2^1")
     expect = 0.25 / (2.0 + 0.25)
     assert abs(hits / reps - expect) < 4.0 * math.sqrt(expect * (1 - expect) / reps)
 

@@ -11,6 +11,7 @@ from lambdacoal import (
     BeyondWindowError,
     Composition,
     DegenerateMeasureError,
+    DensityTableMeasure,
     PopulationSupportError,
     WindowBudgetError,
     derive_rng,
@@ -23,6 +24,10 @@ from lambdacoal import (
     sequential_composition,
     window_from_points,
 )
+
+from lambdacoal.subordinator import _locate, _Rows
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 POLY = parse_measure("poly3x2")
 HALF_ATOM = parse_measure("atoms:0.5=0.25")
@@ -191,6 +196,134 @@ def test_block_hits_match_one_row_inversion():
             assert litter[r, i] == (kind == "litter")
             if index is not None:
                 assert j[r, i] == index
+
+
+def _padded_rows(rng, counts):
+    """(3, R, W) planes of random rows holding counts[r] litters each:
+    ascending right edges on a coarse grid (so edges repeat), left edges
+    below them, marks, and inf past each row's litters."""
+    planes = np.full((3, len(counts), 1 + max(counts)), np.inf)
+    for r, m in enumerate(counts):
+        right = np.sort(rng.integers(0, 6, m) * 0.5)
+        planes[:, r, :m] = right - rng.random(m), right, rng.random(m)
+    return planes
+
+
+@pytest.mark.parametrize("per_row", [1, 13])
+@pytest.mark.parametrize(
+    "counts",
+    [[5, 0, 9, 1, 7, 7], [0, 0, 0], [1, 1], [8, 3], [16, 0, 2], [40, 31, 0, 33]],
+    ids=["mixed", "no-points", "W2", "W9", "W17", "W41"],
+)
+def test_lockstep_locate_matches_searchsorted(counts, per_row):
+    # on every padded row, the lockstep lower bound gives the index that
+    # searchsorted(side="left") gives, from nonzero starts too, at right
+    # edges exactly and between them
+    rng = derive_rng(15, "locate", len(counts), per_row)
+    planes = _padded_rows(rng, counts)
+    rows = np.arange(len(counts)).repeat(per_row)
+    m = np.asarray(counts)[rows]
+    # even queries sit exactly on a right edge of their row, odd ones
+    # anywhere (a row without litters has no edge)
+    edges = planes[1][rows, rng.integers(0, np.maximum(m, 1))]
+    t = 3.5 * rng.random(rows.size) - 0.5
+    on_edge = (np.arange(rows.size) % 2 == 0) & (m > 0)
+    t[on_edge] = edges[on_edge]
+    start = rng.integers(0, m + 1)
+    j, litter = _locate(planes, rows, t, start)
+    for q, r in enumerate(rows.tolist()):
+        left, right = planes[0, r], planes[1, r]
+        expect = max(int(np.searchsorted(right, t[q], side="left")), int(start[q]))
+        assert j[q] == expect
+        assert litter[q] == (left[expect] < t[q] < right[expect])
+    assert on_edge.any() == any(counts)
+
+
+TABLE_XS = np.linspace(0.1, 0.9, 6)
+TABLE = DensityTableMeasure(TABLE_XS, 6.0 * TABLE_XS * (1.0 - TABLE_XS), order=3)
+
+
+def _drawn(measure, mu, T):
+    return lambda tag: [
+        sample_window(measure, mu, T, rng=derive_rng(16, tag, r)) for r in range(7)
+    ]
+
+
+def _check_rows(block, windows):
+    # each row equals its window settled alone, inf past it, and the
+    # coverage too; the window's points are sorted by age, ties in the
+    # order they were drawn
+    for r, w in enumerate(windows):
+        m = w.npoints
+        drawn = w._points.copy()
+        assert np.array_equal(block.planes[:, r, : m + 1], w._rows()[:, 0])
+        by_age = drawn[:, drawn[0].argsort(kind="stable")]
+        assert np.array_equal(np.array([w.ages, w.sizes, w.marks]), by_age)
+        assert (block.planes[:, r, m + 1 :] == np.inf).all()
+        assert block.gmax[r] == w.g_max()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _drawn(POLY, 1.0, 6.0),
+        _drawn(HALF_ATOM, 0.7, 12.0),
+        _drawn(parse_measure("beta:1.9,1,1"), 1.0, 3.0),
+        _drawn(TABLE, 1.0, 6.0),
+        _drawn(POLY, 0.0, 6.0),
+        lambda tag: [window_from_points(0.5, [], T) for T in (1.0, 2.0, 3.0)],
+        lambda tag: [
+            window_from_points(0.5, [(1.0, 0.3, 0.5), (1.0, 0.2, 0.5), (2.0, 0.4, 0.1)], 4.0),
+            window_from_points(0.0, [(2.0, 0.2, 0.5), (1.0, 0.3, 0.5)], 4.0),
+            window_from_points(
+                0.5, [(3.0 - i % 3, 0.01 + i / 100, i / 40) for i in range(40)], 4.0
+            ),
+        ],
+    ],
+    ids=["poly3x2", "atoms", "beta1.9", "density-table", "mu0", "no-points", "ties"],
+)
+def test_block_settle_matches_windows_settled_alone(make):
+    # one settle of the whole block gives every row bit for bit what the
+    # row's twin window gives when it settles alone; drift-free rows give
+    # no nan
+    block = _Rows(make("settle"))
+    _check_rows(block, make("settle"))
+    assert not np.isnan(block.planes).any()
+
+
+def test_block_rows_extended_past_the_width():
+    # rows that outgrow the block widen it; each row still equals its twin
+    # window extended alike and settled alone
+    windows = _drawn(POLY, 1.0, 0.05)("widen")
+    block = _Rows(windows)
+    width = block.planes.shape[2]
+    vs = np.sort(derive_rng(16, "widen-u").random((len(windows), 5)), axis=1)
+    vs[::2, -1] = 0.99
+    vs[1::2] *= 0.01
+    block.hits(vs)
+    twins = _drawn(POLY, 1.0, 0.05)("widen")
+    for w, v in zip(twins, vs[:, -1].tolist()):
+        w.ensure_coverage(v)
+    grown = [w.n_extensions for w in windows]
+    assert block.planes.shape[2] > width and 0 in grown
+    assert grown == [w.n_extensions for w in twins]
+    _check_rows(block, twins)
+
+
+def test_window_settles_on_first_one_row_use(monkeypatch):
+    # a drawn window keeps its points as drawn until a one-row use; its
+    # point count and extension count do not settle it
+    settled = []
+    settle = lambdacoal.subordinator._settle
+    monkeypatch.setattr(
+        lambdacoal.subordinator, "_settle", lambda ws: settled.append(len(ws)) or settle(ws)
+    )
+    w = sample_window(POLY, 1.0, 6.0, rng=derive_rng(17, "lazy"))
+    assert w.npoints > 0 and w.n_extensions == 0 and settled == []
+    w.cdf(1.0)
+    w.invert(0.1)
+    assert settled == [1]
+    assert np.all(np.diff(w.ages) >= 0.0)
 
 
 def test_invert_beyond_window():

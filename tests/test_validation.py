@@ -38,6 +38,8 @@ from lambdacoal import (
 import lambdacoal.subordinator
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, draw_span, prepare_shared
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # ---------------------------------------------------------------------------
 # total variation
 # ---------------------------------------------------------------------------
