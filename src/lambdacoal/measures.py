@@ -350,11 +350,16 @@ class DensityTableMeasure:
         self.x = x
         self.density = density
         self.order = order
-        if order == 3:
-            self._pp = CubicSpline(x, density)
-        else:
-            self._pp = PPoly(np.array([np.diff(density) / np.diff(x), density[:-1]]), x)
-        roots = [pp.roots(extrapolate=False) for pp in (self._pp, self._pp.derivative())]
+        # finite values can still overflow the slopes or the coefficients
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if order == 3:
+                    self._pp = CubicSpline(x, density)
+                else:
+                    self._pp = PPoly(np.array([np.diff(density) / np.diff(x), density[:-1]]), x)
+                roots = [pp.roots(extrapolate=False) for pp in (self._pp, self._pp.derivative())]
+        except (FloatingPointError, ValueError) as exc:
+            raise MeasureSpecError(f"density values overflow the interpolant ({exc})") from exc
         doubling = x[0] * 2.0 ** np.arange(1, np.log2(x[-1] / x[0]))
         cuts = np.concatenate([x, doubling] + roots)
         # an identically zero piece reports a nan root
@@ -378,35 +383,33 @@ class DensityTableMeasure:
             return 0.0
         if not (float(p).is_integer() and p >= -2 and float(q).is_integer() and q >= 0):
             raise ValueError(f"table moments need integer p >= -2 and q >= 0, got {p}, {q}")
+        return _grid_moment(self._grid(_node_count(p, q), lo, hi), p, q)
+
+    def _grid(self, count: int, lo: float = 0.0, hi: float = 1.0) -> tuple:
+        """(half widths, weights, x, 1 - x, L(x)) on `count` Gauss-Legendre
+        nodes per cell clipped to (lo, hi], one column per cell."""
         a, b = np.maximum(self._lo, lo), np.minimum(self._hi, hi)
         a, b = a[a < b], b[a < b]
-        nodes, weights = _legendre(math.ceil((p + q + 4) / 2) + 12 * (p < 0))
+        nodes, weights = _legendre(count)
         half = 0.5 * (b - a)
-        xs = 0.5 * (a + b) + half * nodes[:, None]  # one column per cell
-        f = xs**p * (1.0 - xs) ** q * self._pp(xs)
-        return math.fsum(half * (weights @ f))
+        xs = 0.5 * (a + b) + half * nodes[:, None]
+        return half, weights, xs, 1.0 - xs, self._pp(xs)
 
     def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
         """Envelope rejection from L(x)/x**2 on the cells above eps (the
         one containing eps clipped): a cell is picked by the mass of its
         envelope max(L)/x**2, max(L) at one of its ends; x comes from the
         inverse cdf of 1/x**2 there and is kept with probability
-        L(x)/max(L).  Rounds of candidates as for Beta."""
-        if eps >= self.x[-1]:
-            raise InfiniteActivityError("cutoff removes the whole support")
-        a, b = np.maximum(self._lo, eps), self._hi
-        a, b = a[a < b], b[a < b]
-        if len(a) == 0:
-            raise DegenerateMeasureError("nu restricted above the cutoff has no mass")
-        top = np.maximum(self._pp(a), self._pp(b))
-        cum = np.cumsum(top * (1.0 / a - 1.0 / b))
+        L(x)/max(L).  Rounds of candidates as for Beta; the envelope is
+        built once per cutoff."""
+        inv_a, width, top, cum = _table_nu_envelope(self, eps)
         out = np.empty(count)
         filled = 0
         while filled < count:
             need = count - filled
             u, v, acc = rng.random((3, max(need * 2, 16)))
             cell = np.searchsorted(cum, u * cum[-1])
-            xs = 1.0 / (1.0 / a[cell] - v * (1.0 / a[cell] - 1.0 / b[cell]))
+            xs = 1.0 / (inv_a[cell] - v * width[cell])
             keep = xs[acc * top[cell] < self._pp(xs)][:need]
             out[filled : filled + len(keep)] = keep
             filled += len(keep)
@@ -424,6 +427,38 @@ class DensityTableMeasure:
 
 # Gauss-Legendre nodes and weights per node count
 _legendre = functools.lru_cache(maxsize=None)(roots_legendre)
+
+
+def _node_count(p: float, q: float) -> int:
+    """Gauss-Legendre nodes per cell for a table's (p, q) moment."""
+    return math.ceil((p + q + 4) / 2) + 12 * (p < 0)
+
+
+def _grid_moment(grid: tuple, p: float, q: float) -> float:
+    """The (p, q) moment summed on one DensityTableMeasure._grid."""
+    half, weights, xs, ys, L = grid
+    f = xs**p * ys**q * L
+    return math.fsum(half * (weights @ f))
+
+
+@functools.lru_cache(maxsize=64)
+def _table_nu_envelope(measure: DensityTableMeasure, eps: float) -> tuple:
+    """(1/a, 1/a - 1/b, max(L), cumulative envelope mass) over the cells
+    (a, b] of the table above eps, the one containing eps clipped; a
+    cutoff that leaves no mass raises, uncached."""
+    if eps >= measure.x[-1]:
+        raise InfiniteActivityError("cutoff removes the whole support")
+    a, b = np.maximum(measure._lo, eps), measure._hi
+    a, b = a[a < b], b[a < b]
+    if len(a) == 0:
+        raise DegenerateMeasureError("nu restricted above the cutoff has no mass")
+    top = np.maximum(measure._pp(a), measure._pp(b))
+    inv_a = 1.0 / a
+    width = inv_a - 1.0 / b
+    cum = np.cumsum(top * width)
+    for arr in (inv_a, width, top, cum):
+        arr.setflags(write=False)
+    return inv_a, width, top, cum
 
 
 LambdaMeasure = Union[AtomicMeasure, BetaMeasure, DensityTableMeasure]
@@ -546,11 +581,25 @@ def build_rate_table(measure: LambdaMeasure, n_max: int) -> RateTable:
         raise ValueError("n_max must be at least 1")
     rates = np.zeros((n_max + 1, n_max + 1))
     totals = np.zeros(n_max + 1)
-    for b in range(2, n_max + 1):
-        row = [coalescence_rate(measure, b, k) for k in range(2, b + 1)]
+    for b, row in enumerate(_rate_rows(measure, n_max), start=2):
         rates[b, 2 : b + 1] = row
         totals[b] = math.fsum(math.comb(b, k) * row[k - 2] for k in range(2, b + 1))
     return RateTable(n_max, rates, totals, measure_descriptor(measure))
+
+
+def _rate_rows(measure: LambdaMeasure, n_max: int) -> list[list[float]]:
+    """[coalescence_rate(measure, b, k) for k = 2..b] for b = 2..n_max.  A
+    table reads L once per node count, on grids that die with this call,
+    so no parsed table keeps them."""
+    moment = measure.moment
+    if isinstance(measure, DensityTableMeasure):
+        grid = functools.cache(measure._grid)
+
+        def moment(p, q):
+            return _grid_moment(grid(_node_count(p, q)), p, q)
+
+    # the argument types of coalescence_rate's moment call
+    return [[moment(k - 2.0, b - k) for k in range(2, b + 1)] for b in range(2, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +697,17 @@ def first_part_law(measure: LambdaMeasure, mu: float, n: int) -> FirstPartLaw:
         raise ValueError("n must be at least 1")
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
-    lone = n * single_ball_integral(measure, n)
+    single = single_ball_integral(measure, n)
+    return _first_part_law(
+        mu, n, single, [coalescence_rate(measure, n, m) for m in range(2, n + 1)]
+    )
+
+
+def _first_part_law(mu: float, n: int, single: float, rates: list[float]) -> FirstPartLaw:
+    """The law from single_ball_integral(n) and rates[m-2] = rate(n, m)."""
+    lone = n * single
     weights = [mu * n + lone]
-    weights += [
-        math.comb(n, m) * coalescence_rate(measure, n, m) for m in range(2, n + 1)
-    ]
+    weights += [math.comb(n, m) * rate for m, rate in enumerate(rates, start=2)]
     total = math.fsum(weights)
     if total <= 0.0:
         raise DegenerateMeasureError("all first-part weights vanish")
@@ -670,10 +725,16 @@ def first_part_law(measure: LambdaMeasure, mu: float, n: int) -> FirstPartLaw:
 def first_part_laws_upto(
     measure: LambdaMeasure, mu: float, n: int
 ) -> list[FirstPartLaw | None]:
-    """laws[b] = first_part_law for sample size b, for b = 1..n."""
+    """laws[b] = first_part_law(measure, mu, b) for b = 1..n, the m >= 2
+    weights read off the rows of one rate table."""
     laws: list[FirstPartLaw | None] = [None] * (n + 1)
+    if n < 1:
+        return laws
+    if mu < 0.0:
+        raise ValueError("mu must be nonnegative")
+    rows = [[]] + _rate_rows(measure, n)  # rows[b - 1] = rate(b, 2..b)
     for b in range(1, n + 1):
-        laws[b] = first_part_law(measure, mu, b)
+        laws[b] = _first_part_law(mu, b, single_ball_integral(measure, b), rows[b - 1])
     return laws
 
 

@@ -687,6 +687,62 @@ def test_simulate_streams_pinned(capsys, sampler, spec, expected):
     assert capsys.readouterr().out.split("\n")[:-1] == expected
 
 
+# a cubic 6-node table whose interpolant dips below 0 between 0.42 and
+# 0.74, so the clipped cells are read too
+PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
+SIMULATE_TABLE_N6 = {
+    "frozen": [
+        "1^2 4^1",
+        "6^1",
+        "1^2 2^2",
+        "1^1 5^1",
+        "1^4 2^1",
+        "1^3 3^1",
+        "1^1 5^1",
+        "1^3 3^1",
+    ],
+    "chain": [
+        "1^6",
+        "1^6",
+        "1^3 3^1",
+        "1^4 2^1",
+        "1^3 3^1",
+        "1^3 3^1",
+        "1^6",
+        "1^3 3^1",
+    ],
+    "set": [
+        "1^6",
+        "1^3 3^1",
+        "1^2 4^1",
+        "1^4 2^1",
+        "1^2 2^2",
+        "1^2 2^2",
+        "1^4 2^1",
+        "1^3 3^1",
+    ],
+    "composition": [
+        "1,3,1,1",
+        "1,1,1,1,1,1",
+        "2,3,1",
+        "2,1,1,1,1",
+        "1,1,1,1,1,1",
+        "2,1,1,1,1",
+        "1,1,1,1,1,1",
+        "1,4,1",
+    ],
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SIMULATE_TABLE_N6))
+def test_simulate_table_streams_pinned(tmp_path, capsys, sampler):
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    argv = ["simulate", sampler, "--measure", f"density-file:{table}", "--mu", "1", "--n", "6"]
+    assert main(argv + ["--reps", "8", "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.split("\n")[:-1] == SIMULATE_TABLE_N6[sampler]
+
+
 def test_validate_default_streams_pinned(capsys):
     # 50 replicates are far too few for the tolerances: exit 1 is expected
     assert main(["validate", "--reps", "50", "--seed", "5"]) == EXIT_VALIDATION

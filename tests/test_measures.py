@@ -87,6 +87,26 @@ def test_parse_density_file(tmp_path):
     assert m.density_at(0.5) == pytest.approx(0.75, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text",
+    [
+        # cubic: the slopes overflow in CubicSpline
+        "0.1 1e308\n0.3 0\n0.5 1e308\n0.7 0\n0.9 1e308\n",
+        # cubic: finite slopes, but the spline's end derivatives do not fit
+        "0.1 1e307\n0.3 0\n0.5 1e307\n0.7 0\n0.9 1e307\n",
+        # linear: the one slope overflows
+        "0.1 0\n0.2 1e308\n0.9 0\n",
+    ],
+    ids=["cubic-slopes", "cubic-derivatives", "linear-slope"],
+)
+def test_parse_density_file_overflowing_interpolant(tmp_path, text):
+    path = tmp_path / "dens.txt"
+    path.write_text(text)
+    with pytest.raises(MeasureSpecError, match="overflow the interpolant"):
+        parse_measure(f"density-file:{path}")
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -428,6 +448,112 @@ def test_table_functionals_run_no_quadrature(quadrature_calls, rng_factory):
         require_population_support(table)
         lc.sample_window(table, 1.0, 3.0, rng=rng_factory(1, "table-window", order))
     assert quadrature_calls == []
+
+
+BUILD_MEASURES = [POLY, parse_measure("beta:1.9,1,1"), HALF_ATOM, TABLE_LINEAR, TABLE_CUBIC]
+BUILD_IDS = ["poly3x2", "beta1.9", "half-atom", "table-linear", "table-cubic"]
+
+
+@pytest.mark.parametrize("measure", BUILD_MEASURES, ids=BUILD_IDS)
+def test_rate_table_equals_per_call_rates(measure):
+    # the table's builds share work (a table's node grids); each entry is
+    # still the one coalescence_rate value, and each total its fsum
+    for n_max in (7, 40):
+        table = build_rate_table(measure, n_max)
+        assert table.rates.dtype == np.float64 and table.totals.dtype == np.float64
+        assert not table.rates[:2].any() and not table.totals[:2].any()
+        for b in range(2, n_max + 1):
+            row = [coalescence_rate(measure, b, k) for k in range(2, b + 1)]
+            assert table.rates[b, 2 : b + 1].tolist() == row, b
+            assert not table.rates[b, :2].any() and not table.rates[b, b + 1 :].any()
+            total = math.fsum(math.comb(b, k) * row[k - 2] for k in range(2, b + 1))
+            assert table.total(b) == total, b
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, 0.37])
+@pytest.mark.parametrize("measure", BUILD_MEASURES, ids=BUILD_IDS)
+def test_first_part_laws_upto_equal_per_call_laws(measure, mu):
+    for n in (1, 7, 40):
+        laws = first_part_laws_upto(measure, mu, n)
+        assert len(laws) == n + 1 and laws[0] is None
+        for b in range(1, n + 1):
+            got, want = laws[b], first_part_law(measure, mu, b)
+            assert got == want, b
+            for field in ("n", "p_single_mutant", "p_single_alone", "weight_total"):
+                assert type(getattr(got, field)) is type(getattr(want, field)), field
+            for field in ("probs", "weights"):
+                assert [type(v) for v in getattr(got, field)] == [float] * b, field
+
+
+def test_first_part_laws_upto_checks_mu_and_n():
+    assert first_part_laws_upto(POLY, -1.0, 0) == [None]
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        first_part_laws_upto(POLY, -1.0, 3)
+    with pytest.raises(DustConditionError):
+        first_part_laws_upto(LEBESGUE, 1.0, 3)
+
+
+# cubic with cells clipped where the interpolant dips below 0
+TABLE_CLIPPED = DensityTableMeasure(
+    np.linspace(0.1, 0.9, 5), (0.0, 1.0, 0.0, 0.0, 2.0), order=3
+)
+
+
+def _table_nu_per_call(m, eps, count, rng):
+    """DensityTableMeasure.sample_nu with its envelope rebuilt on every
+    call, as it was before the envelope was kept per (measure, eps)."""
+    if eps >= m.x[-1]:
+        raise InfiniteActivityError("cutoff removes the whole support")
+    a, b = np.maximum(m._lo, eps), m._hi
+    a, b = a[a < b], b[a < b]
+    if len(a) == 0:
+        raise DegenerateMeasureError("nu restricted above the cutoff has no mass")
+    top = np.maximum(m._pp(a), m._pp(b))
+    cum = np.cumsum(top * (1.0 / a - 1.0 / b))
+    out = np.empty(count)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        u, v, acc = rng.random((3, max(need * 2, 16)))
+        cell = np.searchsorted(cum, u * cum[-1])
+        xs = 1.0 / (1.0 / a[cell] - v * (1.0 / a[cell] - 1.0 / b[cell]))
+        keep = xs[acc * top[cell] < m._pp(xs)][:need]
+        out[filled : filled + len(keep)] = keep
+        filled += len(keep)
+    return out
+
+
+@pytest.mark.parametrize(
+    "table", [TABLE_CUBIC, TABLE_LINEAR, TABLE_CLIPPED], ids=["cubic", "linear", "clipped"]
+)
+def test_table_nu_draws_equal_per_call_envelope(table):
+    cell = len(table._lo) // 2
+    cutoffs = {
+        "zero": 0.0,
+        "inside-a-cell": 0.5 * (table._lo[cell] + table._hi[cell]),
+        "on-a-cell-edge": float(table._lo[cell]),
+    }
+    for name, eps in cutoffs.items():
+        for seed in range(20):
+            for count in (1, 5, 40):
+                ours = np.random.default_rng([seed, count])
+                ref = np.random.default_rng([seed, count])
+                got = table.sample_nu(eps, count, ours)
+                want = _table_nu_per_call(table, eps, count, ref)
+                assert got.tobytes() == want.tobytes(), (name, seed, count)
+                assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_table_nu_degenerate_cutoffs_raise_every_call():
+    # L vanishes on [0.6, 0.8]: a cutoff there leaves no nu mass
+    table = DensityTableMeasure((0.2, 0.4, 0.6, 0.8), (1.0, 1.0, 0.0, 0.0), order=1)
+    for _ in range(3):
+        with pytest.raises(DegenerateMeasureError):
+            table.sample_nu(0.7, 3, np.random.default_rng(1))
+        with pytest.raises(InfiniteActivityError):
+            table.sample_nu(0.8, 3, np.random.default_rng(1))
+        with pytest.raises(InfiniteActivityError):
+            table.sample_nu(0.95, 3, np.random.default_rng(1))
 
 
 def test_sample_jump_sizes_table_matches_moments(rng_factory):
