@@ -55,7 +55,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import betainc, betaln, roots_legendre
 
 from ._quadrature import adaptive_integral
@@ -108,6 +107,16 @@ def _diverges(measure, p, q) -> _Divergence:
 # measure representations
 # ---------------------------------------------------------------------------
 
+# The largest total mass a measure may have: far above any scale a model
+# needs, and low enough that a rate total up to the partition cap, at most
+# 2**n times the mass, stays a finite float.
+_MAX_MASS = 1e100
+
+
+def _check_mass(mass: float) -> None:
+    if not mass <= _MAX_MASS:
+        raise MeasureSpecError(f"total mass {mass:g} above the bound {_MAX_MASS:g}")
+
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -131,6 +140,7 @@ class AtomicMeasure:
                 raise MeasureSpecError(f"atom weight {w} must be positive and finite")
         if len(set(self.locations)) != len(self.locations):
             raise MeasureSpecError("duplicate atom locations")
+        _check_mass(sum(self.weights))
 
     def moment(self, p: float, q: float = 0.0, lo: float = 0.0, hi: float = 1.0) -> float:
         terms = []
@@ -139,12 +149,14 @@ class AtomicMeasure:
                 continue
             if p >= 0.0:
                 terms.append(w * x**p * (1.0 - x) ** q)
-            elif x == 0.0:
-                raise _diverges(self, p, q)
             else:
                 # w / x, not w * x**-1, and x * x, not x**2: either swap
-                # rounds differently
-                terms.append(w * (1.0 - x) ** q / (x * x if p == -2 else x ** -p))
+                # rounds differently; an x whose power underflows diverges
+                # as an atom at 0 does
+                den = x * x if p == -2 else x ** -p
+                if den == 0.0:
+                    raise _diverges(self, p, q)
+                terms.append(w * (1.0 - x) ** q / den)
         return math.fsum(terms)
 
     def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,6 +203,7 @@ class BetaMeasure:
             raise MeasureSpecError("Beta shape parameters must be positive")
         if not (self.mass > 0.0) or not math.isfinite(self.mass):
             raise MeasureSpecError("Beta measure mass must be positive and finite")
+        _check_mass(self.mass)
 
     def density_at(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -331,6 +344,9 @@ class DensityTableMeasure:
     """
 
     def __init__(self, x, density, order: int = 3):
+        # scipy.interpolate loads scipy.optimize too: only tables pay for it
+        from scipy.interpolate import CubicSpline, PPoly
+
         x = np.asarray(x, dtype=float)
         density = np.asarray(density, dtype=float)
         if x.ndim != 1 or x.shape != density.shape or len(x) < 2:
@@ -367,6 +383,13 @@ class DensityTableMeasure:
         # each cell lies inside one piece, so L is one-signed on it
         keep = self._pp(0.5 * (cuts[:-1] + cuts[1:])) > 0.0
         self._lo, self._hi = cuts[:-1][keep], cuts[1:][keep]
+        # an overflowing sum reads as an infinite mass
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                mass = self.moment(0.0, 0.0)
+            except OverflowError:
+                mass = math.inf
+        _check_mass(mass)
 
     def density_at(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -762,11 +785,13 @@ def litter_intensity_tail(measure: LambdaMeasure, eps: float) -> tuple[float, fl
     return above, below
 
 
-def choose_truncation(
-    measure: LambdaMeasure, horizon: float, budget: float = 1e-6
-) -> float:
+# The bound on horizon * integral_{0}^{eps} x nu(dx) a cutoff must meet.
+_TRUNCATION_BUDGET = 1e-6
+
+
+def choose_truncation(measure: LambdaMeasure, horizon: float) -> float:
     """Smallest-cost jump-size cutoff eps with horizon * integral_{0}^{eps}
-    x nu(dx) <= budget.
+    x nu(dx) <= _TRUNCATION_BUDGET.
 
     Returns 0.0 for finite-activity measures (no truncation needed).  For
     the others the cutoff is found by bisection on log eps against the
@@ -784,11 +809,11 @@ def choose_truncation(
         return _finite(measure, InfiniteActivityError, -1.0, 0.0, 0.0, eps)
 
     lo, hi = math.log(_EPS_FLOOR), math.log(0.5)
-    if horizon * below(math.exp(lo)) > budget:
+    if horizon * below(math.exp(lo)) > _TRUNCATION_BUDGET:
         raise NonIntegrableError("cannot meet truncation budget")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if horizon * below(math.exp(mid)) <= budget:
+        if horizon * below(math.exp(mid)) <= _TRUNCATION_BUDGET:
             lo = mid
         else:
             hi = mid

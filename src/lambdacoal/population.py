@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -363,6 +364,10 @@ def sample_family_partition_chain(
 # ---------------------------------------------------------------------------
 
 
+# Atom masses at or below this drop into the diffuse part.
+_PRUNE = 1e-15
+
+
 def forward_simulate(
     measure: LambdaMeasure,
     mu: float,
@@ -370,7 +375,6 @@ def forward_simulate(
     rng: np.random.Generator,
     init: PopulationMeasure | None = None,
     record_path: bool = True,
-    prune: float = 1e-15,
 ) -> list[tuple[float, PopulationMeasure]]:
     """Run the population forwards from `init` (default: purely diffuse).
 
@@ -407,18 +411,18 @@ def forward_simulate(
         pairs = tuple((g, s) for g, s in zip(genotypes, masses))
         return PopulationMeasure(pairs, 1.0 - math.fsum(masses))
 
+    def prune():
+        if min(masses) <= _PRUNE:
+            alive = [s > _PRUNE for s in masses]
+            genotypes[:] = compress(genotypes, alive)
+            masses[:] = compress(masses, alive)
+
     def erode(dt: float):
         if mu == 0.0 or not masses:
             return
         decay = math.exp(-mu * dt)
-        keep_g, keep_m = [], []
-        for g, s in zip(genotypes, masses):
-            s *= decay
-            if s > prune:
-                keep_g.append(g)
-                keep_m.append(s)
-        genotypes[:] = keep_g
-        masses[:] = keep_m
+        masses[:] = [s * decay for s in masses]
+        prune()
 
     t = 0.0
     path = [(0.0, snapshot())]
@@ -453,10 +457,7 @@ def forward_simulate(
                 g = rng.random()
             genotypes.append(g)
             masses.append(x)
-        if any(s <= prune for s in masses):
-            keep = [(g, s) for g, s in zip(genotypes, masses) if s > prune]
-            genotypes[:] = [g for g, _ in keep]
-            masses[:] = [s for _, s in keep]
+        prune()
         if record_path:
             path.append((t, snapshot()))
 

@@ -83,83 +83,59 @@ def total_variation(exact: dict, counts: dict, strict: bool = False) -> float:
     )
 
 
-def _pool_cells(expected, observed, threshold):
-    """Merge cells with expected count below the threshold into one tail."""
-    keep_e, keep_o = [], []
-    tail_e = tail_o = 0.0
-    for e, o in zip(expected, observed):
-        if e < threshold:
-            tail_e += e
-            tail_o += o
-        else:
-            keep_e.append(e)
-            keep_o.append(o)
-    if tail_e > 0.0 or tail_o > 0.0:
-        keep_e.append(tail_e)
-        keep_o.append(tail_o)
-    return keep_e, keep_o
+# A cell whose smallest expected count is below this joins the tail cell.
+_POOL_MIN = 5.0
 
 
-def chi_square_gof(
-    exact: dict, counts: dict, pooling_threshold: float = 5.0
-) -> tuple[float, int, float]:
+def _chi_square(cells) -> tuple[float, int, float]:
+    """(statistic, degrees of freedom, tail probability) of cells, each a
+    tuple of (expected, observed) pairs.  Cells whose smallest expected
+    count is below _POOL_MIN pool, pair by pair, into one tail cell, kept
+    unless it is all zero."""
+    kept, pooled = [], []
+    for cell in cells:
+        (pooled if min(e for e, _ in cell) < _POOL_MIN else kept).append(cell)
+    if pooled:
+        tail = tuple(
+            (sum(e for e, _ in pairs), sum(o for _, o in pairs))
+            for pairs in zip(*pooled)
+        )
+        if any(e > 0.0 or o > 0.0 for e, o in tail):
+            kept.append(tail)
+    if len(kept) < 2:
+        raise ValueError("fewer than 2 cells after pooling")
+    stat = math.fsum(sum((o - e) ** 2 / e for e, o in cell) for cell in kept)
+    df = len(kept) - 1
+    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+
+
+def chi_square_gof(exact: dict, counts: dict) -> tuple[float, int, float]:
     """(statistic, degrees of freedom, tail probability) against an exact
-    table.  Cells with expected count below the pooling threshold collapse
-    into a single tail cell; a positive count on a zero-probability
+    table, pooled by _chi_square; a positive count on a zero-probability
     outcome gives an infinite statistic and p = 0."""
     n = sum(counts.values())
     if n <= 0:
         raise ValueError("empirical counts are empty")
     keys = sorted(set(exact) | set(counts))
-    expected = [exact.get(k, 0.0) * n for k in keys]
-    observed = [float(counts.get(k, 0)) for k in keys]
-    impossible = math.fsum(o for e, o in zip(expected, observed) if e == 0.0)
-    if impossible > 0.0:
+    cells = [((exact.get(k, 0.0) * n, float(counts.get(k, 0))),) for k in keys]
+    if math.fsum(o for ((e, o),) in cells if e == 0.0) > 0.0:
         return math.inf, max(len(exact) - 1, 1), 0.0
-    expected, observed = _pool_cells(expected, observed, pooling_threshold)
-    if len(expected) < 2:
-        raise ValueError("fewer than 2 cells after pooling")
-    stat = math.fsum((o - e) ** 2 / e for e, o in zip(expected, observed))
-    df = len(expected) - 1
-    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+    return _chi_square(cells)
 
 
-def chi_square_two_sample(
-    counts_a: dict, counts_b: dict, pooling_threshold: float = 5.0
-) -> tuple[float, int, float]:
-    """Homogeneity test for two independent count tables.  Cells whose
-    smaller expected count falls below the pooling threshold merge into
-    one tail cell."""
+def chi_square_two_sample(counts_a: dict, counts_b: dict) -> tuple[float, int, float]:
+    """Homogeneity test for two independent count tables, one cell of two
+    (expected, observed) pairs per outcome, pooled by _chi_square."""
     n_a = sum(counts_a.values())
     n_b = sum(counts_b.values())
     if n_a <= 0 or n_b <= 0:
         raise ValueError("both samples must be nonempty")
     tot = n_a + n_b
     cells = []
-    tail = [0.0, 0.0, 0.0, 0.0]
     for k in sorted(set(counts_a) | set(counts_b)):
-        tot_k = counts_a.get(k, 0) + counts_b.get(k, 0)
-        e_a = n_a * tot_k / tot
-        e_b = n_b * tot_k / tot
-        o_a = float(counts_a.get(k, 0))
-        o_b = float(counts_b.get(k, 0))
-        if min(e_a, e_b) < pooling_threshold:
-            tail[0] += e_a
-            tail[1] += o_a
-            tail[2] += e_b
-            tail[3] += o_b
-        else:
-            cells.append((e_a, o_a, e_b, o_b))
-    if tail[0] > 0.0:
-        cells.append(tuple(tail))
-    if len(cells) < 2:
-        raise ValueError("fewer than 2 cells after pooling")
-    stat = math.fsum(
-        (o_a - e_a) ** 2 / e_a + (o_b - e_b) ** 2 / e_b
-        for e_a, o_a, e_b, o_b in cells
-    )
-    df = len(cells) - 1
-    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+        a, b = counts_a.get(k, 0), counts_b.get(k, 0)
+        cells.append(((n_a * (a + b) / tot, float(a)), (n_b * (a + b) / tot, float(b))))
+    return _chi_square(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +291,6 @@ def _first_part_texts(measure, mu, n, T0, rngs) -> list[str]:
     )
 
 
-def _each(draw) -> Callable:
-    """A list draw that maps the one-replicate draw(measure, mu, n,
-    shared, rng) over the generators."""
-    return lambda measure, mu, n, shared, rngs: [
-        draw(measure, mu, n, shared, rng) for rng in rngs
-    ]
-
-
 # The one map from a sampler name to its shared table and its draw.  The
 # entries reach every library function by its module-global name at call
 # time, so a caller that rebinds a module attribute (a tracer) sees the call.
@@ -360,11 +328,10 @@ _SAMPLERS = {
     ),
     "sequential": _Sampler(
         lambda measure, mu, n: first_part_laws_upto(measure, mu, n),
-        _each(
-            lambda measure, mu, n, laws, rng: sequential_composition(
-                measure, mu, n, rng, laws=laws
-            ).to_text()
-        ),
+        lambda measure, mu, n, laws, rngs: [
+            sequential_composition(measure, mu, n, rng, laws=laws).to_text()
+            for rng in rngs
+        ],
         False,
     ),
 }

@@ -346,6 +346,73 @@ def test_simulate_chain_tiny_mu_terminates():
     assert proc.stdout == "5^1\n5^1\n"
 
 
+BIG_TABLE_TEXT = "0.1 1e308\n0.9 1e308\n"
+DRAW_FLAGS = ["--mu", "1", "--n", "3", "--reps", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "measure, command, flags, code",
+    [
+        pytest.param(m, command, flags, EXIT_USAGE, id=f"{m}-{command[-1]}")
+        for m in ["table", "beta:2,2,1e308", "atoms:0.5=1e308"]
+        for command, flags in [
+            (["exact"], ["--mu", "1", "--n", "3"]),
+            (["rates"], ["--nmax", "3"]),
+            (["simulate", "set"], DRAW_FLAGS),
+            (["simulate", "frozen"], DRAW_FLAGS),
+        ]
+    ]
+    + [
+        pytest.param("atoms:1e-200=1", ["simulate", "set"], DRAW_FLAGS, EXIT_NUMERIC,
+                     id="tiny-atom-set"),
+        pytest.param("atoms:1e-200=1", ["forward-snapshot"],
+                     ["--mu", "1", "--stationary", "--seed", "1"], EXIT_NUMERIC,
+                     id="tiny-atom-snapshot"),
+    ],
+)
+def test_unrepresentable_measure_is_refused(tmp_path, measure, command, flags, code):
+    # one error line, no warning and no traceback, with warnings as errors
+    if measure == "table":
+        table = tmp_path / "big.txt"
+        table.write_text(BIG_TABLE_TEXT)
+        measure = f"density-file:{table}"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lambdacoal.cli"]
+        + command + ["--measure", measure] + flags,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_exact_on_underflowing_atom_is_unchanged(capsys):
+    argv = ["exact", "--measure", "atoms:1e-200=1", "--mu", "1", "--n", "3"]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["probabilities"] == {
+        "1^1 2^1": 0.5,
+        "1^3": 0.3333333333333333,
+        "3^1": 0.16666666666666666,
+    }
+
+
+def test_cli_import_leaves_out_the_interpolators():
+    # scipy.interpolate (and the scipy.optimize it pulls in) is loaded
+    # only when a density table is built
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lambdacoal.cli; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_simulate_forward_infinite_intensity(capsys):
     code = main(
         [
@@ -750,6 +817,42 @@ def test_validate_default_streams_pinned(capsys):
     tables = {r["case_id"]: [r["empirical"], r["reference"]] for r in payload["reports"]}
     digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
     assert digest == VALIDATE_DEFAULT_TABLES_SHA256
+
+
+# sha256 of the whole stdout.  mu = 0 over a long horizon drops atoms only
+# after jumps, mu = 10 drops them only by erosion.
+FORWARD_SHA256 = {
+    ("simulate", "1", "5", "1"): (
+        "65a64628d02aa5741273aa465cd0b3b249d8c8c87287d77354d3d97ef1cd5dce"
+    ),
+    ("simulate", "0", "200", "2"): (
+        "1be1fed4f0732f2f7959bbeba6d7ac7eb16fd8e73986ac9826a1f676a9237688"
+    ),
+    ("simulate", "10", "20", "3"): (
+        "4f92a456d5411050bfb9b40ef4a76971f8deec4f8b1a57047cc29f58083328fc"
+    ),
+    ("forward-snapshot", "1", "5", "4"): (
+        "ad53e0e53c5097e68c156c938b295bb7005d6d4f62c86ff931398888faa275c3"
+    ),
+    ("forward-snapshot", "0", "200", "2"): (
+        "514bbd8b516c5fdac51de8831fd445ba43cfb5ca075a45d71ad47f226fcf1b03"
+    ),
+    ("forward-snapshot", "10", "20", "3"): (
+        "cfcad307a1ff740f1fd65f3a2d1fbf0cffe3206fc29ddd5c9c12f1bfb1c45bb1"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, mu, horizon, seed",
+    [pytest.param(*key, id="-".join(key)) for key in sorted(FORWARD_SHA256)],
+)
+def test_forward_streams_pinned(capsys, command, mu, horizon, seed):
+    argv = ["simulate", "forward"] if command == "simulate" else [command]
+    flags = ["--mu", mu, "--horizon", horizon, "--seed", seed]
+    assert main(argv + ["--measure", "atoms:0.5=0.25"] + flags) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FORWARD_SHA256[command, mu, horizon, seed]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,41 @@ def test_parse_rejects_malformed(bad):
         parse_measure(bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec",
+    ["beta:2,2,1e308", "beta:1,1,2e100", "atoms:0.5=1e308", "atoms:0.2=6e99,0.7=6e99"],
+)
+def test_parse_refuses_mass_above_bound(spec):
+    with pytest.raises(MeasureSpecError, match="total mass"):
+        parse_measure(spec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_parse_density_file_refuses_mass_above_bound(tmp_path):
+    # a finite interpolant whose moments overflow
+    path = tmp_path / "dens.txt"
+    path.write_text("0.1 1e308\n0.9 1e308\n")
+    with pytest.raises(MeasureSpecError, match="total mass"):
+        parse_measure(f"density-file:{path}")
+
+
+def test_mass_at_bound_is_accepted():
+    assert total_mass(parse_measure("beta:1,1,1e100")) == 1e100
+    assert total_mass(parse_measure("atoms:0.5=1e100")) == 1e100
+
+
+def test_atom_whose_power_underflows_diverges():
+    # 1e-200 squared underflows to 0: the atom reads as an atom at 0 to nu
+    m = parse_measure("atoms:1e-200=1")
+    with pytest.raises(lc.NonIntegrableError):
+        m.moment(-2.0)
+    with pytest.raises(InfiniteActivityError):
+        litter_intensity_tail(m, 0.0)
+    assert m.moment(-1.0) == 1e200
+    assert coalescence_rate(m, 3, 2) == 1.0
+
+
 def test_descriptor_round_trip():
     for spec in ["delta:0", "delta:1", "atoms:0.5=0.25", "beta:2,2,1"]:
         m = parse_measure(spec)

@@ -9,9 +9,11 @@ exact side runs at a different mutation rate.
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 from scipy.stats import chi2 as chi2_dist
 
 from lambdacoal import (
@@ -161,6 +163,113 @@ def test_two_sample_pooling():
 def test_two_sample_empty_raises():
     with pytest.raises(ValueError):
         chi_square_two_sample({}, {"a": 3})
+
+
+# ---------------------------------------------------------------------------
+# one pooling rule: both tests against reference pooling loops
+# ---------------------------------------------------------------------------
+
+
+def _gof_reference(exact, counts):
+    n = sum(counts.values())
+    keys = sorted(set(exact) | set(counts))
+    expected = [exact.get(k, 0.0) * n for k in keys]
+    observed = [float(counts.get(k, 0)) for k in keys]
+    if math.fsum(o for e, o in zip(expected, observed) if e == 0.0) > 0.0:
+        return math.inf, max(len(exact) - 1, 1), 0.0
+    keep_e, keep_o = [], []
+    tail_e = tail_o = 0.0
+    for e, o in zip(expected, observed):
+        if e < 5.0:
+            tail_e += e
+            tail_o += o
+        else:
+            keep_e.append(e)
+            keep_o.append(o)
+    if tail_e > 0.0 or tail_o > 0.0:
+        keep_e.append(tail_e)
+        keep_o.append(tail_o)
+    if len(keep_e) < 2:
+        raise ValueError("fewer than 2 cells after pooling")
+    stat = math.fsum((o - e) ** 2 / e for e, o in zip(keep_e, keep_o))
+    df = len(keep_e) - 1
+    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+
+
+def _two_sample_reference(counts_a, counts_b):
+    n_a, n_b = sum(counts_a.values()), sum(counts_b.values())
+    tot = n_a + n_b
+    cells = []
+    tail = [0.0, 0.0, 0.0, 0.0]
+    for k in sorted(set(counts_a) | set(counts_b)):
+        tot_k = counts_a.get(k, 0) + counts_b.get(k, 0)
+        e_a, e_b = n_a * tot_k / tot, n_b * tot_k / tot
+        o_a, o_b = float(counts_a.get(k, 0)), float(counts_b.get(k, 0))
+        if min(e_a, e_b) < 5.0:
+            tail[0] += e_a
+            tail[1] += o_a
+            tail[2] += e_b
+            tail[3] += o_b
+        else:
+            cells.append((e_a, o_a, e_b, o_b))
+    if tail[0] > 0.0:
+        cells.append(tuple(tail))
+    if len(cells) < 2:
+        raise ValueError("fewer than 2 cells after pooling")
+    stat = math.fsum(
+        (o_a - e_a) ** 2 / e_a + (o_b - e_b) ** 2 / e_b
+        for e_a, o_a, e_b, o_b in cells
+    )
+    df = len(cells) - 1
+    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+
+
+def _outcome(fn, *args):
+    """fn's (stat, df, p), or its error message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _random_table(rng, keys):
+    """Counts over a random subset of keys, small ones common."""
+    size = int(rng.integers(1, len(keys) + 1))
+    chosen = rng.choice(keys, size=size, replace=False)
+    scale = float(rng.choice([2.0, 10.0, 60.0]))
+    return {str(k): int(c) for k, c in zip(chosen, rng.poisson(scale, size)) if c}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gof_matches_reference_pooling(seed):
+    rng = np.random.default_rng(seed)
+    keys = list("abcdefgh")
+    kinds = Counter()
+    for _ in range(500):
+        counts = _random_table(rng, keys) or {"a": 1}
+        support = rng.choice(keys, size=int(rng.integers(1, len(keys) + 1)), replace=False)
+        probs = rng.dirichlet(np.full(len(support), 0.5))
+        # zero-probability outcomes, observed or not
+        probs[rng.random(len(probs)) < 0.1] = 0.0
+        exact = {str(k): float(p) for k, p in zip(support, probs)}
+        got = _outcome(chi_square_gof, exact, counts)
+        assert got == _outcome(_gof_reference, exact, counts)
+        kinds["error" if isinstance(got, str) else math.isinf(got[0])] += 1
+    assert kinds["error"] and kinds[True] and kinds[False]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_sample_matches_reference_pooling(seed):
+    rng = np.random.default_rng(100 + seed)
+    keys = list("abcdefgh")
+    errors = 0
+    for _ in range(500):
+        a = _random_table(rng, keys) or {"a": 1}
+        b = _random_table(rng, keys) or {"b": 1}
+        got = _outcome(chi_square_two_sample, a, b)
+        assert got == _outcome(_two_sample_reference, a, b)
+        errors += isinstance(got, str)
+    assert 0 < errors < 500
 
 
 # ---------------------------------------------------------------------------
