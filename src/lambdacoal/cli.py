@@ -216,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lambdacoal",
         description=(
             "Multiple-merger coalescents with freezing mutations: exact "
-            "family-size distributions, three cross-checking simulators, "
-            "stationary population snapshots, and a validation harness."
+            "family-size distributions, two independent simulators (the "
+            "first-part chain is the frozen chain's law), stationary population "
+            "snapshots, and a validation harness."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,13 +1,11 @@
 """The block chain shared by every coalescent-type sampler.
 
-A state is a row of integer blocks: block weights when only family sizes
-matter, label bitmasks when a labelled path is recorded; merging blocks is
-`+` either way.  With b live blocks the next event is read off row b of a
-cumulative event table whose columns are (freeze, stay, merge 2, ...,
-merge b).  The stay column is always zero: a self-loop leaves the state
-as it is, so dropping it leaves the law of the partition unchanged and
-the chain that runs is the embedded jump chain, which ends within n
-events.
+A state is a row of integer block weights; merging blocks sums them.
+With b live blocks the next event is read off row b of a cumulative
+event table whose columns are (freeze, stay, merge 2, ..., merge b).
+The stay column is always zero: a self-loop leaves the state as it is,
+so dropping it leaves the law of the partition unchanged and the chain
+that runs is the embedded jump chain, which ends within n events.
 
 _block_chain advances R replicates in lockstep on an (R, n) block array.
 Each replicate reads its uniforms from its own stream in one
@@ -25,18 +23,14 @@ uniform live slot, which keeps the order exchangeable.
   sizes, so no holding times are drawn.
 * First-part chain: row b is the first-part law of the regenerative
   composition of b (population.sample_family_partition_chain) without its
-  lone-litter part; its merger weights are the coalescent's.
-* Paths: simulate_frozen_path and simulate_coalescent_path (mu = 0,
-  stopped at one block) shuffle the labels once, run one row, and record
-  after each event an exponential holding time at the row total of the
-  state the event left, and a snapshot.
+  lone-litter part.  Each of its rows, divided by its total, is the
+  frozen coalescent's, so the two chains draw one law.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,53 +38,10 @@ from .errors import StuckChainError
 from .measures import RateTable
 from .sampling_formula import PartitionVector
 
-__all__ = [
-    "FrozenState",
-    "SetPartition",
-    "simulate_coalescent_path",
-    "simulate_frozen_path",
-    "simulate_frozen_coalescent",
-]
+__all__ = ["simulate_frozen_coalescent"]
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {1..n}; blocks sorted internally and by least element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            if not block or list(block) != sorted(block):
-                raise ValueError("blocks must be nonempty and sorted")
-            seen.update(block)
-        labels = sorted(seen)
-        n = len(labels)
-        if sum(len(b) for b in self.blocks) != n or labels != list(range(1, n + 1)):
-            raise ValueError("blocks must partition {1..n}")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
-            raise ValueError("blocks must be ordered by least element")
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(canon)
-
-
-@dataclass(frozen=True)
-class FrozenState:
-    """One step of the freezing coalescent: which blocks are still active,
-    which are frozen families, and the event time."""
-
-    time: float
-    active: tuple[tuple[int, ...], ...]
-    frozen: tuple[tuple[int, ...], ...]
-
-
-def _block_chain(
-    table: np.ndarray, blocks: np.ndarray, u: np.ndarray, until: int = 0, record=None
-):
+def _block_chain(table: np.ndarray, blocks: np.ndarray, u: np.ndarray, until: int):
     """Advance every row of `blocks` (R, n) in lockstep until at most
     `until` blocks of each row are live; returns (frozen, blocks).
 
@@ -98,8 +49,6 @@ def _block_chain(
     uniforms (see the module docstring).  Row r's live blocks are its
     slots [start[r], n) of the returned blocks; frozen[r, t] is the block
     row r froze at its step t, 0 where that step merged or never ran.
-    record, if given, is called after every step with the live rows'
-    indices and row totals, and the blocks, starts and frozen arrays.
     """
     R, n = blocks.shape
     blocks = blocks.copy()
@@ -129,8 +78,6 @@ def _block_chain(
         blocks[live, last] = blocks[live, slot]
         blocks[live, slot] = merged
         start[live] = last + freeze
-        if record is not None:
-            record(live, total, blocks, start, frozen)
     return frozen, blocks
 
 
@@ -194,66 +141,6 @@ def _frozen_table(rates: RateTable, mu: float, n: int) -> np.ndarray:
     weights = _binomials(n) * rates.rates[: n + 1, : n + 1]
     weights[:, 0] = mu * np.arange(n + 1)
     return np.add.accumulate(weights, axis=1)
-
-
-def _labelled_path(table: np.ndarray, n: int, rng, snapshot, until: int = 0) -> list:
-    """One row of the block chain on the labels 1..n, held as bitmasks
-    (label i is bit i - 1) in a shuffled order, snapshotted at time 0 and
-    after every event; the holding time before an event is exponential at
-    the row total of the state it left."""
-    dtype = np.int64 if n < 63 else object
-    labels = np.array([1 << int(i) for i in rng.permutation(n)], dtype=dtype)
-    u = rng.random((1, n, 2))
-    holds = rng.standard_exponential(n)
-
-    def decode(masks):
-        return [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
-
-    t = 0.0
-    path = [snapshot(t, sorted(decode(labels.tolist())), [])]
-
-    def record(live, total, blocks, start, frozen):
-        nonlocal t
-        t += float(holds[len(path) - 1] / total[0])
-        path.append(
-            snapshot(
-                t,
-                sorted(decode(blocks[0, start[0]:].tolist())),
-                decode(m for m in frozen[0].tolist() if m),
-            )
-        )
-
-    _block_chain(table, labels[None, :], u, until, record)
-    return path
-
-
-def simulate_coalescent_path(
-    rates: RateTable, n: int, rng: np.random.Generator
-) -> list[tuple[float, SetPartition]]:
-    """Full merge path on labelled blocks, ending in the single-block state.
-
-    Returns (time, partition) pairs starting with the singletons at time 0.
-    """
-    if not (2 <= n <= rates.n_max):
-        raise ValueError(f"need 2 <= n <= {rates.n_max}")
-    return _labelled_path(
-        _frozen_table(rates, 0.0, n),
-        n,
-        rng,
-        lambda t, active, frozen: (t, SetPartition.from_blocks(active)),
-        until=1,
-    )
-
-
-def simulate_frozen_path(
-    rates: RateTable, mu: float, n: int, rng: np.random.Generator
-) -> list[FrozenState]:
-    """Labelled freezing path; the final state has no active blocks."""
-
-    def snapshot(t, active, frozen):
-        return FrozenState(t, tuple(active), tuple(frozen))
-
-    return _labelled_path(_frozen_table(rates, mu, n), n, rng, snapshot)
 
 
 def simulate_frozen_coalescent(

@@ -47,6 +47,7 @@ exact recursion and the subordinator samplers.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
@@ -376,7 +377,9 @@ class DensityTableMeasure:
                 roots = [pp.roots(extrapolate=False) for pp in (self._pp, self._pp.derivative())]
         except (FloatingPointError, ValueError) as exc:
             raise MeasureSpecError(f"density values overflow the interpolant ({exc})") from exc
-        doubling = x[0] * 2.0 ** np.arange(1, np.log2(x[-1] / x[0]))
+        # x[-1] / x[0] and 2.0**k overflow for a first node near 0; ldexp
+        # gives x[0] * 2.0**k exactly, as a power of two scales exactly
+        doubling = np.ldexp(x[0], np.arange(1, np.log2(x[-1]) - np.log2(x[0]), dtype=int))
         cuts = np.concatenate([x, doubling] + roots)
         # an identically zero piece reports a nan root
         cuts = np.unique(np.clip(cuts[np.isfinite(cuts)], x[0], x[-1]))
@@ -385,10 +388,7 @@ class DensityTableMeasure:
         self._lo, self._hi = cuts[:-1][keep], cuts[1:][keep]
         # an overflowing sum reads as an infinite mass
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                mass = self.moment(0.0, 0.0)
-            except OverflowError:
-                mass = math.inf
+            mass = self.moment(0.0, 0.0)
         _check_mass(mass)
 
     def density_at(self, xs: np.ndarray) -> np.ndarray:
@@ -458,10 +458,15 @@ def _node_count(p: float, q: float) -> int:
 
 
 def _grid_moment(grid: tuple, p: float, q: float) -> float:
-    """The (p, q) moment summed on one DensityTableMeasure._grid."""
+    """The (p, q) moment summed on one DensityTableMeasure._grid; one that
+    overflows reads as inf.  Only x**p with p < 0 overflows, near 0."""
     half, weights, xs, ys, L = grid
-    f = xs**p * ys**q * L
-    return math.fsum(half * (weights @ f))
+    with np.errstate(over="ignore") if p < 0 else contextlib.nullcontext():
+        cells = half * (weights @ (xs**p * ys**q * L))
+    try:
+        return math.fsum(cells)
+    except OverflowError:  # finite cells whose sum overflows
+        return math.inf
 
 
 @functools.lru_cache(maxsize=64)
@@ -488,11 +493,17 @@ LambdaMeasure = Union[AtomicMeasure, BetaMeasure, DensityTableMeasure]
 
 
 def _finite(measure: LambdaMeasure, error: type, p, q=0.0, lo=0.0, hi=1.0) -> float:
-    """measure.moment(p, q, lo, hi), a divergence raised as `error`."""
+    """measure.moment(p, q, lo, hi), a divergence or an overflow raised as
+    `error`."""
     try:
-        return measure.moment(p, q, lo, hi)
+        value = measure.moment(p, q, lo, hi)
     except _Divergence as exc:
         raise error(str(exc)) from exc
+    if not math.isfinite(value):
+        raise error(
+            f"integral of x**{p:g} (1-x)**{q:g} against {measure.descriptor()} overflows"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,45 @@ def test_unrepresentable_measure_is_refused(tmp_path, measure, command, flags, c
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+# density tables whose first node is near 0: x[-1] / x[0] overflows, or
+# x**-2 does on the first cell; the first table's true 1/x integral is
+# about 713, but its first Gauss-Legendre cell overflows, so the window
+# samplers refuse it
+NEAR_ZERO_TABLES = {"subnormal": "1e-310 1\n0.5 1\n", "tiny-heavy": "1e-200 1e90\n0.5 1e90\n"}
+SNAPSHOT_FLAGS = ["--mu", "1", "--stationary", "--seed", "1"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "table, command, flags, code",
+    [
+        pytest.param(table, command, flags, code, id=f"{table}-{command[-1]}")
+        for table, chain_code in [("subnormal", EXIT_NUMERIC), ("tiny-heavy", EXIT_OK)]
+        for command, flags, code in [
+            (["exact"], ["--mu", "1", "--n", "3"], EXIT_OK),
+            (["rates"], ["--nmax", "3"], EXIT_OK),
+            (["simulate", "frozen"], DRAW_FLAGS, EXIT_OK),
+            (["simulate", "chain"], DRAW_FLAGS, chain_code),
+            (["simulate", "set"], DRAW_FLAGS, EXIT_NUMERIC),
+            (["simulate", "composition"], DRAW_FLAGS, EXIT_NUMERIC),
+            (["forward-snapshot"], SNAPSHOT_FLAGS, EXIT_NUMERIC),
+        ]
+    ],
+)
+def test_near_zero_table_runs_or_refuses(tmp_path, capsys, table, command, flags, code):
+    # warnings are errors: a table command either runs or refuses with one
+    # typed error line
+    path = tmp_path / "table.txt"
+    path.write_text(NEAR_ZERO_TABLES[table])
+    assert main(command + ["--measure", f"density-file:{path}"] + flags) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert out and not err
+    else:
+        assert not out
+        assert re.fullmatch(r"error: \w+Error: [^\n]*\n", err), err
+
+
 def test_exact_on_underflowing_atom_is_unchanged(capsys):
     argv = ["exact", "--measure", "atoms:1e-200=1", "--mu", "1", "--n", "3"]
     assert main(argv + ["--format", "json"]) == EXIT_OK

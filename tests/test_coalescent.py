@@ -1,4 +1,5 @@
-"""Coalescent path simulation and the frozen-family jump chain."""
+"""The block-chain kernel on labelled blocks and the frozen-family jump
+chain."""
 
 from collections import Counter
 from itertools import combinations
@@ -8,16 +9,15 @@ import pytest
 from scipy.stats import chisquare
 
 from lambdacoal import (
+    AtomicMeasure,
     PartitionVector,
-    SetPartition,
     StuckChainError,
     build_rate_table,
     parse_measure,
-    simulate_coalescent_path,
     simulate_frozen_coalescent,
-    simulate_frozen_path,
     solve,
 )
+from lambdacoal.coalescent import _block_chain, _frozen_table
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
 
 DELTA0 = parse_measure("delta:0")
@@ -26,112 +26,109 @@ LEBESGUE = parse_measure("beta:1,1,1")
 POLY = parse_measure("poly3x2")
 
 
+def _labelled_chain(measure, mu, n, until, reps, rng):
+    """(frozen, blocks) of `reps` rows of the block chain run on the label
+    bitmasks 1 << i, i < n, in one block.  Each row starts in its own
+    shuffled order: the kernel's first k live slots are a uniform k-subset
+    only if the starting order is exchangeable."""
+    table = _frozen_table(build_rate_table(measure, n), mu, n)
+    labels = rng.permuted(np.tile(1 << np.arange(n), (reps, 1)), axis=1)
+    return _block_chain(table, labels, rng.random((reps, n, 2)), until)
+
+
+def _partitions_labels(masks, n):
+    """Whether each row of label bitmasks holds every label once."""
+    return (np.bitwise_count(masks).sum(1) == n) & (
+        np.bitwise_or.reduce(masks, axis=1) == (1 << n) - 1
+    )
+
+
 def test_path_starts_singletons_ends_single_block(rng_factory):
-    rates = build_rate_table(LEBESGUE, 6)
-    path = simulate_coalescent_path(rates, 6, rng_factory(4, "path", 0))
-    t0, p0 = path[0]
-    assert t0 == 0.0
-    assert p0.blocks == tuple((i,) for i in range(1, 7))
-    t_last, p_last = path[-1]
-    assert len(p_last.blocks) == 1
-    times = [t for t, _ in path]
-    assert times == sorted(times)
+    frozen, blocks = _labelled_chain(LEBESGUE, 0.0, 6, 1, 200, rng_factory(4, "path", 0))
+    assert not frozen.any()
+    assert (blocks[:, -1] == 0b111111).all()
 
 
 def test_path_kingman_always_pairwise(rng_factory):
-    rates = build_rate_table(DELTA0, 5)
-    for rep in range(30):
-        path = simulate_coalescent_path(rates, 5, rng_factory(4, "king", rep))
-        counts = [len(p.blocks) for _, p in path]
-        assert counts == [5, 4, 3, 2, 1]
+    # a chain stopped at <= j live blocks holds exactly j, in its last j
+    # slots, only if no event merged more than two blocks
+    for j in range(1, 5):
+        frozen, blocks = _labelled_chain(DELTA0, 0.0, 5, j, 30, rng_factory(4, "king", j))
+        assert not frozen.any()
+        assert _partitions_labels(blocks[:, 5 - j :], 5).all()
 
 
 def test_path_star_single_jump(rng_factory):
-    # only the all-block merge has positive rate
-    rates = build_rate_table(DELTA1, 5)
-    times = []
-    for rep in range(2000):
-        path = simulate_coalescent_path(rates, 5, rng_factory(4, "star", rep))
-        assert len(path) == 2
-        times.append(path[1][0])
-    # holding time is Exp(1)
-    assert abs(np.mean(times) - 1.0) < 3.0 / np.sqrt(2000)
+    # only the all-block merge has positive rate: the first event takes
+    # all 5 blocks
+    frozen, blocks = _labelled_chain(DELTA1, 0.0, 5, 4, 2000, rng_factory(4, "star", 0))
+    assert not frozen.any()
+    assert (blocks[:, -1] == 0b11111).all()
 
 
 def test_path_lebesgue_triple_merge_probability(rng_factory):
     # P(first event merges all 3) = rate(3,3) / total(3) = (1/2) / 2 = 1/4
     rates = build_rate_table(LEBESGUE, 3)
     assert rates.total(3) == pytest.approx(2.0, abs=1e-12)
-    hits = 0
     reps = 20000
-    for rep in range(reps):
-        path = simulate_coalescent_path(rates, 3, rng_factory(4, "leb3", rep))
-        hits += len(path[1][1].blocks) == 1
-    p_hat = hits / reps
+    _, blocks = _labelled_chain(LEBESGUE, 0.0, 3, 2, reps, rng_factory(4, "leb3", 0))
+    p_hat = np.mean(blocks[:, -1] == 0b111)
     assert abs(p_hat - 0.25) < 3.0 * np.sqrt(0.25 * 0.75 / reps)
 
 
 def test_path_kingman_first_merge_is_a_uniform_pair(rng_factory):
     # under Kingman each of the C(4, 2) = 6 label pairs merges first with
     # probability 1/6
-    rates = build_rate_table(DELTA0, 4)
     reps = 6000
-    counts = Counter()
-    for rep in range(reps):
-        path = simulate_coalescent_path(rates, 4, rng_factory(4, "pair", rep))
-        (pair,) = [b for b in path[1][1].blocks if len(b) == 2]
-        counts[pair] += 1
-    assert sorted(counts) == list(combinations(range(1, 5), 2))
-    assert chisquare([counts[p] for p in sorted(counts)]).pvalue >= 1e-3
+    _, blocks = _labelled_chain(DELTA0, 0.0, 4, 3, reps, rng_factory(4, "pair", 0))
+    live = blocks[:, 1:]
+    pairs = live[np.bitwise_count(live) == 2]
+    assert len(pairs) == reps
+    counts = Counter(pairs.tolist())
+    assert sorted(counts) == sorted((1 << i) | (1 << j) for i, j in combinations(range(4), 2))
+    assert chisquare(list(counts.values())).pvalue >= 1e-3
 
 
-def test_path_zero_rate_raises(rng_factory):
-    import lambdacoal as lc
-
-    rates = build_rate_table(lc.AtomicMeasure((), ()), 3)
-    with pytest.raises(StuckChainError):
-        simulate_coalescent_path(rates, 3, rng_factory(4, "stuck", 0))
+def test_path_kingman_second_merge_keeps_the_order_exchangeable(rng_factory):
+    # after two Kingman events on 4 labels each 2+2 partition has
+    # probability (2/6)(1/3) = 1/9 and each 3+1 partition (3/6)(1/3) = 1/6,
+    # which holds only if the merged block's slot swap keeps the live
+    # order exchangeable
+    reps = 9000
+    _, blocks = _labelled_chain(DELTA0, 0.0, 4, 2, reps, rng_factory(4, "pair2", 0))
+    live = blocks[:, 2:]
+    assert _partitions_labels(live, 4).all()
+    counts = Counter(map(frozenset, live.tolist()))
+    expected = {}
+    for i, j in combinations(range(4), 2):
+        pair = (1 << i) | (1 << j)
+        expected[frozenset((pair, 0b1111 ^ pair))] = 1 / 9
+    for i in range(4):
+        expected[frozenset((1 << i, 0b1111 ^ (1 << i)))] = 1 / 6
+    assert set(counts) == set(expected)
+    keys = sorted(expected, key=sorted)
+    observed = [counts[key] for key in keys]
+    assert chisquare(observed, [reps * expected[key] for key in keys]).pvalue >= 1e-3
 
 
 def test_frozen_path_partition_invariant(rng_factory):
-    rates = build_rate_table(POLY, 6)
-    for rep in range(50):
-        path = simulate_frozen_path(rates, 1.0, 6, rng_factory(4, "fpath", rep))
-        times = [state.time for state in path]
-        assert times == sorted(times)
-        for state in path:
-            labels = sorted(
-                i for block in state.active + state.frozen for i in block
-            )
-            assert labels == list(range(1, 7))
-        final = path[-1]
-        assert final.active == ()
-        assert len(final.frozen) >= 1
+    # with mu > 0 every row ends with all its blocks frozen (a lone
+    # surviving block can only freeze), and the frozen blocks partition
+    # the labels
+    frozen, _ = _labelled_chain(POLY, 1.0, 6, 0, 50, rng_factory(4, "fpath", 0))
+    assert _partitions_labels(frozen, 6).all()
 
 
-def test_frozen_last_event_is_mutation(rng_factory):
-    # a lone surviving block can only freeze
-    rates = build_rate_table(POLY, 5)
-    for rep in range(50):
-        path = simulate_frozen_path(rates, 1.5, 5, rng_factory(4, "fev", rep))
-        before, last = path[-2], path[-1]
-        assert len(before.active) == 1
-        assert last.frozen == before.frozen + before.active
-
-
-def test_set_partition_canonical_form():
-    p = SetPartition.from_blocks([[3, 1], [2], [5, 4]])
-    assert p.blocks == ((1, 3), (2,), (4, 5))
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([[1, 2], [2, 3]])  # overlap
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks([[1], [3]])  # gap
+def test_frozen_zero_rate_raises(rng_factory):
+    rates = build_rate_table(AtomicMeasure((), ()), 3)
+    with pytest.raises(StuckChainError):
+        simulate_frozen_coalescent(rates, 0.0, 3, rng_factory(4, "stuck", 0))
 
 
 def test_family_partition_from_set_blocks():
     # families {{1,2,3,5,6},{4},{7}} give the vector 1^2 5^1
-    blocks = SetPartition.from_blocks([[1, 2, 3, 5, 6], [4], [7]])
-    pv = PartitionVector.from_sizes(len(b) for b in blocks.blocks)
+    blocks = [(1, 2, 3, 5, 6), (4,), (7,)]
+    pv = PartitionVector.from_sizes(len(b) for b in blocks)
     assert pv.to_text() == "1^2 5^1"
 
 

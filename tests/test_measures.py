@@ -848,3 +848,24 @@ def test_total_mass():
     assert total_mass(HALF_ATOM) == 0.25
     assert total_mass(POLY) == 1.0
     assert total_mass(BETA221) == 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: for beta < 1 part of nu lies within one ulp of 1; "
+    "alpha <= 2 rejects it, alpha > 2 draws it as exactly 1.0",
+)
+@pytest.mark.parametrize("spec", ["beta:2,0.05,1", "beta:1.9,0.05,1", "beta:3,0.05,1"])
+def test_sample_jump_sizes_beta_tail_near_one(rng_factory, spec):
+    # P(x > 1 - delta) at the cutoff a window of n = 4 at mu = 1 uses,
+    # against the exact moment(-2, 0, 1 - delta, 1) / moment(-2, 0, eps, 1)
+    m = parse_measure(spec)
+    eps = choose_truncation(m, lc.default_window_horizon(m, 1.0, 4))
+    reps = 400_000
+    draws = sample_jump_sizes(m, eps, reps, rng_factory(1, "jump-near-one", spec))
+    norm = m.moment(-2.0, 0.0, eps, 1.0)
+    for delta in (1e-3, 1e-9, 1e-15):
+        p = m.moment(-2.0, 0.0, 1.0 - delta, 1.0) / norm
+        z = (np.mean(draws > 1.0 - delta) - p) / math.sqrt(p * (1.0 - p) / reps)
+        assert abs(z) <= 4.0, (delta, z)
+    assert np.all(draws < 1.0)

@@ -23,6 +23,7 @@ from lambdacoal import (
     PopulationSupportError,
     WindowBudgetError,
     WindowExhaustionError,
+    build_rate_table,
     chi_square_two_sample,
     cutoff_deviation,
     derive_rng,
@@ -36,7 +37,8 @@ from lambdacoal import (
     sample_family_partition_set,
     window_from_points,
 )
-from lambdacoal.population import ROOT
+from lambdacoal.coalescent import _frozen_table
+from lambdacoal.population import ROOT, _chain_table
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
 
 from conftest import first_part_chain_reference
@@ -358,6 +360,34 @@ def test_chain_matches_reference_loop(rng_factory, n):
         for rep in range(reps)
     )
     assert chi_square_two_sample(sampler, reference)[2] >= 1e-3
+
+
+_TABLE_XS = np.linspace(0.1, 0.9, 6)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        POLY,
+        HALF_ATOM,
+        parse_measure("beta:1.9,1,1"),
+        parse_measure("atoms:0.2=1,0.7=0.3"),
+        lc.DensityTableMeasure(_TABLE_XS, 6.0 * _TABLE_XS * (1.0 - _TABLE_XS), order=3),
+    ],
+    ids=["poly3x2", "atom", "beta1.9", "two-atoms", "table6"],
+)
+@pytest.mark.parametrize("mu", [0.3, 1.0, 4.0])
+def test_chain_table_is_the_frozen_table(measure, mu):
+    # row b of the first-part chain's table is the frozen coalescent's row
+    # (mu*b, 0, C(b,2) rate(b,2), ...) divided by mu*b + b*single(b) +
+    # total(b): after each row is divided by its total the two agree, so
+    # the chain's law is the frozen chain's
+    n = 40
+    chain = _chain_table(measure, mu, n)[1:]
+    frozen = _frozen_table(build_rate_table(measure, n), mu, n)[1:]
+    np.testing.assert_allclose(
+        chain / chain[:, -1:], frozen / frozen[:, -1:], rtol=0.0, atol=1e-13
+    )
 
 
 def test_set_sampler_n2_marginal(rng_factory):
