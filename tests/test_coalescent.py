@@ -112,11 +112,25 @@ def test_path_kingman_second_merge_keeps_the_order_exchangeable(rng_factory):
 
 
 def test_frozen_path_partition_invariant(rng_factory):
-    # with mu > 0 every row ends with all its blocks frozen (a lone
-    # surviving block can only freeze), and the frozen blocks partition
-    # the labels
+    # with mu > 0 every row ends with all its blocks frozen, and the
+    # frozen blocks partition the labels
     frozen, _ = _labelled_chain(POLY, 1.0, 6, 0, 50, rng_factory(4, "fpath", 0))
     assert _partitions_labels(frozen, 6).all()
+
+
+def test_frozen_last_event_is_mutation(rng_factory):
+    # a lone surviving block can only freeze: on the same streams, the run
+    # to no live blocks is the run to one live block plus one more step,
+    # which freezes that block
+    frozen1, blocks1 = _labelled_chain(POLY, 1.5, 5, 1, 50, rng_factory(4, "fev", 0))
+    frozen0, _ = _labelled_chain(POLY, 1.5, 5, 0, 50, rng_factory(4, "fev", 0))
+    steps = np.arange(5)
+    last = np.where(frozen0 != 0, steps, -1).max(1)
+    assert (last > np.where(frozen1 != 0, steps, -1).max(1)).all()
+    at = np.arange(50)
+    assert (frozen0[at, last] == blocks1[:, -1]).all()
+    frozen0[at, last] = 0
+    assert (frozen0 == frozen1).all()
 
 
 def test_frozen_zero_rate_raises(rng_factory):
