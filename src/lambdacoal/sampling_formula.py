@@ -26,8 +26,12 @@ depend on m alone: the mutation targets (partition i of m-1 plus a
 singleton) and the merger targets of the pairs of every level s < m.
 Solving level m is a gather of the finished level's weighted pairs, one
 scatter-add of all merger terms and one indexed add of the mutation term.
-The same array operations serve float64 arrays (solve) and object arrays
-of Fraction (solve_exact).
+solve does this on float64 arrays.  solve_exact does the same steps in
+exact integer arithmetic: level m is one object array of Python int
+numerators over one int denominator, its weights C(m,k) * rate(m,k) / s
+and mu * m are brought to one common denominator with math.lcm, and after
+the division by the level total one math.gcd reduces the level.  Fractions
+are built only for the O(n^2) weights and for the outputs.
 
 For the pure pair-merger measure (unit atom at 0) the recursion collapses
 to the classical Ewens sampling formula with theta = 2 * mu, which is
@@ -43,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PartitionCapError, StuckChainError
+from .errors import MeasureSpecError, PartitionCapError, StuckChainError
 from .measures import RateTable
 
 __all__ = [
@@ -271,36 +275,40 @@ class SamplingDistribution:
         return math.fsum(self.entries.values())
 
 
-def _solve_levels(rates, totals, mu, n: int) -> np.ndarray:
+def _solve_levels(rates, totals, mu: float, n: int) -> np.ndarray:
     """Probabilities of the partitions of n, in rank order.
 
-    rates[b, k] and totals[b] are float64 arrays and mu a float, or they
-    are object arrays of Fraction and mu a Fraction; the same array
-    operations serve both arithmetics.
+    rates[b, k] and totals[b] are float64 arrays and mu a float.
+    solve_exact takes the same steps on integer levels (one int denominator
+    per level, see the module docstring).
     """
-    q = np.array([mu * 0 + 1], dtype=rates.dtype)  # level 1: one singleton
+    q = np.ones(1)  # level 1: one singleton
     npairs = [len(_level(s).pair_src) for s in range(n)]
     # q[pair_src] * pair_weight of every finished level, end to end
-    gathered = np.zeros(sum(npairs), dtype=rates.dtype)
+    gathered = np.zeros(sum(npairs))
     end = 0
     for m in range(2, n + 1):
         denom = mu * m + totals[m]
         if denom == 0:
-            raise StuckChainError(
-                f"no events possible with {m} lineages (mu and all rates vanish)"
-            )
+            raise _stuck(m)
         prev = _level(m - 1)
         gathered[end : end + npairs[m - 1]] = q[prev.pair_src] * prev.pair_weight
         end += npairs[m - 1]
         mutation, merger = _transitions(m)
         k = np.arange(m, 1, -1)  # merger size for source levels s = 1..m-1
-        binom = np.array([math.comb(m, j) for j in k], dtype=rates.dtype)
+        binom = np.array([math.comb(m, j) for j in k], dtype=float)
         coeff = binom * rates[m, k] / np.arange(1, m)
-        acc = np.zeros(len(_level(m).largest), dtype=rates.dtype)
+        acc = np.zeros(len(_level(m).largest))
         np.add.at(acc, merger, np.repeat(coeff, npairs[1:m]) * gathered[:end])
         acc[mutation] += mu * m * q
         q = acc / denom
     return q
+
+
+def _stuck(m: int) -> StuckChainError:
+    return StuckChainError(
+        f"no events possible with {m} lineages (mu and all rates vanish)"
+    )
 
 
 def solve(rates: RateTable, mu: float, n: int) -> SamplingDistribution:
@@ -330,25 +338,72 @@ def solve_exact(atoms, mu, n: int) -> dict:
     """Rational-arithmetic variant of solve for atomic measures.
 
     atoms is an iterable of (location, weight) pairs; locations, weights
-    and mu must be Fraction-convertible.  Returns a dict mapping trimmed
+    and mu must be Fraction-convertible, with locations in [0, 1] and
+    weights > 0 as AtomicMeasure requires.  Returns a dict mapping trimmed
     counts tuples to exact Fraction probabilities.
     """
-    mu = Fraction(mu)
     if n < 1:
         raise ValueError("n must be at least 1")
+    try:
+        mu = Fraction(mu)
+    except (OverflowError, ValueError):
+        raise ValueError("mu must be finite") from None
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    pairs = [(Fraction(x), Fraction(w)) for x, w in atoms]
-    rates = np.zeros((n + 1, n + 1), dtype=object)
-    totals = np.zeros(n + 1, dtype=object)
-    for b in range(2, n + 1):
-        for k in range(2, b + 1):
-            rates[b, k] = sum(
-                w * x ** (k - 2) * (1 - x) ** (b - k) for x, w in pairs
-            )
-        totals[b] = sum(math.comb(b, k) * rates[b, k] for k in range(2, b + 1))
-    q = _solve_levels(rates, totals, mu, n)
-    return dict(zip(_keys(n), q.tolist()))
+    pairs = [_exact_atom(x, w) for x, w in atoms]
+    nums = np.ones(1, dtype=object)  # level 1: one singleton
+    dens = [None, 1]
+    npairs = [len(_level(s).pair_src) for s in range(n)]
+    # nums[pair_src] * pair_weight of every finished level s, end to end,
+    # each over its own level's denominator dens[s]
+    gathered = np.zeros(sum(npairs), dtype=object)
+    end = 0
+    for m in range(2, n + 1):
+        weights = [
+            math.comb(m, k)
+            * sum(w * x ** (k - 2) * (1 - x) ** (m - k) for x, w in pairs)
+            for k in range(m, 1, -1)  # merger size for source levels s = 1..m-1
+        ]
+        denom = mu * m + sum(weights)
+        if denom == 0:
+            raise _stuck(m)
+        prev = _level(m - 1)
+        gathered[end : end + npairs[m - 1]] = nums[prev.pair_src] * prev.pair_weight
+        end += npairs[m - 1]
+        mutation, merger = _transitions(m)
+        coeff = [Fraction(w, s * dens[s]) for s, w in enumerate(weights, start=1)]
+        coeff.append(mu * m / dens[m - 1])
+        common = math.lcm(*(c.denominator for c in coeff))
+        *merge, mutate = (c.numerator * (common // c.denominator) for c in coeff)
+        merge = np.array(merge, dtype=object)  # int64 would overflow
+        acc = np.zeros(len(_level(m).largest), dtype=object)
+        np.add.at(acc, merger, np.repeat(merge, npairs[1:m]) * gathered[:end])
+        acc[mutation] += mutate * nums
+        # level m is acc / (common * denom)
+        acc *= denom.denominator
+        den = common * denom.numerator
+        g = math.gcd(den, *acc)
+        nums = acc // g
+        dens.append(den // g)
+    return {
+        key: Fraction(num, dens[n]) for key, num in zip(_keys(n), nums.tolist())
+    }
+
+
+def _exact_atom(x, w) -> tuple[Fraction, Fraction]:
+    """One (location, weight) pair as Fractions, under AtomicMeasure's rules,
+    compared exactly."""
+    try:
+        x, w = Fraction(x), Fraction(w)
+    except (OverflowError, ValueError):
+        raise MeasureSpecError(
+            f"atom ({x!r}, {w!r}) must have a finite location and weight"
+        ) from None
+    if not 0 <= x <= 1:
+        raise MeasureSpecError(f"atom location {x} outside [0, 1]")
+    if not w > 0:
+        raise MeasureSpecError(f"atom weight {w} must be positive")
+    return x, w
 
 
 def ewens(theta: float, n: int) -> SamplingDistribution:

@@ -16,6 +16,7 @@ import pytest
 import lambdacoal as lc
 from lambdacoal import (
     DEFAULT_PARTITION_CAP,
+    MeasureSpecError,
     PartitionCapError,
     PartitionVector,
     StuckChainError,
@@ -231,13 +232,29 @@ def test_solve_matches_loop_recursion(spec, mu):
     assert max(abs(dist.entries[k] - p) for k, p in ref.items()) <= 1e-14
 
 
-def test_solve_exact_matches_loop_recursion():
-    atoms = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(9, 10), Fraction(1, 2))]
+TWO_ATOMS = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(9, 10), Fraction(1, 2))]
 
+
+@pytest.mark.parametrize(
+    "atoms, mu",
+    [
+        (TWO_ATOMS, Fraction(3, 4)),
+        (TWO_ATOMS, Fraction(0)),
+        # 0**0 = 1: an atom at 0 merges only pairs, an atom at 1 all lineages
+        ([(0, Fraction(1, 3)), (1, Fraction(2, 5))], Fraction(3, 4)),
+        # coprime denominators: nothing cancels between the levels' terms
+        (
+            [(Fraction(1, 3), Fraction(2, 7)), (Fraction(4, 5), Fraction(5, 11)),
+             (Fraction(6, 13), Fraction(1, 17))],
+            Fraction(7, 19),
+        ),
+    ],
+    ids=["two-atoms", "mu0", "ends", "coprime"],
+)
+def test_solve_exact_matches_loop_recursion(atoms, mu):
     def rate(b, k):
         return sum(w * x ** (k - 2) * (1 - x) ** (b - k) for x, w in atoms)
 
-    mu = Fraction(3, 4)
     assert solve_exact(atoms, mu, 10) == last_event_recursion(rate, mu, 10)
 
 
@@ -255,9 +272,23 @@ def test_solve_exact_rational_matches_float():
     assert total == 1  # exactly, in rational arithmetic
 
 
+@pytest.mark.parametrize(
+    "spec", ["atoms:0.5=0.25", "atoms:0.25=0.5,0.75=0.125", "delta:0"]
+)
+@pytest.mark.parametrize("mu", [0.5, 1.25])
+def test_solve_matches_solve_exact_n20(spec, mu):
+    # dyadic locations, weights and mu: Fraction(float) is the float exactly
+    measure = parse_measure(spec)
+    dist = solve(build_rate_table(measure, 20), mu, 20)
+    exact = solve_exact(zip(measure.locations, measure.weights), mu, 20)
+    assert list(dist.entries) == list(exact)
+    assert sum(exact.values()) == 1
+    assert max(abs(dist.entries[k] / p - 1) for k, p in exact.items()) <= 1e-13
+
+
 @pytest.mark.parametrize("mu", [Fraction(1, 4), Fraction(1), Fraction(3, 2)])
 def test_solve_exact_is_rational_ewens(mu):
-    # no tolerance: the shared kernel must stay in rational arithmetic
+    # no tolerance: the integer levels must give the rational law exactly
     for n in range(1, 10):
         assert solve_exact([(0, 1)], mu, n) == ewens_exact(2 * mu, n)
 
@@ -288,11 +319,37 @@ def test_items_ordered_beyond_partition_cap():
         (1, 0, "n must be at least 1"),
         (1, -1, "n must be at least 1"),
         (-1, 3, "mu must be nonnegative"),
+        (math.inf, 3, "mu must be finite"),
+        (math.nan, 3, "mu must be finite"),
     ],
 )
 def test_solve_exact_rejects_bad_arguments(mu, n, message):
     with pytest.raises(ValueError, match=message):
         solve_exact([(0, 1)], mu, n)
+
+
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        ((2, 1), "outside"),
+        ((1 + Fraction(1, 10**30), 1), "outside"),
+        ((Fraction(1, 2), -1), "positive"),
+        ((Fraction(1, 2), 0), "positive"),
+        ((Fraction(1, 2), Fraction(-1, 10**400)), "positive"),
+        ((math.inf, 1), "finite"),
+        ((Fraction(1, 2), math.nan), "finite"),
+    ],
+    ids=["x=2", "x=1+1e-30", "w=-1", "w=0", "w=-1e-400", "x=inf", "w=nan"],
+)
+def test_solve_exact_refuses_atoms_outside_the_measure_rules(atom, message):
+    # an atom at 2 would make P(1^1 3^1) = -8/9 at n = 4
+    with pytest.raises(MeasureSpecError, match=message):
+        solve_exact([(Fraction(1, 2), 1), atom], 1, 4)
+
+
+def test_solve_exact_empty_measure_without_mutation_is_stuck():
+    with pytest.raises(StuckChainError):
+        solve_exact([], 0, 3)
 
 
 @pytest.mark.parametrize(
