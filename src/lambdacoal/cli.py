@@ -38,6 +38,10 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# Largest (nmax + 1)**2 float64 grid `rates` builds, on the scale of the
+# window point budget (subordinator.MAX_WINDOW_POINTS): nmax <= 3161.
+MAX_RATE_CELLS = 1e7
+
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
@@ -333,8 +337,14 @@ def _check_args(args) -> None:
             raise MeasureSpecError(f"--{flag} must be finite")
     if getattr(args, "reps", 1) is not None and getattr(args, "reps", 1) < 1:
         raise MeasureSpecError("replicates must be >= 1")
-    if getattr(args, "nmax", 2) is not None and getattr(args, "nmax", 2) < 2:
+    nmax = getattr(args, "nmax", 2)
+    if nmax < 2:
         raise MeasureSpecError("--nmax must be >= 2")
+    if (nmax + 1) ** 2 > MAX_RATE_CELLS:
+        raise MeasureSpecError(
+            f"--nmax {nmax} needs a rate grid of {(nmax + 1) ** 2:.3g} cells, "
+            f"above the budget of {MAX_RATE_CELLS:.0e}"
+        )
     if getattr(args, "seed", 0) < 0:
         raise MeasureSpecError("--seed must be >= 0")
     if getattr(args, "workers", 1) < 1:

@@ -22,9 +22,11 @@ reports it in its own domain: DustConditionError for the 1/x integrals,
 InfiniteActivityError for nu, PopulationSupportError for the standing
 assumptions of the population construction.
 
-Each representation is one class with three members: `moment`,
-`sample_nu` (draws from nu restricted to (eps, 1], normalized) and
-`descriptor` (its canonical text form).
+Each representation is one class with four members: `moment`,
+`sample_nu` (draws from nu restricted to (eps, 1], normalized, into a
+given array or a new one), `nu_quantile` (the inverse cdf of that law as
+a map of uniforms, or None where sample_nu rejects) and `descriptor` (its
+canonical text form).
 
 * AtomicMeasure       weighted atoms: sums over the atoms
 * BetaMeasure         mass * Beta(alpha, beta) density: complete and
@@ -160,11 +162,16 @@ class AtomicMeasure:
                 terms.append(w * (1.0 - x) ** q / den)
         return math.fsum(terms)
 
-    def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_nu(self, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
         # numpy's rng.choice(locs, size=count, p=p) without its checks of p:
         # the same uniforms against the same cdf
+        return self.nu_quantile(eps)(rng.random(count), out)
+
+    def nu_quantile(self, eps: float):
+        """The inverse cdf of nu restricted to (eps, 1], normalized: a map
+        of uniforms on [0, 1) to jump sizes, written to `out` if given."""
         locs, cdf = _atom_nu_cdf(self, eps)
-        return locs[cdf.searchsorted(rng.random(count), side="right")]
+        return lambda u, out=None: locs.take(cdf.searchsorted(u, side="right"), out=out)
 
     def descriptor(self) -> str:
         if len(self.locations) == 1 and self.weights[0] == 1.0:
@@ -266,21 +273,27 @@ class BetaMeasure:
             total += adaptive_integral(right, z_lo, z_hi) / B
         return c * total
 
-    def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        """alpha > 2: rejection of Beta(alpha-2, beta) draws below eps.
+    def nu_quantile(self, eps: float):
+        """None: sample_nu draws by rejection."""
+        return None
+
+    def sample_nu(self, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
+        """alpha > 2: rejection of Beta(alpha-2, beta) draws below eps, in
+        rounds of the count still needed (eps = 0, where only a draw of
+        exactly 0 is rejected) or of twice that, at least 16 (eps > 0).
         alpha <= 2 (needs eps > 0): two-piece power-law envelope rejection,
         density proportional to x**(alpha-3) (1-x)**(beta-1).  Candidates
         come in rounds of k, each round one (3, k) block of uniforms (piece
         choice, position, acceptance), and the accepted ones are kept in
-        draw order.
+        draw order.  The draws are written to `out` if given.
         """
         a, b = self.alpha, self.beta
-        out = np.empty(count)
+        out = np.empty(count) if out is None else out
         filled = 0
         if a > 2.0:
             while filled < count:
                 need = count - filled
-                draw = rng.beta(a - 2.0, b, size=max(need * 2, 16))
+                draw = rng.beta(a - 2.0, b, size=max(need * 2, 16) if eps > 0.0 else need)
                 keep = draw[draw > eps][:need]
                 out[filled : filled + len(keep)] = keep
                 filled += len(keep)
@@ -418,15 +431,19 @@ class DensityTableMeasure:
         xs = 0.5 * (a + b) + half * nodes[:, None]
         return half, weights, xs, 1.0 - xs, self._pp(xs)
 
-    def sample_nu(self, eps: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    def nu_quantile(self, eps: float):
+        """None: sample_nu draws by rejection."""
+        return None
+
+    def sample_nu(self, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
         """Envelope rejection from L(x)/x**2 on the cells above eps (the
         one containing eps clipped): a cell is picked by the mass of its
         envelope max(L)/x**2, max(L) at one of its ends; x comes from the
         inverse cdf of 1/x**2 there and is kept with probability
         L(x)/max(L).  Rounds of candidates as for Beta; the envelope is
-        built once per cutoff."""
+        built once per cutoff.  The draws are written to `out` if given."""
         inv_a, width, top, cum = _table_nu_envelope(self, eps)
-        out = np.empty(count)
+        out = np.empty(count) if out is None else out
         filled = 0
         while filled < count:
             need = count - filled

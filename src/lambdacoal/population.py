@@ -18,14 +18,14 @@ and the number of steps to reach it is geometric.  Every parent step is
 one invert_after query of the subordinator module's inversion kernel:
 resolve_parent and resolve_root ask one query per step, rho_state and
 the set sampler chase all their litters at once (_Rows.roots).  The set
-sampler's windows are settled together, one block settle per draw
-block; rho_state settles its window once and chases on it.  Root
-resolution may need litters older than the realized window, which the
-window's own ensure_coverage doubles backwards up to its one cap
-(default 2**10 times the initial horizon, then WindowExhaustionError);
-only the extended window's row of the block is written afresh, and the
-k-th extension of a window draws the same numbers whichever query needs
-it.
+sampler's windows are drawn and settled together, one kernel draw and
+one block settle per draw block; rho_state settles its window once and
+chases on it.  Root resolution may need litters older than the realized
+window, which the window's own ensure_coverage doubles backwards up to
+its one cap (default 2**10 times the initial horizon, then
+WindowExhaustionError); only the extended window's row of the block is
+written afresh, and the k-th extension of a window draws the same
+numbers whichever query needs it.
 
 Two family-size samplers are cross-checked against the exact recursion:
 
@@ -75,6 +75,7 @@ from .measures import (
 from .sampling_formula import PartitionVector
 from .subordinator import (
     SubordinatorWindow,
+    _g,
     _locate,
     _part_starts,
     _Rows,
@@ -135,6 +136,13 @@ class PopulationMeasure:
         }
 
 
+def _require_drift(mu: float) -> None:
+    if mu <= 0.0:
+        raise PopulationSupportError(
+            "the stationary construction needs a positive mutation rate"
+        )
+
+
 class LitterHistory:
     """A subordinator window annotated with the origination genealogy.
 
@@ -146,10 +154,7 @@ class LitterHistory:
     """
 
     def __init__(self, window: SubordinatorWindow, max_doublings: int = 10):
-        if window.mu <= 0.0:
-            raise PopulationSupportError(
-                "the stationary construction needs a positive mutation rate"
-            )
+        _require_drift(window.mu)
         self.window = window
         window.max_doublings = max_doublings
 
@@ -166,10 +171,7 @@ class LitterHistory:
         # the support check is part of sample_window's cached set-up; only
         # the horizon, which needs the dust integral first, converts its
         # error here
-        if mu <= 0.0:
-            raise PopulationSupportError(
-                "the stationary construction needs a positive mutation rate"
-            )
+        _require_drift(mu)
         if T0 is None:
             try:
                 T0 = default_window_horizon(measure, mu, n_hint)
@@ -191,7 +193,7 @@ class LitterHistory:
         w = self.window
         u = float(w.marks[index])
         w.ensure_coverage(u, index)
-        t = -math.log1p(-u) + float(w.right_g[index])
+        t = _g(u) + float(w.right_g[index])
         j, litter = _locate(w._rows(), 0, t, index + 1)
         return int(j) if litter else ROOT
 
@@ -281,13 +283,12 @@ def _family_sizes(block: _Rows, j: np.ndarray, litter: np.ndarray) -> np.ndarray
 
 def _set_texts(measure, mu, n, T0, rngs) -> list[str]:
     """Set-sampler partition texts, one per generator: each replicate
-    builds its history, then draws its uniforms; a block inverts them
-    and chases the roots of all its replicates at once."""
+    draws its window (one kernel draw per block), then its uniforms; a
+    block inverts them and chases the roots of all its replicates at
+    once."""
+    _require_drift(mu)
     return _window_blocks(
-        lambda rng: LitterHistory.build(measure, mu, rng, T0=T0).window,
-        rngs,
-        n,
-        lambda *hits: _partition_texts(_family_sizes(*hits)),
+        measure, mu, T0, rngs, n, lambda *hits: _partition_texts(_family_sizes(*hits))
     )
 
 

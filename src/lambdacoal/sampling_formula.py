@@ -30,8 +30,11 @@ solve does this on float64 arrays.  solve_exact does the same steps in
 exact integer arithmetic: level m is one object array of Python int
 numerators over one int denominator, its weights C(m,k) * rate(m,k) / s
 and mu * m are brought to one common denominator with math.lcm, and after
-the division by the level total one math.gcd reduces the level.  Fractions
-are built only for the O(n^2) weights and for the outputs.
+the division by the level total one math.gcd reduces the level.  The
+rates themselves are integer numerators too: an atom a/b of weight p/q
+adds p a**(k-2) (b-a)**(m-k) over q b**(m-2), brought to one denominator
+per level.  Fractions are built only for the O(n^2) weights and for the
+outputs.
 
 For the pure pair-merger measure (unit atom at 0) the recursion collapses
 to the classical Ewens sampling formula with theta = 2 * mu, which is
@@ -350,7 +353,13 @@ def solve_exact(atoms, mu, n: int) -> dict:
         raise ValueError("mu must be finite") from None
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    pairs = [_exact_atom(x, w) for x, w in atoms]
+    # atom x = a/b of weight p/q: its rate(m, k) term
+    # p a**(k-2) (b-a)**(m-k) / (q b**(m-2)) is an integer numerator over
+    # the level's common denominator lcm(q b**(m-2)) of the atoms
+    atoms = [
+        (x.numerator, x.denominator - x.numerator, x.denominator, w.numerator, w.denominator)
+        for x, w in (_exact_atom(x, w) for x, w in atoms)
+    ]
     nums = np.ones(1, dtype=object)  # level 1: one singleton
     dens = [None, 1]
     npairs = [len(_level(s).pair_src) for s in range(n)]
@@ -359,19 +368,28 @@ def solve_exact(atoms, mu, n: int) -> dict:
     gathered = np.zeros(sum(npairs), dtype=object)
     end = 0
     for m in range(2, n + 1):
-        weights = [
-            math.comb(m, k)
-            * sum(w * x ** (k - 2) * (1 - x) ** (m - k) for x, w in pairs)
-            for k in range(m, 1, -1)  # merger size for source levels s = 1..m-1
+        scales = [q * b ** (m - 2) for _, _, b, _, q in atoms]
+        rate_den = math.lcm(*scales)
+        terms = [
+            (a, c, p * (rate_den // scale))
+            for (a, c, _, p, _), scale in zip(atoms, scales)
         ]
-        denom = mu * m + sum(weights)
+        # C(m,k) rate(m,k) * rate_den for the merger sizes k = m..2 of the
+        # source levels s = 1..m-1
+        weights = [
+            math.comb(m, k) * sum(f * a ** (k - 2) * c ** (m - k) for a, c, f in terms)
+            for k in range(m, 1, -1)
+        ]
+        denom = mu * m + Fraction(sum(weights), rate_den)
         if denom == 0:
             raise _stuck(m)
         prev = _level(m - 1)
         gathered[end : end + npairs[m - 1]] = nums[prev.pair_src] * prev.pair_weight
         end += npairs[m - 1]
         mutation, merger = _transitions(m)
-        coeff = [Fraction(w, s * dens[s]) for s, w in enumerate(weights, start=1)]
+        coeff = [
+            Fraction(w, rate_den * s * dens[s]) for s, w in enumerate(weights, start=1)
+        ]
         coeff.append(mu * m / dens[m - 1])
         common = math.lcm(*(c.denominator for c in coeff))
         *merge, mutate = (c.numerator * (common // c.denominator) for c in coeff)

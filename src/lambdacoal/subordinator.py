@@ -24,11 +24,22 @@ statistics that share a litter yields the composition of n in age order;
 the same composition law also arises part by part from the first-part law
 (sequential_composition), which is the cheap exact reference sampler.
 
-A window keeps its points as drawn.  _settle is the one settle kernel:
-for a block of windows it sorts the points of every row, builds the
-prefix log-products and the interval edges, and pads the rows with inf,
-in one array pass over the whole block (_Rows); a window used on its own
-settles as a one-row block of the same kernel.
+_draw_points is the one draw kernel.  It draws every window of a draw
+block in one pass, each from its own generator: a Poisson count c, then
+one block of uniforms holding c + 1 exponential spacings, the atoms'
+inverse-cdf uniforms and the marks, then (Beta and table measures) the c
+jump sizes by per-row sample_nu rounds.  The ages are the normalised
+partial sums of the spacings, the order statistics of c uniforms
+(Devroye, Non-Uniform Random Variate Generation, ch. V), so every window
+comes sorted by age; the spacings' log1p, cumsum and scale and the atoms'
+inverse cdf run once over the block.  sample_window, extend() and so
+LitterHistory.build are one-row calls of it.
+
+A window keeps its points sorted by age from the draw on.  _settle is the
+one settle kernel: for a block of windows it builds the prefix
+log-products and the interval edges and pads the rows with inf, in one
+array pass over the whole block (_Rows), with no sort; a window used on
+its own settles as a one-row block of the same kernel.
 
 _locate is the one inversion rule.  It reads a block of windows as padded
 rows of their interval edges and places any number of g-coordinate
@@ -41,7 +52,8 @@ most _BLOCK_POINTS window points), and the set sampler chases the roots
 of all its litter hits in one _Rows.roots call, one parent step per
 generation.  invert, invert_after and sample_composition_detailed are
 one-query or one-row calls of it.  Queries are g = -log1p(-v) by
-math.log1p, the scalar rounding, wherever they are formed.
+np.log1p wherever they are formed, scalar or array (_g), so every path
+rounds a query alike.
 
 ensure_coverage is the one loop that extends a window backwards, one
 doubling of T per extend(); after max_doublings of them (default 10, so
@@ -81,7 +93,6 @@ from .measures import (
     litter_intensity_tail,
     measure_descriptor,
     require_population_support,
-    sample_jump_sizes,
 )
 
 __all__ = [
@@ -145,14 +156,15 @@ class SubordinatorWindow:
     """Poisson litter points with ages in [0, T), sorted by age, plus the
     prefix log-products that make cdf/invert O(log m).
 
-    points is the (3, m) array of (age, size, mark) rows.  The window keeps
-    them as drawn until its first one-row use (ages, sizes, marks,
-    log_prefix, left_g/right_g, cdf, invert, g_max), which settles it: the
-    block kernel _settle, run on this one window, sorts the points and
-    builds the prefix and the (3, 1, m + 1) planes (left edge, right edge,
-    mark; padded with inf), the window as a one-row block of the inversion
-    kernel (see _Rows).  npoints and n_extensions never settle.  Mutable
-    only through extend(); a single sampling task owns a window.
+    points is the (3, m) array of (age, size, mark) rows, sorted by age as
+    drawn (_draw_points) or given (window_from_points).  Its first one-row
+    use (ages, sizes, marks, log_prefix, left_g/right_g, cdf, invert,
+    g_max) settles the window: the block kernel _settle, run on this one
+    window, builds the prefix and the (3, 1, m + 1) planes (left edge,
+    right edge, mark; padded with inf), the window as a one-row block of
+    the inversion kernel (see _Rows).  npoints and n_extensions never
+    settle.  Mutable only through extend(); a single sampling task owns a
+    window.
     """
 
     __slots__ = (
@@ -271,7 +283,7 @@ class SubordinatorWindow:
     def _invert_one(self, v: float, after: int) -> HitResult:
         if not (0.0 < v < 1.0):
             raise ValueError("v must lie strictly inside (0, 1)")
-        t = -math.log1p(-v)
+        t = _g(v)
         if after >= 0:
             t += float(self.right_g[after])
         if t >= self.g_max():
@@ -298,7 +310,7 @@ class SubordinatorWindow:
         return self._invert_one(v, int(index))
 
     def coverage_ok(self, v: float, after: int = -1) -> bool:
-        g = -math.log1p(-v)
+        g = _g(v)
         offset = 0.0 if after < 0 else float(self.right_g[after])
         return g + offset < self.g_max()
 
@@ -310,8 +322,9 @@ class SubordinatorWindow:
         return self._intensity
 
     def extend(self) -> None:
-        """Double the window: fresh Poisson points on ages [T, 2T) only;
-        refused once T has been doubled max_doublings times."""
+        """Double the window: fresh Poisson points on ages [T, 2T) only, a
+        one-row draw of _draw_points appended already sorted; refused once
+        T has been doubled max_doublings times."""
         if self.n_extensions >= self.max_doublings:
             raise WindowExhaustionError(
                 f"window extension cap {self.T:g} (2**{self.max_doublings} "
@@ -321,11 +334,11 @@ class SubordinatorWindow:
             raise BeyondWindowError("window has no generator; cannot extend")
         lam = self._poisson_intensity() * self.T
         _check_window_size(self._measure, 2.0 * lam, 2.0 * self.T, self.eps)
-        count = int(self._rng.poisson(lam))
-        new = _draw_points(self._measure, self.eps, count, self._rng, self.T)
+        points, (count,) = _draw_points(self._measure, self.eps, lam, self.T, [self._rng])
+        new = points[:, 0, :count]
         new[0] += self.T
-        # every new point is older than the old ones, so the next settle
-        # sorts them after the old points, in the order they were drawn
+        # every new point is older than the old ones and comes sorted, so
+        # appending keeps the window sorted by age
         self._points = np.concatenate((self._points, new), axis=1)
         self._planes = None
         self.T *= 2.0
@@ -336,10 +349,10 @@ class SubordinatorWindow:
             self.extend()
 
 
-def _neg_log1m(v: np.ndarray) -> np.ndarray:
-    """-log(1 - v) elementwise by math.log1p, the rounding of every scalar
-    query (numpy's vectorised log1p may differ from it in the last bit)."""
-    return np.array([-math.log1p(-x) for x in v.ravel().tolist()]).reshape(v.shape)
+def _g(v):
+    """The g-coordinate -log(1 - v) of a query, scalar or array, by
+    np.log1p: every query rounds alike whichever path forms it."""
+    return -np.log1p(-v)
 
 
 # The (age, size, mark) a settled row is padded with: a size of 0 keeps
@@ -348,29 +361,24 @@ _PAD_POINT = np.array([[0.0], [0.0], [np.inf]])
 
 
 def _settle(windows):
-    """The one settle kernel: sort the points of a block of R windows and
-    build their prefixes and edges, all rows at once.
+    """The one settle kernel: build the prefixes and edges of a block of R
+    windows, all rows at once.
 
-    Row r holds window r's points, padded to W = 1 + the largest point
-    count.  One stable argsort along the rows orders them by age (the sort
-    keys of the pads are inf, so they stay last), one log1p and cumsum
-    along the rows give the prefixes, and two subtractions the edges.
-    Returns (points, prefix, planes, gmax): points (3, R, W) the sorted
+    Every window holds its points sorted by age (see _draw_points and
+    window_from_points), so nothing is sorted here.  Row r holds window
+    r's points, padded to W = 1 + the largest point count; one log1p and
+    cumsum along the rows give the prefixes, and two subtractions the
+    edges.  Returns (points, prefix, planes, gmax): points (3, R, W) the
     (age, size, mark) rows, prefix (R, W + 1) the log-products, planes
     (3, R, W) the (left edge, right edge, mark) rows with inf past each
     row's points, and gmax (R,) each window's coverage G(T).
     """
-    counts = [w.npoints for w in windows]
-    R, width = len(windows), 1 + max(counts)
-    counts = np.array(counts)
-    flat = np.concatenate([w._points for w in windows] + [_PAD_POINT], axis=1)
+    counts = np.array([w.npoints for w in windows])
+    R, width = len(windows), 1 + counts.max()
     pad = np.arange(width) >= counts[:, None]
-    keys = np.full((R, width), np.inf)
-    keys[~pad] = flat[0, :-1]
-    order = keys.argsort(axis=1, kind="stable")
-    order += (counts.cumsum() - counts)[:, None]
-    order[pad] = flat.shape[1] - 1
-    points = flat.take(order, axis=1)
+    points = np.empty((3, R, width))
+    points[:, pad] = _PAD_POINT
+    points[:, ~pad] = np.concatenate([w._points for w in windows], axis=1)
     # the pads add log1p(-0) = -0.0, so the last column is each row's total
     prefix = np.zeros((R, width + 1))
     np.log1p(-points[1]).cumsum(axis=1, out=prefix[:, 1:])
@@ -460,7 +468,7 @@ class _Rows:
     def hits(self, vs: np.ndarray):
         """(j, litter) of the sorted uniforms vs (R, n), row r on window r,
         each window first extended to cover its largest uniform."""
-        t = _neg_log1m(vs)
+        t = _g(vs)
         beyond = (t[:, -1] >= self.gmax).nonzero()[0].tolist()
         for r in beyond:
             self.windows[r].ensure_coverage(float(vs[r, -1]))
@@ -483,7 +491,7 @@ class _Rows:
         while q.size:
             at = rows * self.planes.shape[2] + cur
             marks = self.planes[2].ravel()[at]
-            t = self.planes[1].ravel()[at] + _neg_log1m(marks)
+            t = self.planes[1].ravel()[at] + _g(marks)
             beyond = (t >= self.gmax[rows]).nonzero()[0].tolist()
             for i in beyond:
                 self.windows[rows[i]].ensure_coverage(float(marks[i]), int(cur[i]))
@@ -530,15 +538,73 @@ def _window_setup(measure: LambdaMeasure, T: float, eps) -> tuple[float, float, 
     return eps, above, below
 
 
-def _draw_points(measure, eps, count, rng, T) -> np.ndarray:
-    """(3, count) array of count litter points as drawn: ages uniform on
-    [0, T), then the jump sizes, then the marks."""
-    points = np.empty((3, count))
-    rng.random(out=points[0])
-    points[0] *= T
-    points[1] = sample_jump_sizes(measure, eps, count, rng)
-    rng.random(out=points[2])
-    return points
+def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
+    """The one draw kernel: the litter points of ages [0, T), Poisson(lam)
+    of them, of each generator in turn, until the rows drawn hold `budget`
+    points between them.
+
+    Row r's stream: one Poisson count c, then one block of k c + 1
+    uniforms, c (spacing, inverse-cdf uniform, mark) triples and a last
+    spacing; a measure without a nu_quantile (k = 2) has no inverse-cdf
+    uniforms and draws its c sizes by sample_nu after the block.  The
+    ages are T * S_i / S_(c+1), i = 1..c, of the partial sums S of the
+    c + 1 exponential spacings, the order statistics of c uniforms on
+    [0, T), so every row comes sorted by age.  The rows' blocks sit in
+    one zero-padded (R, W + 1, k) array, W the largest count, whose k
+    planes are the spacings, the inverse-cdf uniforms and the marks; the
+    spacings' log1p, their cumsum along the rows (a row's sums do not
+    depend on the others, and the zero pads add nothing), the scale and
+    the inverse cdf each run once over all the rows.  Returns (points,
+    counts): points (3, R, W + 1) holds row r's (age, size, mark) points
+    in points[:, r, :counts[r]].
+    """
+    quantile = measure.nu_quantile(eps) if lam > 0.0 else None
+    k = 2 if quantile is None else 3
+    counts = []
+    for rng in rngs:
+        counts.append(int(rng.poisson(lam)))
+        budget -= counts[-1]
+        if budget <= 0:
+            break
+    R, width = len(counts), max(counts) + 1
+    u = np.zeros((R, k * width))
+    planes = u.reshape(R, width, k).transpose(2, 0, 1)
+    # with inverse-cdf uniforms the planes become the points in place
+    points = planes if k == 3 else np.empty((3, R, width))
+    for r, (rng, c) in enumerate(zip(rngs, counts)):
+        rng.random(out=u[r, : k * c + 1])
+        if k == 2 and c:
+            measure.sample_nu(eps, c, rng, out=points[1, r, :c])
+    # log1p(-u) = -E: the sums of -E give the same ratios as the sums of E
+    sums = np.log1p(-planes[0])
+    np.add.accumulate(sums, axis=1, out=sums)
+    np.multiply(sums, T / sums[:, -1:], out=points[0])
+    if k == 2:
+        points[2] = planes[1]
+    else:
+        quantile(points[1], out=points[1])
+    return points, counts
+
+
+def _draw_windows(measure, mu, T, eps, rngs, budget=math.inf) -> list:
+    """Windows of ages [0, T) drawn by _draw_points, one per generator in
+    turn until they hold `budget` points between them."""
+    if mu < 0.0:
+        raise ValueError("mu must be nonnegative")
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    eps, mass_above, moment_below = _window_setup(measure, T, eps)
+    if mu == 0.0 and mass_above == 0.0:
+        raise DegenerateMeasureError("no drift and no jumps: empty subordinator")
+    _check_window_size(measure, mass_above * T, T, eps)
+    points, counts = _draw_points(measure, eps, mass_above * T, T, rngs, budget)
+    windows = []
+    for r, (rng, c) in enumerate(zip(rngs, counts)):
+        window = SubordinatorWindow(measure, mu, T, eps, rng, points[:, r, :c])
+        window._intensity = mass_above
+        window._moment_below = moment_below
+        windows.append(window)
+    return windows
 
 
 def sample_window(
@@ -548,7 +614,8 @@ def sample_window(
     eps: float | str = "auto",
     rng: np.random.Generator | None = None,
 ) -> SubordinatorWindow:
-    """Realize the litter points of ages [0, T).
+    """Realize the litter points of ages [0, T): a one-row draw of the
+    draw kernel (_draw_points).
 
     eps="auto" picks 0 for finite-activity measures and otherwise a cutoff
     whose accumulated bias bound T * integral_0^eps x nu(dx) stays below
@@ -556,19 +623,7 @@ def sample_window(
     """
     if rng is None:
         raise ValueError("an explicit generator is required")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    eps, mass_above, moment_below = _window_setup(measure, T, eps)
-    if mu == 0.0 and mass_above == 0.0:
-        raise DegenerateMeasureError("no drift and no jumps: empty subordinator")
-    _check_window_size(measure, mass_above * T, T, eps)
-    count = int(rng.poisson(mass_above * T))
-    points = _draw_points(measure, eps, count, rng, T)
-    window = SubordinatorWindow(measure, mu, T, eps, rng, points)
-    window._intensity = mass_above
-    window._moment_below = moment_below
+    (window,) = _draw_windows(measure, mu, T, eps, [rng])
     return window
 
 
@@ -579,9 +634,11 @@ def window_from_points(
     measure: LambdaMeasure | None = None,
     rng: np.random.Generator | None = None,
 ) -> SubordinatorWindow:
-    """Deterministic window from explicit (age, size, mark) triples; used
-    to replay known configurations."""
+    """Deterministic window from explicit (age, size, mark) triples, sorted
+    by age once (stably, so tied ages keep their given order); used to
+    replay known configurations."""
     pts = np.array(list(points), dtype=float).reshape(-1, 3).T
+    pts = pts[:, pts[0].argsort(kind="stable")]
     ages, sizes, _ = pts
     if np.any(ages < 0.0) or np.any(ages >= T):
         raise ValueError("ages must lie in [0, T)")
@@ -621,7 +678,9 @@ def _window_hits(windows: list, rngs, n: int):
     windows and the kernel's (R, n) hits of their sorted uniforms."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    vs = np.stack([rng.random(n) for rng in rngs])
+    vs = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, vs):
+        rng.random(out=row)
     vs.sort(axis=1)
     block = _Rows(windows)
     return (block, *block.hits(vs))
@@ -633,20 +692,17 @@ def _window_hits(windows: list, rngs, n: int):
 _BLOCK_POINTS = 1 << 16
 
 
-def _window_blocks(make_window, rngs, n: int, read) -> list:
+def _window_blocks(measure, mu, T, rngs, n: int, read) -> list:
     """Concatenated read(block, j, litter) of _window_hits, one block of
-    whole windows at a time, in generator order: replicate r draws its
-    window make_window(rng), and a block closes once its windows hold
-    _BLOCK_POINTS points between them."""
+    whole windows at a time, in generator order: one _draw_windows call
+    draws the windows of ages [0, T) of a block, which closes once they
+    hold _BLOCK_POINTS points between them."""
     out = []
-    windows: list = []
-    points = 0
-    for i, rng in enumerate(rngs):
-        windows.append(make_window(rng))
-        points += windows[-1].npoints
-        if points >= _BLOCK_POINTS or i == len(rngs) - 1:
-            out += read(*_window_hits(windows, rngs[i + 1 - len(windows) : i + 1], n))
-            windows, points = [], 0
+    done = 0
+    while done < len(rngs):
+        windows = _draw_windows(measure, mu, T, "auto", rngs[done:], _BLOCK_POINTS)
+        out += read(*_window_hits(windows, rngs[done : done + len(windows)], n))
+        done += len(windows)
     return out
 
 
@@ -664,9 +720,7 @@ def _composition_texts(measure, mu, n, T0, rngs) -> list[str]:
             out.append(text)
         return out
 
-    return _window_blocks(
-        lambda rng: sample_window(measure, mu, T0, rng=rng), rngs, n, read
-    )
+    return _window_blocks(measure, mu, T0, rngs, n, read)
 
 
 def sample_composition_detailed(
@@ -679,7 +733,7 @@ def sample_composition_detailed(
     vs = rng.random(n)
     vs.sort()
     window.ensure_coverage(float(vs[-1]))
-    t = _neg_log1m(vs)
+    t = _g(vs)
     j, litter = _locate(window._rows(), 0, t, 0)
     hits = tuple(map(window._hit, t.tolist(), j.tolist(), litter.tolist(), [-1] * n))
     return CompositionSample(Composition(_parts(_part_starts(j, litter))), hits)

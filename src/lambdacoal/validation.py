@@ -43,7 +43,6 @@ from .subordinator import (
     _window_blocks,
     _window_setup,
     default_window_horizon,
-    sample_window,
     sequential_composition,
 )
 
@@ -286,9 +285,7 @@ def _first_part_texts(measure, mu, n, T0, rngs) -> list[str]:
             for m, alone in zip(first, lone)
         ]
 
-    return _window_blocks(
-        lambda rng: sample_window(measure, mu, T0, rng=rng), rngs, n, read
-    )
+    return _window_blocks(measure, mu, T0, rngs, n, read)
 
 
 # The one map from a sampler name to its shared table and its draw.  The

@@ -12,8 +12,16 @@ import sys
 
 import pytest
 
-from lambdacoal import build_rate_table, parse_measure, solve
-from lambdacoal.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from lambdacoal import MeasureSpecError, build_rate_table, parse_measure, solve
+from lambdacoal.cli import (
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    _check_args,
+    build_parser,
+    main,
+)
 
 # ---------------------------------------------------------------------------
 # rates
@@ -58,6 +66,26 @@ def test_rates_bad_measure_is_usage_error(capsys):
 
 def test_rates_nmax_too_small(capsys):
     assert main(["rates", "--measure", "delta:0", "--nmax", "1"]) == EXIT_USAGE
+
+
+def test_rates_nmax_above_the_grid_budget_is_usage_error(capsys):
+    # a (nmax + 1)**2 grid above 1e7 cells is refused before it is
+    # allocated: one error line, exit 2, no traceback
+    assert main(["rates", "--measure", "poly3x2", "--nmax", "100000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --nmax") and captured.err.count("\n") == 1
+
+
+def test_rates_grid_budget_edge():
+    # 3162**2 cells is the largest grid within the budget, 3163**2 the
+    # smallest above it
+    def check(nmax):
+        _check_args(build_parser().parse_args(["rates", "--measure", "poly3x2", "--nmax", nmax]))
+
+    check("3161")
+    with pytest.raises(MeasureSpecError, match="--nmax 3162 needs a rate grid"):
+        check("3162")
 
 
 # ---------------------------------------------------------------------------
@@ -726,53 +754,53 @@ SIMULATE_POLY3X2_N6 = {
         "1^3 3^1",
     ],
     "set": [
-        "1^4 2^1",
-        "1^1 5^1",
-        "6^1",
-        "1^4 2^1",
-        "1^6",
         "1^2 4^1",
         "1^4 2^1",
+        "1^1 2^1 3^1",
+        "1^6",
+        "1^1 5^1",
+        "1^3 3^1",
         "6^1",
+        "1^6",
     ],
     "composition": [
-        "1,1,1,1,1,1",
+        "1,5",
+        "5,1",
+        "1,3,1,1",
         "1,1,3,1",
+        "1,1,1,1,1,1",
+        "5,1",
+        "1,5",
         "1,1,1,3",
-        "1,1,1,1,1,1",
-        "3,1,1,1",
-        "3,1,1,1",
-        "1,1,1,1,1,1",
-        "1,1,1,1,1,1",
     ],
 }
 # beta:1.9,1,1 has infinite activity, so these windows are truncated at
 # the auto cutoff
 SIMULATE_BETA19_N6 = {
     "set": [
-        "1^3 3^1",
-        "6^1",
-        "6^1",
+        "1^2 2^2",
+        "1^1 5^1",
         "1^2 4^1",
-        "1^1 2^1 3^1",
         "1^3 3^1",
         "1^1 5^1",
-        "6^1",
+        "1^1 2^1 3^1",
+        "1^2 4^1",
+        "1^1 5^1",
     ],
     "composition": [
+        "1,2,1,2",
         "1,1,1,1,1,1",
-        "1,1,2,1,1",
-        "1,1,1,1,2",
-        "1,1,1,3",
-        "3,1,1,1",
-        "1,1,1,3",
-        "3,1,1,1",
-        "6",
+        "1,1,1,2,1",
+        "2,1,1,1,1",
+        "4,1,1",
+        "2,3,1",
+        "1,1,3,1",
+        "3,3",
     ],
 }
 # sha256 of {case_id: [empirical, reference]} over the default plan
 VALIDATE_DEFAULT_TABLES_SHA256 = (
-    "639213e4b7458cf2e4b6346470611cc5ce8a89b6f2df202227f7551362dd57af"
+    "c4a310364832d180496e83befc61d227813e0001fc153d3696472f3b06b1f4f8"
 )
 
 
@@ -818,24 +846,24 @@ SIMULATE_TABLE_N6 = {
         "1^3 3^1",
     ],
     "set": [
+        "1^4 2^1",
         "1^6",
+        "1^4 2^1",
         "1^3 3^1",
+        "1^6",
         "1^2 4^1",
-        "1^4 2^1",
-        "1^2 2^2",
-        "1^2 2^2",
-        "1^4 2^1",
+        "1^3 3^1",
         "1^3 3^1",
     ],
     "composition": [
-        "1,3,1,1",
-        "1,1,1,1,1,1",
-        "2,3,1",
+        "1,1,2,1,1",
+        "1,2,1,2",
         "2,1,1,1,1",
+        "3,2,1",
         "1,1,1,1,1,1",
-        "2,1,1,1,1",
-        "1,1,1,1,1,1",
+        "2,1,1,2",
         "1,4,1",
+        "2,1,1,1,1",
     ],
 }
 

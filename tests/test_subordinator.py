@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 import lambdacoal.subordinator
 from lambdacoal import (
@@ -14,18 +15,27 @@ from lambdacoal import (
     DensityTableMeasure,
     PopulationSupportError,
     WindowBudgetError,
+    chi_square_two_sample,
     derive_rng,
     AtomicMeasure,
     default_window_horizon,
     delete_random_ball,
     parse_measure,
     sample_composition_detailed,
+    sample_jump_sizes,
     sample_window,
     sequential_composition,
     window_from_points,
 )
 
-from lambdacoal.subordinator import _locate, _Rows
+from lambdacoal.subordinator import (
+    _composition_texts,
+    _draw_points,
+    _draw_windows,
+    _locate,
+    _Rows,
+    _window_setup,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -129,10 +139,11 @@ def test_invert_consistent_with_cdf(rng_factory):
 
 def _invert_reference(w, v, after):
     """The scalar inversion loop: one searchsorted on the right edges of
-    the litters older than `after`, then the interval test."""
+    the litters older than `after`, then the interval test; the query is
+    rounded by np.log1p, as every g-query is."""
     start = after + 1
     offset = 0.0 if after < 0 else float(w.right_g[after])
-    t = -math.log1p(-v) + offset
+    t = -np.log1p(-v) + offset
     j = start + int(np.searchsorted(w.right_g[start:], t, side="left"))
     if j < w.npoints and w.left_g[j] < t < w.right_g[j]:
         return ("litter", float(w.ages[j]), j)
@@ -519,6 +530,128 @@ def test_truncation_bias_bound_infinite_activity(rng_factory):
     w = sample_window(m, 1.0, 2.0, eps="auto", rng=rng_factory(5, "bias", 1))
     assert 0.0 < w.truncation_bias() <= 1e-6 * 1.0000001
     assert np.all(w.sizes > w.eps)
+
+
+# ---------------------------------------------------------------------------
+# the draw kernel
+# ---------------------------------------------------------------------------
+
+
+def _kernel_rows(measure, T, tag, reps):
+    """(eps, rows): the (3, c) points of `reps` rows drawn by one kernel
+    call on the streams (18, tag, r), at the auto cutoff."""
+    eps, mass_above, _ = _window_setup(measure, T, "auto")
+    rngs = [derive_rng(18, tag, r) for r in range(reps)]
+    points, counts = _draw_points(measure, eps, mass_above * T, T, rngs)
+    return eps, [points[:, r, :c] for r, c in enumerate(counts)]
+
+
+def _drawn_ages(measure, T, tag, reps=400):
+    _, rows = _kernel_rows(measure, T, tag, reps)
+    assert all(np.all(np.diff(row[0]) >= 0.0) for row in rows)
+    return np.concatenate([row[0] for row in rows])
+
+
+@pytest.mark.parametrize(
+    "measure, T", [(POLY, 6.0), (HALF_ATOM, 12.0)], ids=["poly3x2", "atoms"]
+)
+def test_drawn_ages_are_sorted_uniform_order_statistics(measure, T):
+    # every row comes sorted by age, and given the counts the ages are
+    # uniform on [0, T): the 5000-7000 pooled ages / T pass a KS test
+    # (normalising by the c-th partial sum instead of the (c+1)-th puts an
+    # age at T in every row, and the KS p-value falls below 1e-19)
+    ages = _drawn_ages(measure, T, f"ks-{T}")
+    assert kstest(ages / T, "uniform").pvalue > 1e-3
+    assert np.all((ages >= 0.0) & (ages <= T))
+
+
+def _size_counts(sizes, edges):
+    """Counts of the sizes per cell between the edges, or per value when
+    there are no edges (atoms)."""
+    cells = sizes if edges is None else np.searchsorted(edges, sizes, side="right")
+    return dict(zip(*np.unique(cells, return_counts=True)))
+
+
+PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
+
+
+@pytest.mark.parametrize("label", ["atoms2", "poly3x2", "beta1.9", "pin-table"])
+def test_drawn_sizes_match_sample_jump_sizes(tmp_path, label):
+    # a two-sample chi-square of the kernel's sizes (inverse cdf over the
+    # block for atoms, sample_nu rounds per row otherwise) against
+    # sample_jump_sizes at the same cutoff: per atom, or on the ten cells
+    # between the reference deciles
+    if label == "pin-table":
+        table = tmp_path / "table.txt"
+        table.write_text(PIN_TABLE_TEXT)
+        measure = parse_measure(f"density-file:{table}")
+    else:
+        specs = {"atoms2": "atoms:0.25=0.5,0.75=0.125", "beta1.9": "beta:1.9,1,1"}
+        measure = parse_measure(specs.get(label, label))
+    T = default_window_horizon(measure, 1.0, 5)
+    reps = 40 if label == "beta1.9" else 600
+    eps, rows = _kernel_rows(measure, T, f"sizes-{label}", reps)
+    drawn = np.concatenate([row[1] for row in rows])
+    assert np.all(drawn > eps)
+    rng = derive_rng(18, "sizes-ref", label)
+    reference = sample_jump_sizes(measure, eps, 2 * len(drawn), rng)
+    edges = None if label == "atoms2" else np.quantile(reference, np.linspace(0.1, 0.9, 9))
+    counts = (_size_counts(drawn, edges), _size_counts(reference, edges))
+    _, _, p = chi_square_two_sample(*counts)
+    assert p > 1e-3
+
+
+def test_drawn_sizes_of_one_atom():
+    _, rows = _kernel_rows(HALF_ATOM, 12.0, "sizes-one-atom", 50)
+    assert np.all(np.concatenate([row[1] for row in rows]) == 0.5)
+
+
+SLOT_MEASURES = {
+    "poly3x2": POLY,
+    "atoms": HALF_ATOM,
+    "beta1.9": parse_measure("beta:1.9,1,1"),
+    "table": TABLE,
+}
+
+
+@pytest.mark.parametrize("label", list(SLOT_MEASURES))
+def test_block_row_does_not_depend_on_its_slot(label):
+    # replicate r's window is the same, bit for bit, drawn alone, at slot
+    # 0 and at slot 511 of a block, and again after one extension of each;
+    # so is its composition at either slot of a draw and alone
+    measure, mu, n, T = SLOT_MEASURES[label], 1.0, 5, 3.0
+    others = [derive_rng(18, "slot-other", i) for i in range(511)]
+
+    def target():
+        return derive_rng(18, "slot", label)
+
+    windows = [
+        sample_window(measure, mu, T, rng=target()),
+        _draw_windows(measure, mu, T, "auto", [target()] + others[:3])[0],
+        _draw_windows(measure, mu, T, "auto", others + [target()])[511],
+    ]
+    for w in windows:
+        w.extend()
+    assert len({w.npoints for w in windows}) == 1 and windows[0].npoints > 0
+    for w in windows[1:]:
+        assert np.array_equal(w._points, windows[0]._points)
+    # the one-row call draws the window, then the uniforms, from one stream
+    rng = target()
+    alone = sample_composition_detailed(sample_window(measure, mu, T, rng=rng), n, rng)
+    assert (
+        alone.composition.to_text()
+        == _composition_texts(measure, mu, n, T, [target()] + others[:3])[0]
+        == _composition_texts(measure, mu, n, T, others + [target()])[511]
+    )
+
+
+def test_beta_nu_rounds_draw_the_count_needed_at_eps_zero():
+    # alpha > 2 at eps = 0 draws exactly the count asked for in one round,
+    # the same variates rng.beta(alpha - 2, beta) gives
+    m = parse_measure("beta:3.5,2,1")
+    rng = derive_rng(18, "beta-round")
+    drawn = np.concatenate((m.sample_nu(0.0, 37, rng), m.sample_nu(0.0, 5, rng)))
+    assert np.array_equal(drawn, derive_rng(18, "beta-round").beta(1.5, 2.0, size=42))
 
 
 # ---------------------------------------------------------------------------
