@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import StuckChainError
-from .measures import RateTable
+from .measures import RateTable, _check_mu
 from .sampling_formula import PartitionVector
 
 __all__ = ["simulate_frozen_coalescent"]
@@ -132,10 +132,7 @@ def _frozen_table(rates: RateTable, mu: float, n: int) -> np.ndarray:
     """Cumulative event table of the frozen coalescent for up to n blocks;
     rates.rates is zero in columns 0 and 1, so only the freeze column
     needs filling in."""
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     if not (1 <= n <= rates.n_max):
         raise ValueError(f"need 1 <= n <= {rates.n_max}")
     weights = _binomials(n) * rates.rates[: n + 1, : n + 1]

@@ -121,6 +121,15 @@ def _check_mass(mass: float) -> None:
         raise MeasureSpecError(f"total mass {mass:g} above the bound {_MAX_MASS:g}")
 
 
+def _check_mu(mu: float) -> None:
+    """The domain of a mutation rate, [0, _MAX_MASS]: on that scale mu * b
+    plus a rate total stays a finite float up to the partition cap."""
+    if mu < 0.0:
+        raise ValueError("mu must be nonnegative")
+    if not mu <= _MAX_MASS:
+        raise ValueError(f"mu must be finite and at most {_MAX_MASS:g}")
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many atoms; locations in [0, 1], strictly positive weights.
@@ -704,8 +713,7 @@ def single_ball_integral(measure: LambdaMeasure, n: int) -> float:
 
 def first_part_weight(measure: LambdaMeasure, mu: float, n: int, m: int) -> float:
     """Unnormalized weight of "the first part has size m" in a sample of n."""
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     if m == 1:
@@ -746,8 +754,7 @@ class FirstPartLaw:
 def first_part_law(measure: LambdaMeasure, mu: float, n: int) -> FirstPartLaw:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     single = single_ball_integral(measure, n)
     return _first_part_law(
         mu, n, single, [coalescence_rate(measure, n, m) for m in range(2, n + 1)]
@@ -781,8 +788,7 @@ def first_part_laws_upto(
     laws: list[FirstPartLaw | None] = [None] * (n + 1)
     if n < 1:
         return laws
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     rows = [[]] + _rate_rows(measure, n)  # rows[b - 1] = rate(b, 2..b)
     for b in range(1, n + 1):
         laws[b] = _first_part_law(mu, b, single_ball_integral(measure, b), rows[b - 1])

@@ -14,18 +14,18 @@ Genealogy: litter i originated from whatever its mark U_i hits in the
 population just before its birth, i.e. in the sub-window of strictly
 older litters.  Chasing marks backwards ends at a litter whose mark fell
 on the regenerative set; that litter is a root carrying a fresh genotype,
-and the number of steps to reach it is geometric.  Every parent step is
-one invert_after query of the subordinator module's inversion kernel:
-resolve_parent and resolve_root ask one query per step, rho_state and
-the set sampler chase all their litters at once (_Rows.roots).  The set
-sampler's windows are drawn and settled together, one kernel draw and
-one block settle per draw block; rho_state settles its window once and
-chases on it.  Root resolution may need litters older than the realized
-window, which the window's own ensure_coverage doubles backwards up to
-its one cap (default 2**10 times the initial horizon, then
-WindowExhaustionError); only the extended window's row of the block is
-written afresh, and the k-th extension of a window draws the same
-numbers whichever query needs it.
+and the number of steps to reach it is geometric.  Every root comes
+from the subordinator module's one chase (_Rows.roots), one parent
+query per generation for all its litters at once: the set sampler
+chases all the litter hits of a draw block, rho_state all the litters
+of its window, and resolve_root one litter, as a one-query chase on a
+one-row block.  The set sampler's windows are drawn and settled
+together, one kernel draw and one block settle per draw block.  Root
+resolution may need litters older than the realized window, which the
+window's own ensure_coverage doubles backwards up to its one cap (2**10
+times the initial horizon, then WindowExhaustionError); only the
+extended window's row of the block is written afresh, and the k-th
+extension of a window draws the same numbers whichever query needs it.
 
 Two family-size samplers are cross-checked against the exact recursion:
 
@@ -66,6 +66,7 @@ from .errors import (
 from .measures import (
     FirstPartLaw,
     LambdaMeasure,
+    _check_mu,
     first_part_laws_upto,
     litter_intensity_tail,
     require_population_support,
@@ -75,8 +76,6 @@ from .measures import (
 from .sampling_formula import PartitionVector
 from .subordinator import (
     SubordinatorWindow,
-    _g,
-    _locate,
     _part_starts,
     _Rows,
     _window_blocks,
@@ -87,7 +86,6 @@ from .subordinator import (
 )
 
 __all__ = [
-    "ROOT",
     "LitterHistory",
     "PopulationMeasure",
     "litter_size_at",
@@ -97,8 +95,6 @@ __all__ = [
     "forward_simulate",
     "cutoff_deviation",
 ]
-
-ROOT = -2
 
 
 @dataclass(frozen=True)
@@ -147,16 +143,14 @@ class LitterHistory:
     """A subordinator window annotated with the origination genealogy.
 
     Litters are addressed by their age-sorted index in the window; a
-    litter's parent, root and height are answers of the window's one
-    inversion kernel, stable however the window grows, since extension
-    only appends strictly older litters.  max_doublings sets the window's
-    extension cap.
+    litter's root and height are answers of the window's one chase
+    kernel, stable however the window grows, since extension only
+    appends strictly older litters.
     """
 
-    def __init__(self, window: SubordinatorWindow, max_doublings: int = 10):
+    def __init__(self, window: SubordinatorWindow):
         _require_drift(window.mu)
         self.window = window
-        window.max_doublings = max_doublings
 
     @classmethod
     def build(
@@ -180,34 +174,21 @@ class LitterHistory:
         return cls(sample_window(measure, mu, T0, eps, rng))
 
     @classmethod
-    def from_points(
-        cls, mu: float, points, T: float, max_doublings: int = 0
-    ) -> "LitterHistory":
-        """Deterministic history from (age, size, mark) triples."""
-        return cls(window_from_points(mu, points, T), max_doublings=max_doublings)
-
-    def resolve_parent(self, index: int) -> int:
-        """Sorted index of the originating litter, or ROOT: one
-        invert_after query of the litter's mark, on the kernel."""
-        index = int(index)
-        w = self.window
-        u = float(w.marks[index])
-        w.ensure_coverage(u, index)
-        t = _g(u) + float(w.right_g[index])
-        j, litter = _locate(w._rows(), 0, t, index + 1)
-        return int(j) if litter else ROOT
+    def from_points(cls, mu: float, points, T: float) -> "LitterHistory":
+        """Deterministic history from (age, size, mark) triples; its
+        window has no generator, so it cannot extend."""
+        return cls(window_from_points(mu, points, T))
 
     def resolve_root(self, index: int) -> tuple[int, int]:
-        """(root litter index, chain height) for a litter."""
-        root, height = int(index), 0
-        while (parent := self.resolve_parent(root)) != ROOT:
-            root, height = parent, height + 1
-        return root, height
-
-    def genotype(self, index: int) -> float:
-        """Genotype carried by a litter = mark of its root."""
-        root, _ = self.resolve_root(index)
-        return float(self.window.marks[root])
+        """(root litter index, chain height) for a litter: a one-query
+        chase (_Rows.roots) on the window as a one-row block.  The root's
+        mark is the litter's genotype."""
+        if not 0 <= index < self.window.npoints:
+            raise ValueError("index outside window")
+        root, height = _Rows([self.window]).roots(
+            np.zeros(1, dtype=np.intp), np.array([index], dtype=np.intp)
+        )
+        return int(root[0]), int(height[0])
 
 
 def litter_size_at(history: LitterHistory, index: int, t: float = 0.0) -> float:
@@ -325,12 +306,11 @@ def _chain_table(
     part."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
     if mu <= 0.0:
         raise PopulationSupportError(
             "the chain sampler needs a positive mutation rate to terminate"
         )
+    _check_mu(mu)
     require_population_support(measure)
     if laws is None:
         laws = first_part_laws_upto(measure, mu, n)

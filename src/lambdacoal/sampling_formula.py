@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MeasureSpecError, PartitionCapError, StuckChainError
-from .measures import RateTable
+from .measures import RateTable, _check_mu
 
 __all__ = [
     "PartitionVector",
@@ -317,15 +317,12 @@ def _stuck(m: int) -> StuckChainError:
 def solve(rates: RateTable, mu: float, n: int) -> SamplingDistribution:
     """Exact family-size distribution for a sample of size n.
 
-    Requires rates.n_max >= n and a finite mu >= 0 with mu + total(m) > 0
-    for all 2 <= m <= n.
+    Requires rates.n_max >= n and 0 <= mu <= 1e100 (_check_mu) with
+    mu + total(m) > 0 for all 2 <= m <= n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     if rates.n_max < n:
         raise ValueError(f"rate table covers n_max={rates.n_max} < n={n}")
     q = _solve_levels(rates.rates, rates.totals, float(mu), n)

@@ -50,14 +50,14 @@ genealogy's parent query.  The lockstep window samplers drop the uniforms
 of a whole draw block on one _Rows block (_window_hits; a block holds at
 most _BLOCK_POINTS window points), and the set sampler chases the roots
 of all its litter hits in one _Rows.roots call, one parent step per
-generation.  invert, invert_after and sample_composition_detailed are
-one-query or one-row calls of it.  Queries are g = -log1p(-v) by
-np.log1p wherever they are formed, scalar or array (_g), so every path
-rounds a query alike.
+generation.  These are the only query paths: sample_composition_detailed
+is a one-row _window_hits call, and a lone root query is a one-query
+_Rows.roots call.  Queries are g = -log1p(-v) by np.log1p wherever they
+are formed (_g), so every path rounds a query alike.
 
 ensure_coverage is the one loop that extends a window backwards, one
-doubling of T per extend(); after max_doublings of them (default 10, so
-2**10 times the initial horizon) extend() raises WindowExhaustionError,
+doubling of T per extend(); after _MAX_DOUBLINGS of them (2**10 times
+the initial horizon) extend() raises WindowExhaustionError,
 whichever sampler reads the window.  A block row whose window extends
 is written afresh from the window alone; the other rows stay as they are.
 
@@ -87,6 +87,7 @@ from .errors import (
 from .measures import (
     FirstPartLaw,
     LambdaMeasure,
+    _check_mu,
     choose_truncation,
     dust_integral,
     first_part_laws_upto,
@@ -96,7 +97,6 @@ from .measures import (
 )
 
 __all__ = [
-    "HitResult",
     "Composition",
     "CompositionSample",
     "SubordinatorWindow",
@@ -113,15 +113,9 @@ __all__ = [
 # the jump-size cutoff is too small for the horizon to sample in memory.
 MAX_WINDOW_POINTS = 1e7
 
-
-@dataclass(frozen=True)
-class HitResult:
-    """Where an inverted uniform landed: inside litter `index` (sorted by
-    age) or on the regenerative set at the given age."""
-
-    kind: str  # "litter" | "regenerative"
-    age: float
-    index: int | None = None
+# Doublings of T a window may make: it reaches at most 2**10 times its
+# initial horizon before extend() refuses.
+_MAX_DOUBLINGS = 10
 
 
 @dataclass(frozen=True)
@@ -148,23 +142,29 @@ class Composition:
 
 @dataclass(frozen=True)
 class CompositionSample:
+    """A window composition with the kernel's hits of its sorted uniforms:
+    ball i landed strictly inside litter index[i] (sorted by age) when
+    litter[i], and otherwise on the regenerative set, just before litter
+    index[i] (or on a tie with an edge of it)."""
+
     composition: Composition
-    hits: tuple[HitResult, ...]  # one per sorted uniform
+    index: np.ndarray
+    litter: np.ndarray
 
 
 class SubordinatorWindow:
     """Poisson litter points with ages in [0, T), sorted by age, plus the
-    prefix log-products that make cdf/invert O(log m).
+    prefix log-products that make cdf O(log m).
 
     points is the (3, m) array of (age, size, mark) rows, sorted by age as
     drawn (_draw_points) or given (window_from_points).  Its first one-row
-    use (ages, sizes, marks, log_prefix, left_g/right_g, cdf, invert,
-    g_max) settles the window: the block kernel _settle, run on this one
-    window, builds the prefix and the (3, 1, m + 1) planes (left edge,
-    right edge, mark; padded with inf), the window as a one-row block of
-    the inversion kernel (see _Rows).  npoints and n_extensions never
-    settle.  Mutable only through extend(); a single sampling task owns a
-    window.
+    use (ages, sizes, marks, log_prefix, left_g/right_g, cdf, g_max, a
+    one-row _Rows block) settles the window: the block kernel _settle,
+    run on this one window, builds the prefix and the (3, 1, m + 1)
+    planes (left edge, right edge, mark; padded with inf), the window as
+    a one-row block of the inversion kernel (see _Rows).  npoints and
+    n_extensions never settle.  Mutable only through extend(); a single
+    sampling task owns a window.
     """
 
     __slots__ = (
@@ -173,7 +173,6 @@ class SubordinatorWindow:
         "T",
         "T0",
         "n_extensions",
-        "max_doublings",
         "_points",
         "_prefix",
         "_planes",
@@ -194,7 +193,6 @@ class SubordinatorWindow:
         self._intensity = None
         self._moment_below = 0.0
         self.n_extensions = 0
-        self.max_doublings = 10
         self._points = points
         self._planes = None
 
@@ -261,59 +259,6 @@ class SubordinatorWindow:
         horizon times the x-moment of nu below eps."""
         return self.T * self._moment_below
 
-    # -- inversion ---------------------------------------------------------
-
-    def _hit(self, t: float, j: int, litter: bool, after: int) -> HitResult:
-        """The HitResult of a query at g-coordinate t that _locate sent to
-        litter index j: that litter, or the range point where the flat
-        segment before litter j (after it, on a tie with its right edge)
-        reaches t; ages are relative to litter `after`."""
-        if litter:
-            return HitResult("litter", float(self.ages[j]), j)
-        if t >= self._rows()[1, 0, j]:
-            j += 1
-        if self.mu > 0.0:
-            s_abs = (t + self.log_prefix[j]) / self.mu
-        else:
-            # drift-free path is flat between jumps; ties only
-            s_abs = float(self.ages[j - 1]) if j > 0 else 0.0
-        base_age = 0.0 if after < 0 else float(self.ages[after])
-        return HitResult("regenerative", float(max(s_abs - base_age, 0.0)), None)
-
-    def _invert_one(self, v: float, after: int) -> HitResult:
-        if not (0.0 < v < 1.0):
-            raise ValueError("v must lie strictly inside (0, 1)")
-        t = _g(v)
-        if after >= 0:
-            t += float(self.right_g[after])
-        if t >= self.g_max():
-            raise BeyondWindowError(
-                "query beyond realized window; extend before inverting"
-            )
-        j, litter = _locate(self._rows(), 0, t, after + 1)
-        return self._hit(t, int(j), bool(litter), after)
-
-    def invert(self, v: float) -> HitResult:
-        """Smallest age s with F(s) >= v, tagged by what was hit.
-
-        Raises BeyondWindowError when v >= cdf(T); the caller decides
-        whether to extend.
-        """
-        return self._invert_one(v, -1)
-
-    def invert_after(self, index: int, v: float) -> HitResult:
-        """Inversion against the sub-window of litters strictly older than
-        litter `index`; ages in the result are relative to that litter.
-        This is the parent query of the genealogy."""
-        if not (0.0 <= index < self.npoints):
-            raise ValueError("index outside window")
-        return self._invert_one(v, int(index))
-
-    def coverage_ok(self, v: float, after: int = -1) -> bool:
-        g = _g(v)
-        offset = 0.0 if after < 0 else float(self.right_g[after])
-        return g + offset < self.g_max()
-
     # -- extension ---------------------------------------------------------
 
     def _poisson_intensity(self) -> float:
@@ -324,10 +269,10 @@ class SubordinatorWindow:
     def extend(self) -> None:
         """Double the window: fresh Poisson points on ages [T, 2T) only, a
         one-row draw of _draw_points appended already sorted; refused once
-        T has been doubled max_doublings times."""
-        if self.n_extensions >= self.max_doublings:
+        T has been doubled _MAX_DOUBLINGS times."""
+        if self.n_extensions >= _MAX_DOUBLINGS:
             raise WindowExhaustionError(
-                f"window extension cap {self.T:g} (2**{self.max_doublings} "
+                f"window extension cap {self.T:g} (2**{_MAX_DOUBLINGS} "
                 f"times the initial horizon {self.T0:g}) hit"
             )
         if self._rng is None or self._measure is None:
@@ -345,7 +290,11 @@ class SubordinatorWindow:
         self.n_extensions += 1
 
     def ensure_coverage(self, v: float, after: int = -1) -> None:
-        while not self.coverage_ok(v, after):
+        """Extend until the window covers the query of v, taken after
+        litter `after` (the parent query of its mark) or, at -1, from
+        age 0."""
+        t = _g(v) + (0.0 if after < 0 else float(self.right_g[after]))
+        while t >= self.g_max():
             self.extend()
 
 
@@ -402,15 +351,13 @@ def _locate(planes: np.ndarray, rows, t, start):
     (j, litter): j is the first such litter whose right edge is >= t, and
     litter says whether t lies strictly inside its interval; otherwise t
     is on the regenerative set, ties at either edge included.  rows
-    ascend; an int row with a float t and an int start is one query and
-    gives scalars.  One row counts its right edges below t by one
-    searchsorted; several rows by one lockstep lower bound, ceil(log2 W)
-    gathers over all queries at once, which on each row equals
+    ascend.  One row counts its right edges below t by one searchsorted;
+    several rows by one lockstep lower bound, ceil(log2 W) gathers over
+    all queries at once, which on each row equals
     searchsorted(side="left").
     """
-    if isinstance(rows, int) or rows[0] == rows[-1]:
-        row = rows if isinstance(rows, int) else int(rows[0])
-        left, right = planes[0, row], planes[1, row]
+    if rows[0] == rows[-1]:
+        left, right = planes[0, rows[0]], planes[1, rows[0]]
         j = at = np.maximum(right.searchsorted(t), start)
     else:
         width = planes.shape[2]
@@ -480,8 +427,8 @@ class _Rows:
 
     def roots(self, rows: np.ndarray, cur: np.ndarray):
         """(root, height) of each litter cur[q] of window rows[q] (rows
-        ascending): every live query takes one invert_after step per
-        generation, from its litter's mark into the older litters, until
+        ascending): every live query takes one parent step per generation,
+        from its litter's mark into the older litters, until
         the mark lands on the regenerative set; that litter is the root
         and the generation its height."""
         root = np.empty_like(cur)
@@ -589,8 +536,7 @@ def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
 def _draw_windows(measure, mu, T, eps, rngs, budget=math.inf) -> list:
     """Windows of ages [0, T) drawn by _draw_points, one per generator in
     turn until they hold `budget` points between them."""
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     if T <= 0.0:
         raise ValueError("T must be positive")
     eps, mass_above, moment_below = _window_setup(measure, T, eps)
@@ -727,16 +673,10 @@ def sample_composition_detailed(
     window: SubordinatorWindow, n: int, rng: np.random.Generator
 ) -> CompositionSample:
     """Drop n uniforms on the window and read off the age-ordered
-    composition together with the per-ball hits."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    vs = rng.random(n)
-    vs.sort()
-    window.ensure_coverage(float(vs[-1]))
-    t = _g(vs)
-    j, litter = _locate(window._rows(), 0, t, 0)
-    hits = tuple(map(window._hit, t.tolist(), j.tolist(), litter.tolist(), [-1] * n))
-    return CompositionSample(Composition(_parts(_part_starts(j, litter))), hits)
+    composition together with the per-ball hits: a one-row call of
+    _window_hits."""
+    _, (j,), (litter,) = _window_hits([window], [rng], n)
+    return CompositionSample(Composition(_parts(_part_starts(j, litter))), j, litter)
 
 
 def sequential_composition(

@@ -133,7 +133,7 @@ def test_criterion_04_first_part_law_and_regeneration():
         parts = detail.composition.parts
         first = parts[0]
         if first == 1:
-            key = "1m" if detail.hits[0].kind == "regenerative" else "1l"
+            key = "1l" if detail.litter[0] else "1m"
         else:
             key = str(first)
         first_counts[key] = first_counts.get(key, 0) + 1
@@ -180,7 +180,7 @@ def test_criterion_05_heights_geometric():
         window = sample_window(POLY, mu, horizon, rng=rng)
         if window.npoints == 0:
             continue
-        history = LitterHistory(window, max_doublings=16)
+        history = LitterHistory(window)
         _, height = history.resolve_root(0)
         key = str(min(height, tail_at))
         counts[key] = counts.get(key, 0) + 1

@@ -323,6 +323,41 @@ def test_non_finite_mu_or_horizon_is_usage_error(capsys, argv, flag):
     assert f"{flag} must be finite" in captured.err
 
 
+_HUGE_MU = ["--measure", "poly3x2", "--mu", "1e308", "--n", "4"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", *_HUGE_MU],
+        ["simulate", "frozen", *_HUGE_MU, "--seed", "1"],
+        ["simulate", "chain", *_HUGE_MU, "--seed", "1"],
+        ["simulate", "set", *_HUGE_MU, "--seed", "1"],
+    ],
+    ids=["exact", "frozen", "chain", "set"],
+)
+def test_mu_above_the_mass_bound_is_usage_error(capsys, argv):
+    # mu * b overflows a rate total: exact printed nan for every partition
+    # with exit 0, and frozen died with an IndexError in _block_chain
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mu must be finite and at most 1e+100\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_mu_at_the_mass_bound_still_runs(capsys):
+    assert main(["exact", "--measure", "poly3x2", "--mu", "1e100", "--n", "40"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "nan" not in out and re.search(r"^1\^40 +1$", out, re.M)
+    for sampler in ("frozen", "chain", "set", "composition"):
+        argv = ["simulate", sampler, "--measure", "poly3x2", "--mu", "1e100", "--n", "4",
+                "--reps", "3", "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.split() == ["1,1,1,1" if sampler == "composition" else "1^4"] * 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -652,6 +687,28 @@ def test_validate_pooling_failure_fails_only_its_case(tmp_path, capsys):
     assert reports[0]["error"] == "ValueError: fewer than 2 cells after pooling"
     assert reports[0]["passed"] is False
     assert "failing cases: frozen-few" in captured.err
+
+
+def test_validate_mu_above_the_mass_bound_fails_only_its_case(tmp_path, capsys):
+    # the frozen draw at mu = 1e308 died with an IndexError, and the run
+    # lost every case's report
+    huge = {
+        "case_id": "huge-mu",
+        "kind": "sampler_vs_exact",
+        "measure_spec": "poly3x2",
+        "mu": 1e308,
+        "n": 4,
+        "sampler": "frozen",
+    }
+    plan = _write_plan(tmp_path, [huge, dict(_EWENS_CASE)])
+    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)["reports"]
+    assert [r["case_id"] for r in reports] == ["huge-mu", "k"]
+    assert reports[0]["error"] == "ValueError: mu must be finite and at most 1e+100"
+    assert [r["passed"] for r in reports] == [False, True]
+    assert "failing cases: huge-mu" in captured.err
 
 
 def test_validate_unknown_kind_is_usage_error_before_any_case_draws(

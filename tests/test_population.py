@@ -16,6 +16,7 @@ from scipy.stats import ks_2samp
 import lambdacoal as lc
 from lambdacoal import (
     AtomicMeasure,
+    BeyondWindowError,
     InfiniteActivityError,
     LitterHistory,
     PopulationMeasure,
@@ -38,7 +39,8 @@ from lambdacoal import (
     window_from_points,
 )
 from lambdacoal.coalescent import _frozen_table
-from lambdacoal.population import ROOT, _chain_table
+from lambdacoal.population import _chain_table
+from lambdacoal.subordinator import _MAX_DOUBLINGS, _Rows
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
 
 from conftest import first_part_chain_reference
@@ -77,13 +79,29 @@ def fixture_history():
     return LitterHistory.from_points(1.0, FIXTURE_POINTS, 16.0)
 
 
+def _parent_reference(w, index):
+    """One parent step written alone: the litter's mark, queried after it,
+    by one searchsorted on the right edges of the older litters and the
+    interval test; None for a mark on the regenerative set.  The window
+    is first extended to cover the query."""
+    mark = float(w.marks[index])
+    w.ensure_coverage(mark, index)
+    t = -np.log1p(-mark) + float(w.right_g[index])
+    j = index + 1 + int(np.searchsorted(w.right_g[index + 1 :], t, side="left"))
+    return j if j < w.npoints and w.left_g[j] < t < w.right_g[j] else None
+
+
+def _chase_reference(w, index):
+    """(root, height) of a litter by parent steps, one at a time."""
+    root, height = index, 0
+    while (parent := _parent_reference(w, root)) is not None:
+        root, height = parent, height + 1
+    return root, height
+
+
 def test_fixture_parents(fixture_history):
-    h = fixture_history
-    assert h.resolve_parent(0) == ROOT
-    assert h.resolve_parent(1) == 3
-    assert h.resolve_parent(2) == 4
-    assert h.resolve_parent(3) == 4
-    assert h.resolve_parent(4) == ROOT
+    w = fixture_history.window
+    assert [_parent_reference(w, i) for i in range(5)] == [None, 3, 4, 4, None]
 
 
 def test_fixture_roots_and_heights(fixture_history):
@@ -95,11 +113,17 @@ def test_fixture_roots_and_heights(fixture_history):
     assert h.resolve_root(4) == (4, 0)
 
 
+@pytest.mark.parametrize("index", [-1, 5])
+def test_resolve_root_refuses_index_outside_window(fixture_history, index):
+    with pytest.raises(ValueError, match="index outside window"):
+        fixture_history.resolve_root(index)
+
+
 def test_fixture_genotypes(fixture_history):
+    # a litter's genotype is the mark of its root
     h = fixture_history
-    assert h.genotype(0) == pytest.approx(0.393469)
-    for i in (1, 2, 3, 4):
-        assert h.genotype(i) == pytest.approx(0.42)
+    genotypes = [h.window.marks[h.resolve_root(i)[0]] for i in range(5)]
+    assert genotypes == pytest.approx([0.393469] + [0.42] * 4)
 
 
 def test_fixture_memoization_stable(fixture_history):
@@ -220,7 +244,7 @@ def test_root_probability_matches_first_part_law(rng_factory):
             continue
         trials += 1
         h = LitterHistory(w)
-        roots += h.resolve_parent(0) == ROOT
+        roots += h.resolve_root(0) == (0, 0)
     p_hat = roots / trials
     assert abs(p_hat - q1) < 4.0 * math.sqrt(q1 * (1 - q1) / trials)
 
@@ -237,7 +261,7 @@ def test_height_geometric_smoke(rng_factory):
         w = sample_window(POLY, 1.0, 14.0, rng=rng)
         if w.npoints == 0:
             continue
-        h = LitterHistory(w, max_doublings=12)
+        h = LitterHistory(w)
         _, height = h.resolve_root(0)
         key = str(min(height, 6))
         counts[key] = counts.get(key, 0) + 1
@@ -416,36 +440,35 @@ def test_large_mu_mostly_singletons(rng_factory):
 @pytest.mark.parametrize("T0", [14.0, 0.3])
 def test_block_chase_matches_one_query_roots(T0):
     # one chase over every litter of several windows gives each litter's
-    # (root, height) as resolve_root does, query by query, on twins of the
-    # windows drawn from the same streams; both grow their windows alike
-    from lambdacoal.subordinator import _Rows
+    # (root, height) as the scalar chase does, and as resolve_root does,
+    # query by query, on twins of the windows drawn from the same streams;
+    # all three grow their windows alike
 
     def windows():
         return [lc.sample_window(POLY, 0.7, T0, rng=derive_rng(8, "chase", r)) for r in range(6)]
 
-    block, twins = windows(), windows()
+    block, twins, singles = windows(), windows(), windows()
     rows = np.concatenate([np.full(w.npoints, r) for r, w in enumerate(block)]).astype(np.intp)
     cur = np.concatenate([np.arange(w.npoints) for w in block])
     root, height = _Rows(block).roots(rows, cur)
-    expected = []
-    for w in twins:
-        h = LitterHistory(w)
-        expected += [h.resolve_root(i) for i in range(w.npoints)]
+    expected = [_chase_reference(w, i) for w in twins for i in range(w.npoints)]
     assert list(zip(root.tolist(), height.tolist())) == expected
-    assert [(w.n_extensions, w.npoints) for w in block] == [
-        (w.n_extensions, w.npoints) for w in twins
-    ]
+    one_query = [LitterHistory(w).resolve_root(i) for w in singles for i in range(w.npoints)]
+    assert one_query == expected
+    grown = [(w.n_extensions, w.npoints) for w in block]
+    assert grown == [(w.n_extensions, w.npoints) for w in twins]
+    assert grown == [(w.n_extensions, w.npoints) for w in singles]
     if T0 < 1.0:
         assert any(w.n_extensions for w in block)
 
 
 def test_window_exhaustion_cap():
-    # a replayed window has no generator, so max_doublings=0 plus an
-    # uncovered mark must surface as exhaustion, not silence
+    # a replayed window has no generator, so an uncovered mark must
+    # surface as an error, not silence
     pts = [(1.0, 0.5, 0.999999999)]
-    h = LitterHistory.from_points(0.1, pts, 2.0, max_doublings=0)
-    with pytest.raises(WindowExhaustionError):
-        h.resolve_parent(0)
+    h = LitterHistory.from_points(0.1, pts, 2.0)
+    with pytest.raises(BeyondWindowError):
+        h.resolve_root(0)
 
 
 def test_history_survives_outside_extension(rng_factory):
@@ -456,7 +479,7 @@ def test_history_survives_outside_extension(rng_factory):
     w.ensure_coverage(0.999999)
     assert w.n_extensions > 0
     root, height = h.resolve_root(w.npoints - 1)
-    assert h.resolve_parent(root) == ROOT and height >= 0
+    assert h.resolve_root(root) == (root, 0) and height >= 0
 
 
 def test_composition_window_extension_is_capped(rng_factory):
@@ -465,7 +488,7 @@ def test_composition_window_extension_is_capped(rng_factory):
     w = lc.sample_window(POLY, 1.0, 1e-6, rng=rng_factory(6, "cap"))
     with pytest.raises(WindowExhaustionError):
         lc.sample_composition_detailed(w, 5, rng_factory(6, "cap", 1))
-    assert w.n_extensions == w.max_doublings == 10
+    assert w.n_extensions == _MAX_DOUBLINGS == 10
 
 
 # ---------------------------------------------------------------------------

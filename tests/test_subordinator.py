@@ -50,11 +50,15 @@ class GivenUniforms:
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, n=None):
-        if n is None:
+    def random(self, n=None, out=None):
+        if n is None and out is None:
             return self.values.pop(0)
-        out = np.array(self.values[:n])
+        n = len(out) if out is not None else n
+        values = np.array(self.values[:n])
         del self.values[:n]
+        if out is None:
+            return values
+        out[:] = values
         return out
 
 
@@ -94,19 +98,21 @@ def test_cdf_monotone_and_bounded(rng_factory):
 # ---------------------------------------------------------------------------
 
 
+def _hits(w, *vs):
+    """(index, litter) lists of the kernel's one-row hits of the sorted
+    uniforms vs on window w."""
+    j, litter = _Rows([w]).hits(np.array([vs]))
+    return j[0].tolist(), litter[0].tolist()
+
+
 def test_invert_litter_hit():
     w = window_from_points(0.0, [(1.0, 0.5, 0.3)], 4.0)
-    hit = w.invert(0.25)
-    assert hit.kind == "litter"
-    assert hit.index == 0
-    assert hit.age == pytest.approx(1.0)
+    assert _hits(w, 0.25) == ([0], [True])
 
 
 def test_invert_pure_drift():
     w = window_from_points(math.log(2.0), [], 4.0)
-    hit = w.invert(0.5)
-    assert hit.kind == "regenerative"
-    assert hit.age == pytest.approx(1.0)
+    assert _hits(w, 0.5)[1] == [False]
 
 
 def test_invert_boundary_ties_are_regenerative():
@@ -116,49 +122,39 @@ def test_invert_boundary_ties_are_regenerative():
     hi = w.cdf(1.0)
     assert lo == pytest.approx(0.5, abs=1e-9)
     assert hi == pytest.approx(0.75, abs=1e-12)
-    for v in (lo, hi):
-        assert w.invert(v).kind == "regenerative"
-    inside = w.invert(0.6)
-    assert inside.kind == "litter" and inside.index == 0
+    index, litter = _hits(w, lo, 0.6, hi)
+    assert litter == [False, True, False]
+    assert index[1] == 0
 
 
 def test_invert_consistent_with_cdf(rng_factory):
+    # a litter hit lies inside its litter's cdf jump, a regenerative hit
+    # inside none
     rng = rng_factory(5, "inv-consist")
     w = sample_window(POLY, 1.0, 10.0, rng=rng)
-    for v in rng.random(300):
-        v = float(v)
-        if not w.coverage_ok(v):
-            continue
-        hit = w.invert(v)
-        if hit.kind == "litter":
-            age = w.ages[hit.index]
-            assert w.cdf(age * (1.0 - 1e-12)) < v <= w.cdf(age) + 1e-12
+    vs = np.sort(rng.random(300))
+    vs = vs[-np.log1p(-vs) < w.g_max()]
+    jumps = [(w.cdf(age * (1.0 - 1e-12)), w.cdf(age)) for age in w.ages]
+    for v, i, inside in zip(vs.tolist(), *_hits(w, *vs)):
+        if inside:
+            lo, hi = jumps[i]
+            assert lo < v <= hi + 1e-12
         else:
-            assert w.cdf(hit.age) == pytest.approx(v, rel=1e-9)
+            assert not any(lo + 1e-12 < v < hi - 1e-12 for lo, hi in jumps)
 
 
 def _invert_reference(w, v, after):
     """The scalar inversion loop: one searchsorted on the right edges of
     the litters older than `after`, then the interval test; the query is
-    rounded by np.log1p, as every g-query is."""
+    rounded by np.log1p, as every g-query is.  Returns (kind, index), the
+    index None on the regenerative set."""
     start = after + 1
     offset = 0.0 if after < 0 else float(w.right_g[after])
     t = -np.log1p(-v) + offset
     j = start + int(np.searchsorted(w.right_g[start:], t, side="left"))
     if j < w.npoints and w.left_g[j] < t < w.right_g[j]:
-        return ("litter", float(w.ages[j]), j)
-    if j < w.npoints and t >= w.right_g[j]:
-        j += 1
-    if w.mu > 0.0:
-        s_abs = (t + w.log_prefix[j]) / w.mu
-    else:
-        s_abs = float(w.ages[j - 1]) if j > 0 else 0.0
-    base_age = 0.0 if after < 0 else float(w.ages[after])
-    return ("regenerative", float(max(s_abs - base_age, 0.0)), None)
-
-
-def _as_tuple(hit):
-    return (hit.kind, hit.age, hit.index)
+        return ("litter", j)
+    return ("regenerative", None)
 
 
 @pytest.mark.parametrize(
@@ -173,25 +169,40 @@ def _as_tuple(hit):
     ids=["poly3x2", "atoms", "touching", "drift-free"],
 )
 def test_invert_matches_scalar_reference(make):
-    # invert and invert_after equal the scalar loop exactly, at random
+    # the kernel, on the window as one row and in lockstep on a block of
+    # two twin rows, sends every covered query where the scalar loop does,
+    # from age 0 and after every litter (the parent query), at random
     # values and at every interval edge
     w = make()
     rng = derive_rng(6, "ref-values")
     edges = np.concatenate((w.left_g, w.right_g))
     values = list(rng.random(200)) + [float(-np.expm1(-g)) for g in edges]
+    t, start, expected = [], [], []
     for after in [-1] + list(range(w.npoints)):
+        offset = 0.0 if after < 0 else float(w.right_g[after])
         for v in values:
-            if not 0.0 < v < 1.0 or not w.coverage_ok(v, after):
+            if not 0.0 < v < 1.0 or -np.log1p(-v) + offset >= w.g_max():
                 continue
-            hit = w.invert(v) if after < 0 else w.invert_after(after, v)
-            assert _as_tuple(hit) == _invert_reference(w, v, after)
+            t.append(-np.log1p(-v) + offset)
+            start.append(after + 1)
+            expected.append(_invert_reference(w, v, after))
+    t, start = np.array(t), np.array(start)
+    one, twins = _Rows([w]), _Rows([w, w])
+    for planes, rows in (
+        (one.planes, np.zeros(len(t), dtype=np.intp)),
+        (twins.planes, np.arange(2).repeat(len(t))),
+    ):
+        reps = len(rows) // len(t)
+        j, litter = _locate(planes, rows, np.tile(t, reps), np.tile(start, reps))
+        for q, (kind, index) in enumerate(expected * reps):
+            assert litter[q] == (kind == "litter")
+            if index is not None:
+                assert j[q] == index
 
 
 def test_block_hits_match_one_row_inversion():
     # a block of windows of different lengths, one of them empty, sends
-    # every sorted uniform where each window's own invert sends it
-    from lambdacoal.subordinator import _Rows
-
+    # every sorted uniform where the scalar loop sends it on its window
     windows = [
         sample_window(POLY, 1.0, T, rng=derive_rng(7, "block", i))
         for i, T in enumerate([0.05, 3.0, 8.0, 0.5])
@@ -203,7 +214,7 @@ def test_block_hits_match_one_row_inversion():
     j, litter = _Rows(windows).hits(vs)
     for r, w in enumerate(windows):
         for i, v in enumerate(vs[r]):
-            kind, _, index = _invert_reference(w, float(v), -1)
+            kind, index = _invert_reference(w, float(v), -1)
             assert litter[r, i] == (kind == "litter")
             if index is not None:
                 assert j[r, i] == index
@@ -332,16 +343,17 @@ def test_window_settles_on_first_one_row_use(monkeypatch):
     w = sample_window(POLY, 1.0, 6.0, rng=derive_rng(17, "lazy"))
     assert w.npoints > 0 and w.n_extensions == 0 and settled == []
     w.cdf(1.0)
-    w.invert(0.1)
+    _Rows([w])
     assert settled == [1]
     assert np.all(np.diff(w.ages) >= 0.0)
 
 
 def test_invert_beyond_window():
     w = window_from_points(0.0, [(1.0, 0.5, 0.3)], 4.0)
-    # g_max = -log(0.5): values of v at or above 0.5 are uncovered
+    # g_max = -log(0.5): values of v at or above 0.5 are uncovered, and a
+    # replayed window has no generator to extend it
     with pytest.raises(BeyondWindowError):
-        w.invert(0.7)
+        sample_composition_detailed(w, 1, GivenUniforms([0.7]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +401,10 @@ def test_gap_fixture_composition():
     uniforms = [0.615, 0.27, 0.655, 0.12, 0.33, 0.69, 0.20]
     sample = sample_composition_detailed(w, 7, GivenUniforms(uniforms))
     assert sample.composition.parts == (1, 1, 2, 3)
-    kinds = [h.kind for h in sample.hits]
-    assert kinds == [
-        "litter",
-        "regenerative",
-        "litter",
-        "litter",
-        "litter",
-        "litter",
-        "litter",
-    ]
-    assert sample.hits[0].index == 0
-    assert sample.hits[2].index == 1 and sample.hits[3].index == 1
-    assert {sample.hits[i].index for i in (4, 5, 6)} == {3}
+    assert sample.litter.tolist() == [True, False, True, True, True, True, True]
+    assert sample.index[0] == 0
+    assert sample.index[2] == 1 and sample.index[3] == 1
+    assert set(sample.index[4:].tolist()) == {3}
 
 
 def test_gap_fixture_all_regenerative():
@@ -410,7 +413,7 @@ def test_gap_fixture_all_regenerative():
     uniforms = [0.05, 0.2, 0.4, 0.58]
     sample = sample_composition_detailed(w, 4, GivenUniforms(uniforms))
     assert sample.composition.parts == (1, 1, 1, 1)
-    assert all(h.kind == "regenerative" for h in sample.hits)
+    assert not sample.litter.any()
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +510,10 @@ def test_ensure_coverage_extends_until_covered(rng_factory):
     w = sample_window(POLY, 0.5, 0.25, rng=rng)
     v = 0.999999
     w.ensure_coverage(v)
-    assert w.coverage_ok(v)
-    hit = w.invert(v)
-    assert hit.age >= 0.0
+    grown = w.n_extensions
+    assert grown > 0 and -np.log1p(-v) < w.g_max()
+    _Rows([w]).hits(np.array([[v]]))
+    assert w.n_extensions == grown
 
 
 def test_default_window_horizon():
@@ -674,7 +678,7 @@ def test_pure_drift_composition_all_singletons(rng_factory):
         rng = rng_factory(5, "drift-comp", rep)
         sample = sample_composition_detailed(w, 6, rng)
         assert sample.composition.parts == (1,) * 6
-        assert all(h.kind == "regenerative" for h in sample.hits)
+        assert not sample.litter.any()
 
 
 def test_sequential_n1(rng_factory):

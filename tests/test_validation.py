@@ -540,7 +540,7 @@ def _one_window_row(sampler, measure, mu, n, T0, rng):
     first = sample.composition.parts[0]
     if first > 1:
         return str(first)
-    return "1m" if sample.hits[0].kind == "regenerative" else "1l"
+    return "1l" if sample.litter[0] else "1m"
 
 
 def _extensions(measure, mu, n, T0, rng):
@@ -549,9 +549,8 @@ def _extensions(measure, mu, n, T0, rng):
     history = LitterHistory.build(measure, mu, rng, T0=T0)
     sample = sample_composition_detailed(history.window, n, rng)
     covering = history.window.n_extensions
-    for hit in sample.hits:
-        if hit.kind == "litter":
-            history.resolve_root(hit.index)
+    for index in sample.index[sample.litter].tolist():
+        history.resolve_root(index)
     return covering, history.window.n_extensions - covering
 
 
