@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Multiple-merger coalescents with freezing mutations: exact "
             "family-size distributions, two independent simulators (the "
-            "first-part chain is the frozen chain's law), stationary population "
-            "snapshots, and a validation harness."
+            "first-part chain runs the frozen chain's event table), stationary "
+            "population snapshots, and a validation harness."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,11 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Samplers: 'frozen' runs the coalescent with killing and "
             "prints family-size partition vectors; 'chain' runs the "
-            "composition-driven family chain; 'set' reads families off a "
-            "stationary population window; 'composition' prints raw "
-            "ordered compositions like '1,1,2,3'; 'forward' runs the "
-            "population-valued jump process and prints one JSON state "
-            "line per event (requires finite jump intensity)."
+            "first-part chain, on the frozen event table behind refusals "
+            "of its own (mu = 0, no population support); 'set' reads "
+            "families off a stationary population window; 'composition' "
+            "prints raw ordered compositions like '1,1,2,3'; 'forward' runs "
+            "the population-valued jump process and prints one JSON state "
+            "line per event (requires finite jump intensity, and at most "
+            "1e7 expected jumps over --horizon)."
         ),
     )
     p.add_argument(

@@ -21,10 +21,9 @@ uniform live slot, which keeps the order exchangeable.
   rate(b,b)], the multiple-merger coalescent in which mutation at rate mu
   freezes a lineage.  Only the embedded jump chain matters for family
   sizes, so no holding times are drawn.
-* First-part chain: row b is the first-part law of the regenerative
-  composition of b (population.sample_family_partition_chain) without its
-  lone-litter part.  Each of its rows, divided by its total, is the
-  frozen coalescent's, so the two chains draw one law.
+* First-part chain (population): the first-part law of b without its
+  lone-litter self-loop is row b divided by its total, so the chain runs
+  this table.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ class WindowExhaustionError(LambdaCoalError):
 
 class WindowBudgetError(LambdaCoalError):
     """A subordinator window would hold more litter points than the point
-    budget allows: the jump-size cutoff is too small for the horizon."""
+    budget allows (the jump-size cutoff is too small for the horizon), or
+    a forward run would draw more jumps than that budget."""
 
 
 class PopulationSupportError(LambdaCoalError):

@@ -34,15 +34,10 @@ Two family-size samplers are cross-checked against the exact recursion:
   pool by the root of their litter.  The lockstep draw (_set_texts)
   drops the uniforms of a whole block of replicates and chases all
   their roots on one block of windows;
-* chain-based: the embedded first-part chain, run on the block chain of
-  the coalescent module with row b of its event table set to the
-  first-part law of b: a mutant first part freezes a uniform lineage and
-  a first part of size m merges a uniform m-subset.  A lone-litter first
-  part would leave the state as it is, so the chain skips it (its column
-  is zero).  For m >= 2 the first-part weight C(b,m) rate(b,m) is the
-  frozen coalescent's merger weight, so without the self-loop each row is
-  the frozen coalescent's row up to normalisation, and the two samplers
-  differ only in how their tables are computed.
+* chain-based: the embedded first-part chain, whose law of b without
+  its lone-litter self-loop is the frozen coalescent's event row for b
+  blocks divided by its total, so it runs that table and kernel
+  (_chain_prepare).
 
 forward_simulate runs the same population forwards in time from an
 arbitrary start: jumps at Poisson times (finite jump intensity required)
@@ -57,17 +52,19 @@ from itertools import compress
 
 import numpy as np
 
-from .coalescent import _family_rows, _partition_texts
+from .coalescent import _family_rows, _frozen_table, _partition_texts
 from .errors import (
     DustConditionError,
     InfiniteActivityError,
     PopulationSupportError,
+    WindowBudgetError,
 )
 from .measures import (
     FirstPartLaw,
     LambdaMeasure,
     _check_mu,
-    first_part_laws_upto,
+    build_rate_table,
+    dust_integral,
     litter_intensity_tail,
     require_population_support,
     sample_jump_sizes,
@@ -75,6 +72,7 @@ from .measures import (
 )
 from .sampling_formula import PartitionVector
 from .subordinator import (
+    MAX_WINDOW_POINTS,
     SubordinatorWindow,
     _part_starts,
     _Rows,
@@ -294,31 +292,19 @@ def sample_family_partition_set(
     return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
 
 
-def _chain_table(
-    measure: LambdaMeasure,
-    mu: float,
-    n: int,
-    laws: list[FirstPartLaw | None] | None = None,
-) -> np.ndarray:
-    """Cumulative block-chain table of the first-part chain for up to n
-    lineages: row b is (p_single_mutant, 0, P(first part = 2), ...,
-    P(first part = b)), the first-part law of b without its lone-litter
-    part."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+def _chain_prepare(measure: LambdaMeasure, mu: float, n: int) -> np.ndarray:
+    """The first-part chain's event table for up to n lineages, which is
+    the frozen coalescent's, once the chain's refusals pass, in this
+    order: a mu outside _check_mu, a divergent dust integral, mu = 0 (the
+    chain would never end) and an atom at 1."""
+    _check_mu(mu)
+    dust_integral(measure)
     if mu <= 0.0:
         raise PopulationSupportError(
             "the chain sampler needs a positive mutation rate to terminate"
         )
-    _check_mu(mu)
     require_population_support(measure)
-    if laws is None:
-        laws = first_part_laws_upto(measure, mu, n)
-    table = np.zeros((n + 1, n + 1))
-    for b in range(1, n + 1):
-        table[b, 0] = laws[b].p_single_mutant
-        table[b, 2 : b + 1] = laws[b].probs[1:]
-    return np.add.accumulate(table, axis=1)
+    return _frozen_table(build_rate_table(measure, n), mu, n)
 
 
 def sample_family_partition_chain(
@@ -334,9 +320,15 @@ def sample_family_partition_chain(
     first-part law of b, conditioned on a part other than a lone-litter
     single (which would leave the state as it is), decides the next event:
     a mutant part freezes one lineage as a family, a part of size m merges
-    a uniform m-subset.
+    a uniform m-subset.  That conditioned law is the frozen coalescent's
+    event row, so this is a one-row call of its table and kernel.  After
+    the domain of mu, a measure without population support is refused
+    before the chain's other checks, a divergent dust integral included.
+    laws is unused.
     """
-    (sizes,) = _family_rows(_chain_table(measure, mu, n, laws), n, [rng])
+    _check_mu(mu)
+    require_population_support(measure)
+    (sizes,) = _family_rows(_chain_prepare(measure, mu, n), n, [rng])
     return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
 
 
@@ -363,7 +355,9 @@ def forward_simulate(
     each drawing a size X from nu/|nu| and a genotype by inverse transform
     from the pre-jump measure (atom hit: reuse the genotype; diffuse hit:
     fresh uniform genotype).  Between jumps atom masses decay by
-    exp(-mu * dt) toward the diffuse part.  mu = 0 is allowed here.
+    exp(-mu * dt) toward the diffuse part.  mu = 0 is allowed here.  A
+    run expecting more than MAX_WINDOW_POINTS jumps, |nu| * horizon, is
+    refused with WindowBudgetError before its first event.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
@@ -380,6 +374,12 @@ def forward_simulate(
         ) from exc
     if intensity <= 0.0 and total_mass(measure) > 0.0:
         raise InfiniteActivityError("jump intensity vanished unexpectedly")
+    if intensity * horizon > MAX_WINDOW_POINTS:
+        raise WindowBudgetError(
+            f"forward run on {measure.descriptor()} at jump rate "
+            f"{intensity:.3g} over horizon {horizon:g} expects more jumps than "
+            f"the budget of {MAX_WINDOW_POINTS:.0e}"
+        )
 
     genotypes: list[float] = []
     masses: list[float] = []

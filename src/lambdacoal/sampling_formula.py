@@ -243,15 +243,21 @@ def _transitions(m: int) -> tuple[np.ndarray, np.ndarray]:
     return mutation, np.concatenate(merger)
 
 
-def enumerate_partition_vectors(
-    n: int, cap: int = DEFAULT_PARTITION_CAP
-) -> list[PartitionVector]:
-    """All partition vectors of n, in reverse lexicographic order of the
-    descending part lists (single block first, all singletons last)."""
+def _check_n(n: int) -> None:
+    """The sample sizes every enumeration of the partitions of n takes:
+    1 <= n <= DEFAULT_PARTITION_CAP."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise PartitionCapError(f"partition cap exceeded: n={n} > cap={cap}")
+    if n > DEFAULT_PARTITION_CAP:
+        raise PartitionCapError(
+            f"partition cap exceeded: n={n} > cap={DEFAULT_PARTITION_CAP}"
+        )
+
+
+def enumerate_partition_vectors(n: int) -> list[PartitionVector]:
+    """All partition vectors of n, in reverse lexicographic order of the
+    descending part lists (single block first, all singletons last)."""
+    _check_n(n)
     return [PartitionVector(key) for key in _keys(n)]
 
 
@@ -317,11 +323,11 @@ def _stuck(m: int) -> StuckChainError:
 def solve(rates: RateTable, mu: float, n: int) -> SamplingDistribution:
     """Exact family-size distribution for a sample of size n.
 
-    Requires rates.n_max >= n and 0 <= mu <= 1e100 (_check_mu) with
-    mu + total(m) > 0 for all 2 <= m <= n.
+    Requires 1 <= n <= DEFAULT_PARTITION_CAP, rates.n_max >= n and
+    0 <= mu <= 1e100 (_check_mu) with mu + total(m) > 0 for all
+    2 <= m <= n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)
     _check_mu(mu)
     if rates.n_max < n:
         raise ValueError(f"rate table covers n_max={rates.n_max} < n={n}")
@@ -339,11 +345,11 @@ def solve_exact(atoms, mu, n: int) -> dict:
 
     atoms is an iterable of (location, weight) pairs; locations, weights
     and mu must be Fraction-convertible, with locations in [0, 1] and
-    weights > 0 as AtomicMeasure requires.  Returns a dict mapping trimmed
-    counts tuples to exact Fraction probabilities.
+    weights > 0 as AtomicMeasure requires, and 1 <= n <=
+    DEFAULT_PARTITION_CAP.  Returns a dict mapping trimmed counts tuples to
+    exact Fraction probabilities.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)
     try:
         mu = Fraction(mu)
     except (OverflowError, ValueError):
@@ -426,8 +432,6 @@ def ewens(theta: float, n: int) -> SamplingDistribution:
     with scaled mutation rate theta = 2 * mu."""
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rising = math.fsum(math.log(theta + i) for i in range(n))
     entries = {}
     for pv in enumerate_partition_vectors(n):

@@ -28,7 +28,7 @@ from .measures import (
     first_part_laws_upto,
     parse_measure,
 )
-from .population import _chain_table, _set_texts
+from .population import _chain_prepare, _set_texts
 # perfbench's tracer test reads validation.simulate_frozen_coalescent
 from .coalescent import (  # noqa: F401
     _family_texts,
@@ -302,9 +302,7 @@ _SAMPLERS = {
         False,
     ),
     "chain": _Sampler(
-        lambda measure, mu, n: _chain_table(
-            measure, mu, n, first_part_laws_upto(measure, mu, n)
-        ),
+        _chain_prepare,
         lambda measure, mu, n, table, rngs: _family_texts(table, n, rngs),
         False,
     ),

@@ -515,6 +515,21 @@ def test_cli_import_leaves_out_the_interpolators():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("command", [["simulate", "forward"], ["forward-snapshot"]])
+def test_forward_over_the_point_budget_is_refused(command):
+    # 3e308 expected jumps: refused at once rather than run without end
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdacoal.cli", *command, "--measure", "poly3x2",
+         "--mu", "1", "--horizon", "1e308", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: WindowBudgetError: forward run")
+
+
 def test_simulate_forward_infinite_intensity(capsys):
     code = main(
         [

@@ -39,7 +39,6 @@ from lambdacoal import (
     window_from_points,
 )
 from lambdacoal.coalescent import _frozen_table
-from lambdacoal.population import _chain_table
 from lambdacoal.subordinator import _MAX_DOUBLINGS, _Rows
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
 
@@ -322,8 +321,9 @@ def test_chain_sampler_preconditions(rng_factory):
 
 
 def test_chain_sampler_checks_support_once_per_measure(rng_factory, monkeypatch):
-    # on a table the support check reads two moments; with the laws passed
-    # in nothing else reads one, so the count must not grow with replicates
+    # the atom-at-1 read, moment(inf, 0), is the support check's alone; a
+    # success is remembered per measure, so one-row calls read it once
+    # however many replicates they draw
     xs = np.linspace(0.1, 0.9, 6)
     calls = []
     real = lc.DensityTableMeasure.moment
@@ -336,14 +336,13 @@ def test_chain_sampler_checks_support_once_per_measure(rng_factory, monkeypatch)
     counts = []
     for reps in (100, 200):
         table = lc.DensityTableMeasure(xs, 6.0 * xs * (1.0 - xs), order=3)
-        laws = first_part_laws_upto(table, 1.0, 5)
         del calls[:]
         for rep in range(reps):
             sample_family_partition_chain(
-                table, 1.0, 5, rng_factory(6, "support-once", rep), laws=laws
+                table, 1.0, 5, rng_factory(6, "support-once", rep)
             )
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(calls.count((math.inf, 0.0)))
+    assert counts == [1, 1]
     # a refusal is not remembered
     for _ in range(2):
         with pytest.raises(PopulationSupportError):
@@ -362,9 +361,10 @@ def test_samplers_return_partitions_of_n(rng_factory):
 
 @pytest.mark.parametrize("n", [5, 20])
 def test_chain_matches_reference_loop(rng_factory, n):
-    # the sampler and the first-part chain written out alone, on streams of
-    # their own, agree in law: the full partition at n = 5, the number of
-    # families at n = 20
+    # the sampler, which runs the frozen coalescent's table, and the
+    # first-part chain written out alone on the first-part laws, on streams
+    # of their own, agree in law: the full partition at n = 5, the number
+    # of families at n = 20
     laws = first_part_laws_upto(POLY, 1.0, n)
     reps = 3000 if n == 5 else 1500
 
@@ -372,9 +372,7 @@ def test_chain_matches_reference_loop(rng_factory, n):
         return pv.to_text() if n == 5 else pv.num_families
 
     sampler = Counter(
-        key(sample_family_partition_chain(
-            POLY, 1.0, n, rng_factory(6, "chain-ref", rep), laws=laws
-        ))
+        key(sample_family_partition_chain(POLY, 1.0, n, rng_factory(6, "chain-ref", rep)))
         for rep in range(reps)
     )
     reference = Counter(
@@ -402,16 +400,45 @@ _TABLE_XS = np.linspace(0.1, 0.9, 6)
 )
 @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0])
 def test_chain_table_is_the_frozen_table(measure, mu):
-    # row b of the first-part chain's table is the frozen coalescent's row
-    # (mu*b, 0, C(b,2) rate(b,2), ...) divided by mu*b + b*single(b) +
-    # total(b): after each row is divided by its total the two agree, so
-    # the chain's law is the frozen chain's
+    # row b of the first-part laws without the lone-litter part,
+    # (p_single_mutant, 0, P(first part = 2), ..., P(first part = b)), is
+    # the frozen coalescent's row (mu*b, 0, C(b,2) rate(b,2), ...) divided
+    # by mu*b + b*single(b) + total(b): after each row is divided by its
+    # total the two agree, which is why the chain runs the frozen table
     n = 40
-    chain = _chain_table(measure, mu, n)[1:]
+    laws = first_part_laws_upto(measure, mu, n)
+    rows = np.zeros((n, n + 1))
+    for b in range(1, n + 1):
+        rows[b - 1, 0] = laws[b].p_single_mutant
+        rows[b - 1, 2 : b + 1] = laws[b].probs[1:]
+    chain = np.add.accumulate(rows, axis=1)
     frozen = _frozen_table(build_rate_table(measure, n), mu, n)[1:]
     np.testing.assert_allclose(
         chain / chain[:, -1:], frozen / frozen[:, -1:], rtol=0.0, atol=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        POLY,
+        HALF_ATOM,
+        lc.DensityTableMeasure(_TABLE_XS, 6.0 * _TABLE_XS * (1.0 - _TABLE_XS), order=3),
+    ],
+    ids=["poly3x2", "atom", "table6"],
+)
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_chain_draws_the_frozen_texts(measure, n):
+    # the chain's shared table and draw are the frozen sampler's: on the
+    # same generators the two give the same texts
+    texts = [
+        _SAMPLERS[name].draw(
+            measure, 1.0, n, *prepare_shared((name,), measure, 1.0, n),
+            [derive_rng(13, "chain-frozen", r) for r in range(200)],
+        )
+        for name in ("chain", "frozen")
+    ]
+    assert texts[0] == texts[1]
 
 
 def test_set_sampler_n2_marginal(rng_factory):
@@ -548,6 +575,15 @@ def test_cutoff_deviation_bound(rng_factory):
 def test_forward_requires_finite_intensity(rng_factory):
     with pytest.raises(InfiniteActivityError):
         forward_simulate(parse_measure("beta:2,2,1"), 1.0, 1.0, rng_factory(6, "f0"))
+
+
+def test_forward_refuses_over_the_point_budget(rng_factory):
+    # |nu| = 3 for poly3x2: a horizon of 1e7 expects 3e7 jumps
+    rng = rng_factory(6, "budget")
+    state = rng.bit_generator.state
+    with pytest.raises(WindowBudgetError, match="forward run on beta:3,1,1"):
+        forward_simulate(POLY, 1.0, 1e7, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_forward_erosion_only(rng_factory):

@@ -90,9 +90,15 @@ def test_enumerate_matches_recursive_order(n):
 
 
 def test_enumerate_cap():
+    # every enumeration of the partitions of n, the recursions included,
+    # applies the one cap
+    assert len(enumerate_partition_vectors(40)) == 37338
     with pytest.raises(PartitionCapError):
         enumerate_partition_vectors(41)
-    assert len(enumerate_partition_vectors(41, cap=41)) > 0
+    with pytest.raises(PartitionCapError):
+        solve(build_rate_table(POLY, 41), 1.0, 41)
+    with pytest.raises(PartitionCapError):
+        solve_exact([(0.5, 0.25)], 1, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +308,6 @@ def test_solve_at_partition_cap():
     assert solve(build_rate_table(POLY, n), 1.0, n).total() == pytest.approx(
         1.0, abs=1e-10
     )
-
-
-def test_items_ordered_beyond_partition_cap():
-    # solve does not apply the cap, so reading its result must not either
-    n = DEFAULT_PARTITION_CAP + 1
-    dist = solve(build_rate_table(DELTA0, n), 1.0, n)
-    items = list(dist.items_ordered())
-    assert len(items) == 44583  # p(41)
-    assert [pv.counts for pv, _ in items] == list(dist.entries)
 
 
 @pytest.mark.parametrize(

@@ -414,6 +414,17 @@ def test_case_error_is_reported_not_raised():
     assert "DustConditionError" in report.error
 
 
+def test_case_over_the_partition_cap_reports_its_error():
+    # the recursion refuses n above the cap, as the CLI does, instead of
+    # solving all 44 583 partitions of 41
+    case = ValidationCase(
+        "cap", "sampler_vs_exact", "poly3x2", 1.0, 41, sampler="frozen"
+    )
+    (report,) = run_validation([case], 10, 1)
+    assert not report.passed
+    assert report.error.startswith("PartitionCapError")
+
+
 def test_first_part_case_outcomes():
     case = ValidationCase("fp", "first_part", "poly3x2", 1.0, 5)
     (report,) = run_validation([case], 500, 3)
@@ -477,7 +488,8 @@ def test_truncation_bias_zero_for_frozen():
 
 
 def test_truncation_bias_zero_for_chain():
-    # the chain draws from first-part laws, never from a truncated window
+    # the chain draws from the frozen event table, never from a truncated
+    # window
     case = ValidationCase(
         "tb-chain", "sampler_vs_exact", "beta:2,2,1", 1.0, 4, sampler="chain"
     )
