@@ -226,6 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = (
+        "at most this many processes, one per 512 replicates; "
+        "output is the same at any count"
+    )
 
     p = sub.add_parser(
         "rates",
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--horizon", type=float, default=None, help="forward sampler: run time"
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_simulate)
 
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--plan", default=None, help="JSON plan file (default matrix)")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_validate)

@@ -13,9 +13,9 @@ is ported to uint32 column arithmetic and run once over an aligned block of
 small LRU keeps the recent blocks.  The streams are those of SeedSequence,
 bit for bit, spawning and pickling included.
 
-fan_out splits a run's replicate indices into spans for a process pool;
-since a replicate's stream depends only on its index, the results do not
-depend on the split.
+fan_out splits a run's replicate indices into spans, one per process of
+a pool of at most one process per 512 replicates; since a replicate's
+stream depends only on its index, the results do not depend on the split.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 
-# values of the last index hashed together; a multiple of 512 never carries
-# into the 32-bit words above its low 9 bits
-_BLOCK = 512
+# values of the last index hashed together (a multiple of 512 never carries
+# into the 32-bit words above its low 9 bits); also the most replicates one
+# draw call takes, which bounds a span's memory (its generators and
+# block-chain arrays) whatever its length, and the grain of fan_out
+_DRAW_BLOCK = 512
 
 
 @functools.lru_cache(maxsize=1024)
@@ -103,11 +105,11 @@ def _block_state(prefix: tuple, block: int) -> np.ndarray:
     words = [w for value in prefix for w in _words(value)]
     varying = len(words)
     # the block fixes the last index's word count: only its low word varies
-    words += _words(block * _BLOCK)
+    words += _words(block * _DRAW_BLOCK)
     size = len(words)
-    entropy = np.zeros((max(size, _POOL), _BLOCK), dtype=np.uint32)
+    entropy = np.zeros((max(size, _POOL), _DRAW_BLOCK), dtype=np.uint32)
     entropy[:size] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[varying] |= np.arange(_BLOCK, dtype=np.uint32)
+    entropy[varying] |= np.arange(_DRAW_BLOCK, dtype=np.uint32)
     consts = _constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, size - _POOL))
     pool = _hashmix(entropy[:_POOL], consts[:_POOL])
     step = _POOL
@@ -171,26 +173,29 @@ def derive_rng(master_seed: int, *indices) -> np.random.Generator:
     index raises ValueError.
     """
     entropy = (int(master_seed), *map(_label_to_int, indices))
-    block, i = divmod(entropy[-1], _BLOCK)
+    block, i = divmod(entropy[-1], _DRAW_BLOCK)
     return Generator(PCG64(_Row(entropy, _block_state(entropy[:-1], block)[i])))
 
 
 def fan_out(fn, args: tuple, reps: int, workers: int, executor=None) -> list:
     """[fn(*args, start, stop), ...] over spans covering replicates [0, reps).
 
-    With workers <= 1 the whole range is one span run in this process.
-    Otherwise one span of ceil(reps / workers) replicates per worker goes
-    to the executor, or to a pool of `workers` processes made for this call
-    when none is given, since every span pays its own set-up (the measure
-    parse and the lockstep kernels' per-call work); results come back in
-    span order.
+    It uses min(workers, reps // _DRAW_BLOCK) processes, at most one per
+    full draw block.  Below two, the whole range is one span run in this
+    process and no pool is made, since a forked process's first span pays
+    its copy-on-write faults and a lockstep span's numpy cost is per
+    block, not per replicate.  Otherwise one span of ceil(reps /
+    processes) replicates per process goes to the executor, or to a pool
+    made for this call when none is given; results come back in span
+    order.
     """
+    workers = min(workers, reps // _DRAW_BLOCK)
     if workers <= 1:
         return [fn(*args, 0, reps)]
     if executor is None:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return fan_out(fn, args, reps, workers, pool)
-    chunk = max(1, math.ceil(reps / workers))
+    chunk = math.ceil(reps / workers)
     spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
     futures = [executor.submit(fn, *args, a, b) for a, b in spans]
     return [f.result() for f in futures]

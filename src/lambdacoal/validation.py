@@ -36,7 +36,7 @@ from .coalescent import (  # noqa: F401
     simulate_frozen_coalescent,
 )
 from .sampling_formula import ewens, solve
-from .streams import derive_rng, fan_out
+from .streams import _DRAW_BLOCK, derive_rng, fan_out
 from .subordinator import (
     _composition_texts,
     _part_starts,
@@ -331,10 +331,6 @@ _SAMPLERS = {
     ),
 }
 
-# Replicates handed to one draw call at most, which bounds the memory of a
-# span (its generators and block-chain arrays) whatever its length.
-_DRAW_BLOCK = 512
-
 
 def prepare_shared(names, measure, mu: float, n: int) -> tuple:
     """The shared table of each named sampler, in the order of names."""
@@ -413,11 +409,6 @@ def _evaluate_case(
         measure = parse_measure(case.measure_spec)
         exact_mu = case.mu if case.exact_mu is None else case.exact_mu
         shared = prepare_shared(names, measure, case.mu, case.n)
-        outcomes = (
-            _case_outcomes(case, names, shared, reps, seed, workers, executor)
-            if names
-            else []
-        )
         if case.kind == "ewens_equivalence":
             rates = build_rate_table(measure, case.n)
             dist = solve(rates, exact_mu, case.n)
@@ -434,6 +425,8 @@ def _evaluate_case(
             report.criteria = {"max_abs_diff<=1e-10": diff <= 1e-10}
             report.note = "closed-form comparison, no sampling"
         elif case.kind in ("sampler_vs_exact", "first_part"):
+            # the exact law before the draw: a case the recursion refuses
+            # draws nothing
             if case.kind == "sampler_vs_exact":
                 dist = solve(build_rate_table(measure, case.n), exact_mu, case.n)
                 exact = {pv.to_text(): p for pv, p in dist.items_ordered()}
@@ -442,7 +435,9 @@ def _evaluate_case(
                 exact = {"1m": law.p_single_mutant, "1l": law.p_single_alone}
                 for m in range(2, case.n + 1):
                     exact[str(m)] = law.probs[m - 1]
-            counts = Counter(outcomes)
+            counts = Counter(
+                _case_outcomes(case, names, shared, reps, seed, workers, executor)
+            )
             report.empirical = dict(sorted(counts.items()))
             report.expected = exact
             report.tvd = total_variation(exact, counts)
@@ -453,6 +448,9 @@ def _evaluate_case(
                 f"p>={case.p_floor:g}": p >= case.p_floor,
             }
         else:  # sequential_vs_window
+            outcomes = _case_outcomes(
+                case, names, shared, reps, seed, workers, executor
+            )
             seq, win = Counter(outcomes[0::2]), Counter(outcomes[1::2])
             report.empirical = dict(sorted(seq.items()))
             report.reference = dict(sorted(win.items()))
@@ -486,6 +484,10 @@ def run_validation(
         raise ValueError("seed must be non-negative")
     # a plan error raises before any case draws
     names = [_case_samplers(case) for case in plan]
+    # every case draws reps replicates, and fan_out runs them on at most
+    # one process per full draw block: a larger pool would fork idle
+    # processes
+    workers = min(workers, reps // _DRAW_BLOCK)
     executor = None
     try:
         if workers > 1:

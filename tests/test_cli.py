@@ -228,7 +228,7 @@ def test_simulate_worker_count_invariance(tmp_path, sampler):
         "--n",
         "4",
         "--reps",
-        "48",
+        "1100",
         "--seed",
         "7",
     ]

@@ -1,4 +1,5 @@
-"""derive_rng against the SeedSequence streams it reproduces.
+"""derive_rng against the SeedSequence streams it reproduces, and
+fan_out's split of a run over processes.
 
 The reference generator is built the plain way,
 default_rng(SeedSequence([seed, *ints])), with each index mapped to an
@@ -8,13 +9,16 @@ the block hash cannot pass unseen.
 """
 
 import hashlib
+import os
 import pickle
 
 import numpy as np
 import pytest
 
-from lambdacoal import derive_rng
-from lambdacoal.streams import _block_state
+import lambdacoal.streams
+from lambdacoal import derive_rng, parse_measure
+from lambdacoal.streams import _block_state, fan_out
+from lambdacoal.validation import draw_span, prepare_shared
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -109,3 +113,46 @@ def test_seed_sequence_requests_match():
     assert got.entropy == want.entropy
     assert np.array_equal(got.generate_state(4, np.uint64), want.generate_state(4, np.uint64))
     assert np.array_equal(got.generate_state(5), want.generate_state(5))
+
+
+# fan_out forks; on an interpreter that warns about forking a process with
+# threads (numpy's BLAS pool), that warning is not the one these tests catch
+forks = pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+
+
+def _span_pid(start, stop):
+    return os.getpid(), start, stop
+
+
+@pytest.mark.parametrize("reps", [1, 511, 512, 1023])
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_fan_out_below_two_blocks_runs_in_this_process(monkeypatch, reps, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was built for fewer than two draw blocks")
+
+    monkeypatch.setattr(lambdacoal.streams, "ProcessPoolExecutor", refuse)
+    assert fan_out(_span_pid, (), reps, workers) == [(os.getpid(), 0, reps)]
+
+
+@forks
+@pytest.mark.parametrize("reps, workers", [(1024, 2), (1024, 3), (1537, 3), (2048, 2)])
+def test_fan_out_runs_one_span_per_full_block_in_other_processes(reps, workers):
+    spans = fan_out(_span_pid, (), reps, workers)
+    assert len(spans) == min(workers, reps // 512)
+    assert os.getpid() not in {pid for pid, _, _ in spans}
+    edges = [0] + [stop for _, _, stop in spans]
+    assert [(a, b) for _, a, b in spans] == list(zip(edges, edges[1:]))
+    assert edges[-1] == reps
+
+
+@forks
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fan_out_output_does_not_depend_on_the_worker_count(workers):
+    names = ("frozen",)
+    shared = prepare_shared(names, parse_measure("poly3x2"), 1.0, 4)
+    args = (names, "poly3x2", 1.0, 4, 7, "fan-out", shared)
+    for reps in (1023, 1024, 1100, 1537):
+        serial = fan_out(draw_span, args, reps, 1)
+        assert len(serial) == 1 and len(serial[0]) == reps
+        parallel = fan_out(draw_span, args, reps, workers)
+        assert [text for span in parallel for text in span] == serial[0]

@@ -6,6 +6,7 @@ small deterministic plans, including a forced-failure control where the
 exact side runs at a different mutation rate.
 """
 
+import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -382,9 +383,23 @@ def test_worker_count_invariance():
         ValidationCase("fp", "first_part", "poly3x2", 1.0, 4),
         ValidationCase("sw", "sequential_vs_window", "poly3x2", 1.0, 4),
     ]
-    serial = reports_to_json(run_validation(plan, 400, 5, workers=1))
-    parallel = reports_to_json(run_validation(plan, 400, 5, workers=2))
+    serial = reports_to_json(run_validation(plan, 1100, 5, workers=1))
+    parallel = reports_to_json(run_validation(plan, 1100, 5, workers=2))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("reps, pool", [(600, None), (1100, 2), (1600, 3)])
+def test_pool_has_one_process_per_full_draw_block(monkeypatch, reps, pool):
+    sizes = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(lambdacoal.validation, "ProcessPoolExecutor", Recorder)
+    run_validation([FROZEN_CASE], reps, 5, workers=4)
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_negative_control_fails():
@@ -414,15 +429,23 @@ def test_case_error_is_reported_not_raised():
     assert "DustConditionError" in report.error
 
 
-def test_case_over_the_partition_cap_reports_its_error():
+def test_case_over_the_partition_cap_reports_its_error(monkeypatch):
     # the recursion refuses n above the cap, as the CLI does, instead of
-    # solving all 44 583 partitions of 41
+    # solving all 44 583 partitions of 41, and before any replicate draws
+    calls = []
+
+    def counting(*address):
+        calls.append(address)
+        return derive_rng(*address)
+
+    monkeypatch.setattr(lambdacoal.validation, "derive_rng", counting)
     case = ValidationCase(
         "cap", "sampler_vs_exact", "poly3x2", 1.0, 41, sampler="frozen"
     )
     (report,) = run_validation([case], 10, 1)
     assert not report.passed
     assert report.error.startswith("PartitionCapError")
+    assert calls == []
 
 
 def test_first_part_case_outcomes():
