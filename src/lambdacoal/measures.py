@@ -26,7 +26,11 @@ Each representation is one class with four members: `moment`,
 `sample_nu` (draws from nu restricted to (eps, 1], normalized, into a
 given array or a new one), `nu_quantile` (the inverse cdf of that law as
 a map of uniforms, or None where sample_nu rejects) and `descriptor` (its
-canonical text form).
+canonical text form).  A class that rejects writes its rule once, as
+`_nu_candidates` (one round's candidates from one generator) and
+`_nu_accept` (the sizes and keep mask of any rounds joined); its
+sample_nu runs the rounds of one generator (_nu_rounds), and the window
+draw kernel those of a whole block in lockstep (_nu_rows).
 
 * AtomicMeasure       weighted atoms: sums over the atoms
 * BetaMeasure         mass * Beta(alpha, beta) density: complete and
@@ -128,6 +132,68 @@ def _check_mu(mu: float) -> None:
         raise ValueError("mu must be nonnegative")
     if not mu <= _MAX_MASS:
         raise ValueError(f"mu must be finite and at most {_MAX_MASS:g}")
+
+
+def _nu_rounds(measure, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """sample_nu of a measure that draws nu by rejection: rounds of the
+    candidates measure._nu_candidates draws for the count still needed,
+    of which the sizes measure._nu_accept keeps are taken in draw order
+    until there are `count`.  The draws are written to `out` if given."""
+    out = np.empty(count) if out is None else out
+    filled = 0
+    while filled < count:
+        need = count - filled
+        x, ok = measure._nu_accept(eps, measure._nu_candidates(eps, need, rng))
+        keep = x[ok][:need]
+        out[filled : filled + len(keep)] = keep
+        filled += len(keep)
+    return out
+
+
+# Sizes one lockstep pass of _nu_rows draws, give or take one row: its
+# candidates, about twice as many, and their temporaries stay near 2 MiB.
+_NU_PASS_POINTS = 1 << 13
+
+
+def _nu_rows(measure, eps: float, counts, rngs, out: np.ndarray) -> None:
+    """The rounds of _nu_rounds for many rows in lockstep: row r draws
+    counts[r] sizes from rngs[r] into out[r, :counts[r]].  Each round,
+    every row still short draws its own candidate block, one
+    measure._nu_accept call reads all the blocks joined, and each row
+    takes its first kept sizes in draw order; so each generator reads
+    exactly the draws of a one-row sample_nu call (as a lone row does, by
+    that call).  Rows go in passes of consecutive rows that hold about
+    _NU_PASS_POINTS sizes between them."""
+    if len(counts) == 1:
+        _nu_rounds(measure, eps, counts[0], rngs[0], out[0, : counts[0]])
+        return
+    # a pass ends where the running count crosses a multiple of the cap
+    cuts = (np.diff(np.cumsum(counts) // _NU_PASS_POINTS).nonzero()[0] + 1).tolist()
+    if cuts:
+        for a, b in zip([0] + cuts, cuts + [len(counts)]):
+            _nu_rows(measure, eps, counts[a:b], rngs[a:b], out[a:b])
+        return
+    counts = np.array(counts)
+    filled = np.zeros_like(counts)
+    live = counts.nonzero()[0]
+    while live.size:
+        need = counts[live] - filled[live]
+        blocks = [
+            measure._nu_candidates(eps, m, rngs[r]) for r, m in zip(live.tolist(), need.tolist())
+        ]
+        x, ok = measure._nu_accept(eps, np.concatenate(blocks, axis=-1))
+        sizes = [block.shape[-1] for block in blocks]
+        seg = np.repeat(np.arange(live.size), sizes)
+        # kept before and up to each candidate, counted within its row
+        upto = ok.cumsum()
+        ends = upto[np.cumsum(sizes) - 1]
+        before = np.concatenate(([0], ends[:-1]))
+        rank = upto - before[seg] - 1
+        take = ok & (rank < need[seg])
+        rows = live[seg[take]]
+        out[rows, filled[rows] + rank[take]] = x[take]
+        filled[live] += np.minimum(ends - before, need)
+        live = live[filled[live] < counts[live]]
 
 
 @dataclass(frozen=True)
@@ -282,34 +348,29 @@ class BetaMeasure:
             total += adaptive_integral(right, z_lo, z_hi) / B
         return c * total
 
-    def nu_quantile(self, eps: float):
-        """None: sample_nu draws by rejection."""
-        return None
+    sample_nu = _nu_rounds
 
-    def sample_nu(self, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
-        """alpha > 2: rejection of Beta(alpha-2, beta) draws below eps, in
-        rounds of the count still needed (eps = 0, where only a draw of
-        exactly 0 is rejected) or of twice that, at least 16 (eps > 0).
-        alpha <= 2 (needs eps > 0): two-piece power-law envelope rejection,
-        density proportional to x**(alpha-3) (1-x)**(beta-1).  Candidates
-        come in rounds of k, each round one (3, k) block of uniforms (piece
-        choice, position, acceptance), and the accepted ones are kept in
-        draw order.  The draws are written to `out` if given.
-        """
-        a, b = self.alpha, self.beta
-        out = np.empty(count) if out is None else out
-        filled = 0
-        if a > 2.0:
-            while filled < count:
-                need = count - filled
-                draw = rng.beta(a - 2.0, b, size=max(need * 2, 16) if eps > 0.0 else need)
-                keep = draw[draw > eps][:need]
-                out[filled : filled + len(keep)] = keep
-                filled += len(keep)
-            return out
-
+    def _nu_candidates(self, eps: float, need: int, rng: np.random.Generator) -> np.ndarray:
+        """One rejection round for `need` more draws: alpha > 2, that many
+        Beta(alpha-2, beta) variates at eps = 0 (where only a draw of
+        exactly 0 is rejected), else twice that, at least 16; alpha <= 2
+        (needs eps > 0), a (3, max(2 need, 16)) block of uniforms (piece
+        choice, position, acceptance)."""
+        if self.alpha > 2.0:
+            size = max(need * 2, 16) if eps > 0.0 else need
+            return rng.beta(self.alpha - 2.0, self.beta, size=size)
         if eps <= 0.0:
             raise InfiniteActivityError("alpha <= 2 requires a positive cutoff")
+        return rng.random((3, max(need * 2, 16)))
+
+    def _nu_accept(self, eps: float, cands: np.ndarray) -> tuple:
+        """(sizes, keep) of candidates from _nu_candidates, or of several
+        such blocks joined along the last axis.  alpha > 2: a draw is kept
+        when above eps.  alpha <= 2: two-piece power-law envelope
+        rejection, density proportional to x**(alpha-3) (1-x)**(beta-1)."""
+        if self.alpha > 2.0:
+            return cands, cands > eps
+        a, b = self.alpha, self.beta
         A = a - 2.0  # x exponent + 1: target density prop. to x**(A-1) (1-x)**(b-1)
         split = 0.5 if eps < 0.5 else eps
         # piece over (eps, split): envelope c_left * x**(A-1), c_left the
@@ -327,27 +388,26 @@ class BetaMeasure:
         c_right = split ** (A - 1.0)
         w_right = c_right * (1.0 - split) ** b / b
         p_left = w_left / (w_left + w_right)
-        while filled < count:
-            need = count - filled
-            u, v, acc = rng.random((3, max(need * 2, 16)))
-            left = u < p_left
-            x = np.empty_like(v)
-            ok = np.empty(len(v), dtype=bool)
-            vl = v[left]
-            if A == 0.0:
-                xl = eps * np.exp(vl * math.log(split / eps))
-            else:
-                xl = (eps**A + vl * (split**A - eps**A)) ** (1.0 / A)
-            x[left] = xl
-            ok[left] = acc[left] * c_left <= (1.0 - xl) ** (b - 1.0)
-            right = ~left
-            xr = 1.0 - (1.0 - split) * v[right] ** (1.0 / b)
-            x[right] = xr
-            ok[right] = (xr > eps) & (xr < 1.0) & (acc[right] * c_right <= xr ** (A - 1.0))
-            keep = x[ok][:need]
-            out[filled : filled + len(keep)] = keep
-            filled += len(keep)
-        return out
+        u, v, acc = cands
+        left = u < p_left
+        x = np.empty_like(v)
+        ok = np.empty(len(v), dtype=bool)
+        vl = v[left]
+        if A == 0.0:
+            xl = eps * np.exp(vl * math.log(split / eps))
+        else:
+            xl = (eps**A + vl * (split**A - eps**A)) ** (1.0 / A)
+        x[left] = xl
+        ok[left] = acc[left] * c_left <= (1.0 - xl) ** (b - 1.0)
+        right = ~left
+        xr = 1.0 - (1.0 - split) * v[right] ** (1.0 / b)
+        x[right] = xr
+        ok[right] = (xr > eps) & (xr < 1.0) & (acc[right] * c_right <= xr ** (A - 1.0))
+        return x, ok
+
+    def nu_quantile(self, eps: float):
+        """None: sample_nu draws by rejection."""
+        return None
 
     def descriptor(self) -> str:
         return f"beta:{self.alpha:g},{self.beta:g},{self.mass:g}"
@@ -444,25 +504,26 @@ class DensityTableMeasure:
         """None: sample_nu draws by rejection."""
         return None
 
-    def sample_nu(self, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
-        """Envelope rejection from L(x)/x**2 on the cells above eps (the
-        one containing eps clipped): a cell is picked by the mass of its
-        envelope max(L)/x**2, max(L) at one of its ends; x comes from the
-        inverse cdf of 1/x**2 there and is kept with probability
-        L(x)/max(L).  Rounds of candidates as for Beta; the envelope is
-        built once per cutoff.  The draws are written to `out` if given."""
+    sample_nu = _nu_rounds
+
+    def _nu_candidates(self, eps: float, need: int, rng: np.random.Generator) -> np.ndarray:
+        """One rejection round for `need` more draws: a (3, max(2 need, 16))
+        block of uniforms (cell, position, acceptance)."""
+        return rng.random((3, max(need * 2, 16)))
+
+    def _nu_accept(self, eps: float, cands: np.ndarray) -> tuple:
+        """(sizes, keep) of candidates from _nu_candidates, or of several
+        such blocks joined along the last axis: envelope rejection from
+        L(x)/x**2 on the cells above eps (the one containing eps clipped).
+        A cell is picked by the mass of its envelope max(L)/x**2, max(L)
+        at one of its ends; x comes from the inverse cdf of 1/x**2 there
+        and is kept with probability L(x)/max(L).  The envelope is built
+        once per cutoff."""
         inv_a, width, top, cum = _table_nu_envelope(self, eps)
-        out = np.empty(count) if out is None else out
-        filled = 0
-        while filled < count:
-            need = count - filled
-            u, v, acc = rng.random((3, max(need * 2, 16)))
-            cell = np.searchsorted(cum, u * cum[-1])
-            xs = 1.0 / (inv_a[cell] - v * width[cell])
-            keep = xs[acc * top[cell] < self._pp(xs)][:need]
-            out[filled : filled + len(keep)] = keep
-            filled += len(keep)
-        return out
+        u, v, acc = cands
+        cell = np.searchsorted(cum, u * cum[-1])
+        xs = 1.0 / (inv_a[cell] - v * width[cell])
+        return xs, acc * top[cell] < self._pp(xs)
 
     def descriptor(self) -> str:
         return f"density-table[{len(self.x)}pts,order={self.order}]"
@@ -489,10 +550,48 @@ def _grid_moment(grid: tuple, p: float, q: float) -> float:
     half, weights, xs, ys, L = grid
     with np.errstate(over="ignore") if p < 0 else contextlib.nullcontext():
         cells = half * (weights @ (xs**p * ys**q * L))
+    return _fsum(cells)
+
+
+def _fsum(cells) -> float:
+    """math.fsum of finite or infinite cells, inf where the sum overflows."""
     try:
         return math.fsum(cells)
     except OverflowError:  # finite cells whose sum overflows
         return math.inf
+
+
+# Elements of one (k, node, cell) array a table's rate row stacks: the k
+# axis is cut into chunks that keep each temporary at most 512 KiB.
+_ROW_CHUNK = 1 << 16
+
+
+def _table_rate_row(grid: tuple, b: int) -> list[float]:
+    """[_grid_moment(grid, k - 2, b - k) for k = 2..b], grid the one all of
+    them share: x**p (1-x)**q L for a chunk of k at once, one weights @
+    product per chunk and one fsum per entry.  Each entry has the bits of
+    its own _grid_moment call: the same products in the same order, and
+    a power of 2 squares, as numpy's scalar x**2 does (pow can round it
+    differently)."""
+    half, weights, xs, ys, L = grid
+    ps = np.arange(b - 1.0)
+    step = max(1, _ROW_CHUNK // xs.size)
+    row = []
+    for i in range(0, b - 1, step):
+        p = ps[i : i + step]
+        terms = _powers(xs, p)
+        terms *= _powers(ys, b - 2.0 - p)
+        terms *= L
+        row += map(_fsum, (half * (weights @ terms)).tolist())
+    return row
+
+
+def _powers(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """base ** e for each exponent e, stacked along a new first axis and
+    rounded as the scalar base ** e."""
+    out = np.power(base, exps[:, None, None])
+    out[exps == 2.0] = np.square(base)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -649,16 +748,14 @@ def build_rate_table(measure: LambdaMeasure, n_max: int) -> RateTable:
 
 def _rate_rows(measure: LambdaMeasure, n_max: int) -> list[list[float]]:
     """[coalescence_rate(measure, b, k) for k = 2..b] for b = 2..n_max.  A
-    table reads L once per node count, on grids that die with this call,
-    so no parsed table keeps them."""
-    moment = measure.moment
+    table builds row b in one array pass (_table_rate_row) on the grid of
+    its node count, which two consecutive rows share; only the last grid
+    is kept, and only during this call."""
     if isinstance(measure, DensityTableMeasure):
-        grid = functools.cache(measure._grid)
-
-        def moment(p, q):
-            return _grid_moment(grid(_node_count(p, q)), p, q)
-
+        grid = functools.lru_cache(maxsize=1)(measure._grid)
+        return [_table_rate_row(grid(_node_count(0.0, b - 2.0)), b) for b in range(2, n_max + 1)]
     # the argument types of coalescence_rate's moment call
+    moment = measure.moment
     return [[moment(k - 2.0, b - k) for k in range(2, b + 1)] for b in range(2, n_max + 1)]
 
 

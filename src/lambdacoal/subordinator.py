@@ -28,7 +28,8 @@ _draw_points is the one draw kernel.  It draws every window of a draw
 block in one pass, each from its own generator: a Poisson count c, then
 one block of uniforms holding c + 1 exponential spacings, the atoms'
 inverse-cdf uniforms and the marks, then (Beta and table measures) the c
-jump sizes by per-row sample_nu rounds.  The ages are the normalised
+jump sizes by rejection rounds in lockstep over the block, each row's
+candidates from its own generator.  The ages are the normalised
 partial sums of the spacings, the order statistics of c uniforms
 (Devroye, Non-Uniform Random Variate Generation, ch. V), so every window
 comes sorted by age; the spacings' log1p, cumsum and scale and the atoms'
@@ -88,6 +89,7 @@ from .measures import (
     FirstPartLaw,
     LambdaMeasure,
     _check_mu,
+    _nu_rows,
     choose_truncation,
     dust_integral,
     first_part_laws_upto,
@@ -493,7 +495,8 @@ def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
     Row r's stream: one Poisson count c, then one block of k c + 1
     uniforms, c (spacing, inverse-cdf uniform, mark) triples and a last
     spacing; a measure without a nu_quantile (k = 2) has no inverse-cdf
-    uniforms and draws its c sizes by sample_nu after the block.  The
+    uniforms and draws its c sizes after the block, by the rounds of
+    sample_nu run in lockstep over all the rows (measures._nu_rows).  The
     ages are T * S_i / S_(c+1), i = 1..c, of the partial sums S of the
     c + 1 exponential spacings, the order statistics of c uniforms on
     [0, T), so every row comes sorted by age.  The rows' blocks sit in
@@ -520,8 +523,8 @@ def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
     points = planes if k == 3 else np.empty((3, R, width))
     for r, (rng, c) in enumerate(zip(rngs, counts)):
         rng.random(out=u[r, : k * c + 1])
-        if k == 2 and c:
-            measure.sample_nu(eps, c, rng, out=points[1, r, :c])
+    if k == 2:
+        _nu_rows(measure, eps, counts, rngs, points[1])
     # log1p(-u) = -E: the sums of -E give the same ratios as the sums of E
     sums = np.log1p(-planes[0])
     np.add.accumulate(sums, axis=1, out=sums)

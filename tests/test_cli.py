@@ -949,6 +949,26 @@ def test_simulate_table_streams_pinned(tmp_path, capsys, sampler):
     assert capsys.readouterr().out.split("\n")[:-1] == SIMULATE_TABLE_N6[sampler]
 
 
+# sha256 of the whole stdout of `rates --format csv --nmax 60`: every rate
+# and total of the pinned table and of the two near-zero tables, to the bit
+RATES_TABLE_CSV_SHA256 = {
+    "pin-table": "eca9bd2c7bb716a5ca5c9a900d917eab96802760ae1bbeb879edd01e80cf2c05",
+    "subnormal": "efef47bd349da0294b8073fc6a50f7cf026e270f30f5d7aff81fb815679a9029",
+    "tiny-heavy": "5d29ac58f6ba992538e854259e9bab0e75f333f2b4076bbb5f12eeda025f0498",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("table", sorted(RATES_TABLE_CSV_SHA256))
+def test_rates_table_csv_pinned(tmp_path, capsys, table):
+    path = tmp_path / "table.txt"
+    path.write_text({"pin-table": PIN_TABLE_TEXT, **NEAR_ZERO_TABLES}[table])
+    argv = ["rates", "--format", "csv", "--nmax", "60", "--measure", f"density-file:{path}"]
+    assert main(argv) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == RATES_TABLE_CSV_SHA256[table]
+
+
 def test_validate_default_streams_pinned(capsys):
     # 50 replicates are far too few for the tolerances: exit 1 is expected
     assert main(["validate", "--reps", "50", "--seed", "5"]) == EXIT_VALIDATION

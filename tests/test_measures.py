@@ -6,6 +6,7 @@ and direct substitution for atomic measures.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,6 +504,20 @@ def test_rate_table_equals_per_call_rates(measure):
             assert not table.rates[b, :2].any() and not table.rates[b, b + 1 :].any()
             total = math.fsum(math.comb(b, k) * row[k - 2] for k in range(2, b + 1))
             assert table.total(b) == total, b
+
+
+def test_table_rate_table_memory_is_bounded():
+    # a table's rate row stacks its k entries in chunks, so the arrays it
+    # builds stay small at any n_max: at n_max = 400 the build peaks near
+    # 5 MiB (8.4 MiB when every node grid was kept alive, 15 MiB with the
+    # k axis in one array)
+    tracemalloc.start()
+    try:
+        build_rate_table(TABLE_CUBIC, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.0, 0.37])

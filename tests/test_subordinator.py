@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import lambdacoal.measures
 import lambdacoal.subordinator
 from lambdacoal import (
     BeyondWindowError,
@@ -656,6 +657,65 @@ def test_beta_nu_rounds_draw_the_count_needed_at_eps_zero():
     rng = derive_rng(18, "beta-round")
     drawn = np.concatenate((m.sample_nu(0.0, 37, rng), m.sample_nu(0.0, 5, rng)))
     assert np.array_equal(drawn, derive_rng(18, "beta-round").beta(1.5, 2.0, size=42))
+
+
+def _auto_eps(measure):
+    T = default_window_horizon(measure, 1.0, 5)
+    return _window_setup(measure, T, "auto")[0]
+
+
+# (measure, cutoff) of the rejection samplers: the clipped cubic dips
+# below 0 on (0.5, 0.7), and its cutoff 0.44 cuts into the cell before,
+# where L falls to its root at 0.5 and few candidates are kept
+BLOCK_SIZE_CASES = {
+    "table-cubic": (TABLE, 0.0),
+    "table-linear": (DensityTableMeasure((0.2, 0.5, 0.8), (1.0, 2.5, 0.5), order=1), 0.0),
+    "table-clipped": (
+        DensityTableMeasure(np.linspace(0.1, 0.9, 5), (0.0, 1.0, 0.0, 0.0, 2.0), order=3),
+        0.44,
+    ),
+    "beta1.9": (parse_measure("beta:1.9,1,1"), None),
+    "poly3x2": (POLY, 0.0),
+}
+# derive_rng(18, "block-sizes", seed): at Poisson(6) counts, seed 31 draws
+# no point, and seed 3365 draws 10 sizes of the clipped table in 3 rounds
+BLOCK_SIZE_SEEDS = [0, 31, 1, 3365, 2]
+
+
+@pytest.mark.parametrize("pass_points", [None, 8], ids=["one-pass", "passes-of-8"])
+@pytest.mark.parametrize("label", list(BLOCK_SIZE_CASES))
+def test_block_sizes_equal_one_row_sample_nu(monkeypatch, label, pass_points):
+    # a draw block takes its jump sizes in lockstep rounds over its rows;
+    # each row gets the sizes, the rounds and the generator state of its
+    # twin, whose count and uniform block are followed by one-row sample_nu
+    # (also when the rows are cut into passes of about 8 sizes, some of
+    # them a single row)
+    if pass_points is not None:
+        monkeypatch.setattr(lambdacoal.measures, "_NU_PASS_POINTS", pass_points)
+    measure, eps = BLOCK_SIZE_CASES[label]
+    eps = _auto_eps(measure) if eps is None else eps
+    rounds: dict = {}
+    candidates = type(measure)._nu_candidates
+
+    def counted(self, eps, need, rng):
+        rounds[id(rng)] = rounds.get(id(rng), 0) + 1
+        return candidates(self, eps, need, rng)
+
+    monkeypatch.setattr(type(measure), "_nu_candidates", counted)
+    rngs = [derive_rng(18, "block-sizes", s) for s in BLOCK_SIZE_SEEDS]
+    twins = [derive_rng(18, "block-sizes", s) for s in BLOCK_SIZE_SEEDS]
+    points, counts = _draw_points(measure, eps, 6.0, 1.0, rngs)
+    for r, twin in enumerate(twins):
+        c = int(twin.poisson(6.0))
+        twin.random(2 * c + 1)
+        want = measure.sample_nu(eps, c, twin)
+        assert counts[r] == c
+        assert points[1, r, :c].tobytes() == want.tobytes(), r
+        assert rngs[r].bit_generator.state == twin.bit_generator.state, r
+        assert rounds.get(id(rngs[r])) == rounds.get(id(twin)), r
+    assert counts[1] == 0
+    if label == "table-clipped":
+        assert rounds[id(rngs[3])] >= 3
 
 
 # ---------------------------------------------------------------------------
