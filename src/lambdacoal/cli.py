@@ -146,7 +146,7 @@ def cmd_simulate(args) -> int:
     tag = "simulate:" + args.sampler
     spans = fan_out(
         draw_span,
-        (names, args.measure, args.mu, args.n, args.seed, tag, shared),
+        (names, measure, args.mu, args.n, args.seed, tag, shared),
         args.reps,
         args.workers,
     )

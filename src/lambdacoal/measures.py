@@ -64,6 +64,7 @@ from typing import Union
 import numpy as np
 from scipy.special import betainc, betaln, roots_legendre
 
+from ._piecewise import linear, not_a_knot
 from ._quadrature import adaptive_integral
 from .errors import (
     DegenerateMeasureError,
@@ -417,19 +418,19 @@ class DensityTableMeasure:
     """Density tabulated on a strictly increasing grid inside (0, 1).
 
     The density L between grid points is the interpolant of the given order
-    (1 linear, 3 cubic), clipped at 0; outside the grid span it is zero, so
-    the measure always has compact support strictly inside (0, 1).  The
-    interpolant is one piecewise polynomial, cut at the real roots of L and
-    L' into cells where it is one-signed and monotone, and cut further so
-    that no cell spans more than a factor 2; `density_at`, `moment` and
+    (1 the linear interpolant, 3 the not-a-knot cubic spline), clipped at
+    0; outside the grid span it is zero, so the measure always has compact
+    support strictly inside (0, 1).  The interpolant is one piecewise
+    polynomial, built and evaluated with numpy and LAPACK dgtsv for the
+    spline's slopes (_piecewise.py, with the bits of scipy's CubicSpline
+    and PPoly), cut at the real roots of L
+    and L' into cells where it is one-signed and monotone, and cut further
+    so that no cell spans more than a factor 2; `density_at`, `moment` and
     `sample_nu` all read the cells where L > 0.  Treated as immutable after
     construction.
     """
 
     def __init__(self, x, density, order: int = 3):
-        # scipy.interpolate loads scipy.optimize too: only tables pay for it
-        from scipy.interpolate import CubicSpline, PPoly
-
         x = np.asarray(x, dtype=float)
         density = np.asarray(density, dtype=float)
         if x.ndim != 1 or x.shape != density.shape or len(x) < 2:
@@ -452,19 +453,14 @@ class DensityTableMeasure:
         # finite values can still overflow the slopes or the coefficients
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                if order == 3:
-                    self._pp = CubicSpline(x, density)
-                else:
-                    self._pp = PPoly(np.array([np.diff(density) / np.diff(x), density[:-1]]), x)
-                roots = [pp.roots(extrapolate=False) for pp in (self._pp, self._pp.derivative())]
-        except (FloatingPointError, ValueError) as exc:
+                self._pp = (not_a_knot if order == 3 else linear)(x, density)
+                roots = [self._pp.roots(), self._pp.derivative().roots()]
+        except (ArithmeticError, ValueError) as exc:
             raise MeasureSpecError(f"density values overflow the interpolant ({exc})") from exc
         # x[-1] / x[0] and 2.0**k overflow for a first node near 0; ldexp
         # gives x[0] * 2.0**k exactly, as a power of two scales exactly
         doubling = np.ldexp(x[0], np.arange(1, np.log2(x[-1]) - np.log2(x[0]), dtype=int))
-        cuts = np.concatenate([x, doubling] + roots)
-        # an identically zero piece reports a nan root
-        cuts = np.unique(np.clip(cuts[np.isfinite(cuts)], x[0], x[-1]))
+        cuts = np.unique(np.clip(np.concatenate([x, doubling] + roots), x[0], x[-1]))
         # each cell lies inside one piece, so L is one-signed on it
         keep = self._pp(0.5 * (cuts[:-1] + cuts[1:])) > 0.0
         self._lo, self._hi = cuts[:-1][keep], cuts[1:][keep]

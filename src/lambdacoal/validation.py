@@ -337,10 +337,11 @@ def prepare_shared(names, measure, mu: float, n: int) -> tuple:
     return tuple(_SAMPLERS[name].prepare(measure, mu, n) for name in names)
 
 
-def draw_span(names, spec, mu, n, seed, tag, shared, start, stop) -> list[str]:
+def draw_span(names, measure, mu, n, seed, tag, shared, start, stop) -> list[str]:
     """Outcome texts of replicates [start, stop) in replicate order:
-    replicate r runs names[r % len(names)] on the stream (seed, tag, r)."""
-    measure = parse_measure(spec)
+    replicate r runs names[r % len(names)] on the stream (seed, tag, r).
+    The measure is the caller's parsed one; a pool worker gets a pickled
+    copy, so no span parses its spec again."""
     m = len(names)
     out = [""] * (stop - start)
     for lo in range(start, stop, _DRAW_BLOCK):
@@ -372,10 +373,10 @@ def _case_samplers(case: ValidationCase) -> tuple:
     raise ValueError(f"unknown case kind {case.kind!r}")
 
 
-def _case_outcomes(case, names, shared, reps, seed, workers, executor) -> list:
+def _case_outcomes(case, measure, names, shared, reps, seed, workers, executor) -> list:
     spans = fan_out(
         draw_span,
-        (names, case.measure_spec, case.mu, case.n, seed, case.case_id, shared),
+        (names, measure, case.mu, case.n, seed, case.case_id, shared),
         reps,
         workers,
         executor,
@@ -436,7 +437,7 @@ def _evaluate_case(
                 for m in range(2, case.n + 1):
                     exact[str(m)] = law.probs[m - 1]
             counts = Counter(
-                _case_outcomes(case, names, shared, reps, seed, workers, executor)
+                _case_outcomes(case, measure, names, shared, reps, seed, workers, executor)
             )
             report.empirical = dict(sorted(counts.items()))
             report.expected = exact
@@ -449,7 +450,7 @@ def _evaluate_case(
             }
         else:  # sequential_vs_window
             outcomes = _case_outcomes(
-                case, names, shared, reps, seed, workers, executor
+                case, measure, names, shared, reps, seed, workers, executor
             )
             seq, win = Counter(outcomes[0::2]), Counter(outcomes[1::2])
             report.empirical = dict(sorted(seq.items()))

@@ -238,6 +238,33 @@ def test_simulate_worker_count_invariance(tmp_path, sampler):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+# --workers 2 forks; on an interpreter that warns about forking a process
+# with threads, that warning is not the one this test is about
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_parses_the_measure_once(tmp_path, monkeypatch, workers):
+    # the command parses --measure once: its spans, in this process or in
+    # the two pool workers of 1100 replicates, reuse the parsed measure
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    log = tmp_path / "parses.log"
+
+    def counted(spec):
+        with open(log, "a") as f:  # forked workers append here too
+            f.write(spec + "\n")
+        return parse_measure(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lambdacoal") and vars(module).get("parse_measure") is parse_measure:
+            monkeypatch.setattr(module, "parse_measure", counted)
+    argv = [
+        "simulate", "set", "--measure", f"density-file:{table}", "--mu", "1", "--n", "5",
+        "--reps", "1100", "--seed", "5", "--workers", workers, "--output", str(tmp_path / "out"),
+    ]
+    assert main(argv) == EXIT_OK
+    assert len(log.read_text().splitlines()) == 1
+
+
 def test_simulate_frozen_single_individual(capsys):
     code = main(
         [
@@ -501,18 +528,32 @@ def test_exact_on_underflowing_atom_is_unchanged(capsys):
     }
 
 
-def test_cli_import_leaves_out_the_interpolators():
-    # scipy.interpolate (and the scipy.optimize it pulls in) is loaded
-    # only when a density table is built
+def test_cli_import_leaves_out_the_interpolators(tmp_path):
+    # a density table is built with numpy alone: neither the import nor
+    # parsing a table and running rates and simulate on it loads
+    # scipy.interpolate or the scipy.optimize it pulls in
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    spec = f"density-file:{table}"
+    script = f"""
+import contextlib, io, sys
+import lambdacoal.cli
+from lambdacoal import parse_measure
+parse_measure({spec!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    assert lambdacoal.cli.main(["rates", "--nmax", "10", "--measure", {spec!r}]) == 0
+    assert lambdacoal.cli.main(["simulate", "set", "--measure", {spec!r}, "--mu", "1",
+                                "--n", "5", "--reps", "20", "--seed", "1"]) == 0
+print(sorted(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules))
+"""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lambdacoal.cli; print('scipy.interpolate' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", [["simulate", "forward"], ["forward-snapshot"]])

@@ -92,7 +92,7 @@ def test_parse_density_file(tmp_path):
 @pytest.mark.parametrize(
     "text",
     [
-        # cubic: the slopes overflow in CubicSpline
+        # cubic: the slopes of the spline overflow
         "0.1 1e308\n0.3 0\n0.5 1e308\n0.7 0\n0.9 1e308\n",
         # cubic: finite slopes, but the spline's end derivatives do not fit
         "0.1 1e307\n0.3 0\n0.5 1e307\n0.7 0\n0.9 1e307\n",
@@ -604,6 +604,74 @@ def test_table_nu_degenerate_cutoffs_raise_every_call():
             table.sample_nu(0.8, 3, np.random.default_rng(1))
         with pytest.raises(InfiniteActivityError):
             table.sample_nu(0.95, 3, np.random.default_rng(1))
+
+
+class _ScipyInterpolant:
+    """scipy.interpolate's CubicSpline or PPoly behind the interface a
+    DensityTableMeasure reads of its interpolant."""
+
+    def __init__(self, pp):
+        self.pp = pp
+        self.c = pp.c
+
+    def __call__(self, v):
+        return self.pp(v)
+
+    def derivative(self):
+        return _ScipyInterpolant(self.pp.derivative())
+
+    def roots(self):
+        r = self.pp.roots(extrapolate=False)
+        return r[np.isfinite(r)]
+
+
+def _oracle_tables(count, seed):
+    """(x, density, order): seeded tables of 4 to 40 nodes, about one
+    density in five zero, cubic or linear, and two fixed cubic tables
+    whose clustered nodes make dgtsv interchange rows."""
+    yield np.array([0.1, 0.1001, 0.1002, 0.9]), np.array([1.0, 0.0, 2.0, 0.5]), 3
+    yield np.array([0.1, 0.1001, 0.5, 0.5001, 0.9]), np.array([0.3, 1.0, 0.0, 2.0, 0.7]), 3
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 41))
+        x = np.sort(rng.uniform(0.01, 0.99, n))
+        density = rng.exponential(1.0, n) * (rng.random(n) > 0.2)
+        density[rng.integers(n)] += 0.5  # never identically zero
+        yield x, density, 3 if rng.random() < 0.7 else 1
+
+
+def _within_ulps(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= ulps * np.spacing(np.maximum(np.abs(want), np.abs(got))))
+    )
+
+
+def test_table_interpolant_matches_scipy_interpolate(monkeypatch):
+    # 200 random tables against scipy.interpolate as the oracle: the
+    # coefficients and values of L, and the cells (_lo, _hi) cut at the
+    # roots of L and L', within 4 ulp (the pins elsewhere hold the bits;
+    # scipy's own version varies between installs)
+    import lambdacoal.measures as measures
+    from scipy.interpolate import CubicSpline, PPoly
+
+    v = np.linspace(0.0, 1.0, 1001)
+    for x, density, order in _oracle_tables(200, 2718):
+        ours = DensityTableMeasure(x, density, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "not_a_knot", lambda x, y: _ScipyInterpolant(CubicSpline(x, y)))
+            patch.setattr(
+                measures,
+                "linear",
+                lambda x, y: _ScipyInterpolant(PPoly(np.array([np.diff(y) / np.diff(x), y[:-1]]), x)),
+            )
+            oracle = DensityTableMeasure(x, density, order)
+        where = f"table {x.tolist()}, {density.tolist()}, order {order}"
+        assert _within_ulps(ours._pp.c, oracle._pp.c, 4), where
+        for points in (np.concatenate([v, x]), np.concatenate([x, 0.5 * (x[1:] + x[:-1])])):
+            assert _within_ulps(ours._pp(points), oracle._pp(points), 4), where
+        assert _within_ulps(ours._lo, oracle._lo, 4), where
+        assert _within_ulps(ours._hi, oracle._hi, 4), where
 
 
 def test_sample_jump_sizes_table_matches_moments(rng_factory):

@@ -149,8 +149,9 @@ def test_fan_out_runs_one_span_per_full_block_in_other_processes(reps, workers):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_fan_out_output_does_not_depend_on_the_worker_count(workers):
     names = ("frozen",)
-    shared = prepare_shared(names, parse_measure("poly3x2"), 1.0, 4)
-    args = (names, "poly3x2", 1.0, 4, 7, "fan-out", shared)
+    measure = parse_measure("poly3x2")
+    shared = prepare_shared(names, measure, 1.0, 4)
+    args = (names, measure, 1.0, 4, 7, "fan-out", shared)
     for reps in (1023, 1024, 1100, 1537):
         serial = fan_out(draw_span, args, reps, 1)
         assert len(serial) == 1 and len(serial[0]) == reps

@@ -662,7 +662,7 @@ def test_draw_span_does_not_depend_on_the_split(names, n):
     # replicates drawn one at a time
     measure = parse_measure("poly3x2")
     shared = prepare_shared(names, measure, 1.0, n)
-    args = (names, "poly3x2", 1.0, n, 3, "split", shared)
+    args = (names, measure, 1.0, n, 3, "split", shared)
     reps = _DRAW_BLOCK + 88
     whole = draw_span(*args, 0, reps)
     for cuts in ([1, 300], [_DRAW_BLOCK - 1, _DRAW_BLOCK + 1], [7, 8, 9, 555]):
