@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 
 class PiecewisePoly:
@@ -137,6 +136,9 @@ def not_a_knot(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
     bits of scipy's CubicSpline(x, y): its tridiagonal system for the
     slopes, solved by dgtsv, then the Hermite coefficients.  A singular
     system raises ValueError, non-finite slopes FloatingPointError."""
+    # imported here: scipy.linalg loads only for a cubic table
+    from scipy.linalg.lapack import dgtsv
+
     dx = np.diff(x)
     slope = np.diff(y) / dx
     n = len(x)

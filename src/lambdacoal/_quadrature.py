@@ -1,9 +1,9 @@
 """Adaptive quadrature on subintervals of (0, 1).
 
-Its one caller is BetaMeasure.moment on a sub-interval where x**(A-1) is
-not integrable at 0 (A <= 0, as for nu when alpha <= 2).  It integrates
-the two halves of the interval after a change of variable: u = log x on
-the left, z = (1-x)**B on the right.
+adaptive_integral's one caller is BetaMeasure.moment on a sub-interval
+where x**(A-1) is not integrable at 0 (A <= 0, as for nu when
+alpha <= 2).  It integrates the two halves of the interval after a
+change of variable: u = log x on the left, z = (1-x)**B on the right.
 
 Nested two-rule Gauss-Legendre scheme: each interval is scored with a
 10-point and a 21-point rule, the discrepancy is the error estimate, and
@@ -13,10 +13,16 @@ integration range are inserted up front; on the right half they refine
 near z = 0, where z**(1/B) is not smooth for B > 1.
 
 Integrands must accept and return numpy arrays.
+
+_legendre is the one cache of Gauss-Legendre nodes and weights, built per
+node count on first use: by _panel here and by the density tables'
+per-cell moments (DensityTableMeasure._grid).  roots_legendre loads
+scipy.linalg, so only a command that integrates this way loads it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -31,21 +37,22 @@ ENDPOINT_KNOTS = (1e-12, 1e-6, 1e-3)
 REL_TOL = 1e-10
 MAX_SPLITS = 4000
 
-_X_LO, _W_LO = roots_legendre(10)
-_X_HI, _W_HI = roots_legendre(21)
+# Gauss-Legendre nodes and weights per node count
+_legendre = functools.lru_cache(maxsize=None)(roots_legendre)
 
 
 def _panel(fn, a: np.ndarray, b: np.ndarray):
     """Low/high rule estimates for a batch of intervals (vectorized)."""
+    (x_lo, w_lo), (x_hi, w_hi) = _legendre(10), _legendre(21)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     # nodes: shape (n_intervals, n_nodes)
-    pts_lo = mid[:, None] + half[:, None] * _X_LO[None, :]
-    pts_hi = mid[:, None] + half[:, None] * _X_HI[None, :]
+    pts_lo = mid[:, None] + half[:, None] * x_lo[None, :]
+    pts_hi = mid[:, None] + half[:, None] * x_hi[None, :]
     f_lo = fn(pts_lo.ravel()).reshape(pts_lo.shape)
     f_hi = fn(pts_hi.ravel()).reshape(pts_hi.shape)
-    est_lo = half * (f_lo @ _W_LO)
-    est_hi = half * (f_hi @ _W_HI)
+    est_lo = half * (f_lo @ w_lo)
+    est_hi = half * (f_hi @ w_hi)
     return est_hi, np.abs(est_hi - est_lo)
 
 

@@ -62,10 +62,10 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc, betaln, roots_legendre
+from scipy.special import betainc, betaln
 
 from ._piecewise import linear, not_a_knot
-from ._quadrature import adaptive_integral
+from ._quadrature import _legendre, adaptive_integral
 from .errors import (
     DegenerateMeasureError,
     DustConditionError,
@@ -529,10 +529,6 @@ class DensityTableMeasure:
             f"DensityTableMeasure({len(self.x)} points on "
             f"[{self.x[0]:g}, {self.x[-1]:g}], order={self.order})"
         )
-
-
-# Gauss-Legendre nodes and weights per node count
-_legendre = functools.lru_cache(maxsize=None)(roots_legendre)
 
 
 def _node_count(p: float, q: float) -> int:

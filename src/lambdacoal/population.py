@@ -41,7 +41,9 @@ Two family-size samplers are cross-checked against the exact recursion:
 
 forward_simulate runs the same population forwards in time from an
 arbitrary start: jumps at Poisson times (finite jump intensity required)
-and exponential erosion toward the uniform measure in between.
+and exponential erosion toward the uniform measure in between.  Its
+jumps are the litter points of the window draw kernel, drawn one slice
+of the horizon at a time.
 """
 
 from __future__ import annotations
@@ -67,13 +69,14 @@ from .measures import (
     dust_integral,
     litter_intensity_tail,
     require_population_support,
-    sample_jump_sizes,
     total_mass,
 )
 from .sampling_formula import PartitionVector
 from .subordinator import (
     MAX_WINDOW_POINTS,
     SubordinatorWindow,
+    _BLOCK_POINTS,
+    _draw_points,
     _part_starts,
     _Rows,
     _window_blocks,
@@ -352,17 +355,22 @@ def forward_simulate(
     """Run the population forwards from `init` (default: purely diffuse).
 
     Requires a finite jump intensity: jumps arrive at Poisson rate |nu|,
-    each drawing a size X from nu/|nu| and a genotype by inverse transform
-    from the pre-jump measure (atom hit: reuse the genotype; diffuse hit:
-    fresh uniform genotype).  Between jumps atom masses decay by
-    exp(-mu * dt) toward the diffuse part.  mu = 0 is allowed here.  A
-    run expecting more than MAX_WINDOW_POINTS jumps, |nu| * horizon, is
-    refused with WindowBudgetError before its first event.
+    each with a size X from nu/|nu| and a mark that picks the reproducing
+    individual by inverse transform from the pre-jump measure (atom hit:
+    reuse the genotype; diffuse hit: fresh uniform genotype).  Between
+    jumps atom masses decay by exp(-mu * dt) toward the diffuse part.
+    mu = 0 is allowed here.  The jumps are the litter points of the draw
+    kernel (_draw_points), one one-row call per slice of [0, horizon),
+    cut so that a slice expects at most _BLOCK_POINTS jumps; the stream
+    is a slice's kernel draws, then one uniform per fresh genotype of its
+    jumps, in time order.  A run expecting more than MAX_WINDOW_POINTS
+    jumps, |nu| * horizon, is refused with WindowBudgetError before its
+    first draw.
     """
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ValueError("mu must be nonnegative")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     # finite intensity already implies the 1/x integrability the window
     # construction needs; unlike there, an atom at 1 is fine here (a jump
     # of size 1 replaces the whole population)
@@ -380,67 +388,58 @@ def forward_simulate(
             f"{intensity:.3g} over horizon {horizon:g} expects more jumps than "
             f"the budget of {MAX_WINDOW_POINTS:.0e}"
         )
+    slices = max(1, math.ceil(intensity * horizon / _BLOCK_POINTS))
+    width = horizon / slices
 
-    genotypes: list[float] = []
-    masses: list[float] = []
-    if init is not None:
-        for g, s in init.atoms:
-            genotypes.append(g)
-            masses.append(s)
+    def jumps():
+        """(time, size, mark) of every jump in time order, then the
+        horizon with no jump."""
+        for k in range(slices):
+            points, (count,) = _draw_points(
+                measure, 0.0, intensity * horizon / slices, width, [rng]
+            )
+            ages, sizes, marks = points[:, 0, :count].tolist()
+            yield from zip([k * width + a for a in ages], sizes, marks)
+        yield horizon, None, None
+
+    atoms = init.atoms if init is not None else ()
+    genotypes = [g for g, _ in atoms]
+    masses = [s for _, s in atoms]
 
     def snapshot() -> PopulationMeasure:
-        pairs = tuple((g, s) for g, s in zip(genotypes, masses))
-        return PopulationMeasure(pairs, 1.0 - math.fsum(masses))
-
-    def prune():
-        if min(masses) <= _PRUNE:
-            alive = [s > _PRUNE for s in masses]
-            genotypes[:] = compress(genotypes, alive)
-            masses[:] = compress(masses, alive)
-
-    def erode(dt: float):
-        if mu == 0.0 or not masses:
-            return
-        decay = math.exp(-mu * dt)
-        masses[:] = [s * decay for s in masses]
-        prune()
+        return PopulationMeasure(tuple(zip(genotypes, masses)), 1.0 - math.fsum(masses))
 
     t = 0.0
-    path = [(0.0, snapshot())]
-    while True:
-        step = rng.exponential(1.0 / intensity) if intensity > 0.0 else math.inf
-        if t + step >= horizon:
-            erode(horizon - t)
-            final = (horizon, snapshot())
-            if record_path:
-                path.append(final)
+    path = [(t, snapshot())]
+    for t_next, x, u in jumps():
+        decay = math.exp(-mu * (t_next - t))
+        masses = [s * decay for s in masses]
+        t = t_next
+        if x is not None:
+            # the reproducing individual, from the pre-jump measure
+            acc = 0.0
+            for hit, s in enumerate(masses):
+                acc += s
+                if u < acc:
+                    break
             else:
-                path = [path[0], final]
-            return path
-        t += step
-        erode(step)
-        x = float(sample_jump_sizes(measure, 0.0, 1, rng)[0])
-        u = rng.random()
-        # pick the reproducing genotype from the pre-jump measure
-        hit = None
-        acc = 0.0
-        for i, s in enumerate(masses):
-            acc += s
-            if u < acc:
-                hit = i
-                break
-        masses[:] = [s * (1.0 - x) for s in masses]
-        if hit is not None:
-            masses[hit] += x
-        else:
-            g = rng.random()
-            while g in genotypes:
+                hit = None
+            masses = [s * (1.0 - x) for s in masses]
+            if hit is None:
                 g = rng.random()
-            genotypes.append(g)
-            masses.append(x)
-        prune()
-        if record_path:
+                while g in genotypes:
+                    g = rng.random()
+                genotypes.append(g)
+                masses.append(x)
+            else:
+                masses[hit] += x
+        if masses and min(masses) <= _PRUNE:
+            alive = [s > _PRUNE for s in masses]
+            genotypes = list(compress(genotypes, alive))
+            masses = list(compress(masses, alive))
+        if record_path or x is None:
             path.append((t, snapshot()))
+    return path
 
 
 def cutoff_deviation(

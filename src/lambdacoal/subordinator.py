@@ -34,7 +34,8 @@ partial sums of the spacings, the order statistics of c uniforms
 (Devroye, Non-Uniform Random Variate Generation, ch. V), so every window
 comes sorted by age; the spacings' log1p, cumsum and scale and the atoms'
 inverse cdf run once over the block.  sample_window, extend() and so
-LitterHistory.build are one-row calls of it.
+LitterHistory.build are one-row calls of it, and so is each slice of a
+forward run's horizon (population.forward_simulate).
 
 A window keeps its points sorted by age from the draw on.  _settle is the
 one settle kernel: for a block of windows it builds the prefix
@@ -165,8 +166,9 @@ class SubordinatorWindow:
     run on this one window, builds the prefix and the (3, 1, m + 1)
     planes (left edge, right edge, mark; padded with inf), the window as
     a one-row block of the inversion kernel (see _Rows).  npoints and
-    n_extensions never settle.  Mutable only through extend(); a single
-    sampling task owns a window.
+    n_extensions never settle.  intensity is nu(eps, 1], the rate extend()
+    draws at, and moment_below the x-moment of nu below eps.  Mutable only
+    through extend(); a single sampling task owns a window.
     """
 
     __slots__ = (
@@ -185,15 +187,15 @@ class SubordinatorWindow:
         "_moment_below",
     )
 
-    def __init__(self, measure, mu, T, eps, rng, points):
+    def __init__(self, measure, mu, T, eps, rng, points, intensity, moment_below):
         self.mu = float(mu)
         self.eps = float(eps)
         self.T = float(T)
         self.T0 = float(T)
         self._measure = measure
         self._rng = rng
-        self._intensity = None
-        self._moment_below = 0.0
+        self._intensity = intensity
+        self._moment_below = moment_below
         self.n_extensions = 0
         self._points = points
         self._planes = None
@@ -263,11 +265,6 @@ class SubordinatorWindow:
 
     # -- extension ---------------------------------------------------------
 
-    def _poisson_intensity(self) -> float:
-        if self._intensity is None:
-            self._intensity = litter_intensity_tail(self._measure, self.eps)[0]
-        return self._intensity
-
     def extend(self) -> None:
         """Double the window: fresh Poisson points on ages [T, 2T) only, a
         one-row draw of _draw_points appended already sorted; refused once
@@ -277,9 +274,9 @@ class SubordinatorWindow:
                 f"window extension cap {self.T:g} (2**{_MAX_DOUBLINGS} "
                 f"times the initial horizon {self.T0:g}) hit"
             )
-        if self._rng is None or self._measure is None:
+        if self._rng is None:
             raise BeyondWindowError("window has no generator; cannot extend")
-        lam = self._poisson_intensity() * self.T
+        lam = self._intensity * self.T
         _check_window_size(self._measure, 2.0 * lam, 2.0 * self.T, self.eps)
         points, (count,) = _draw_points(self._measure, self.eps, lam, self.T, [self._rng])
         new = points[:, 0, :count]
@@ -506,7 +503,9 @@ def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
     depend on the others, and the zero pads add nothing), the scale and
     the inverse cdf each run once over all the rows.  Returns (points,
     counts): points (3, R, W + 1) holds row r's (age, size, mark) points
-    in points[:, r, :counts[r]].
+    in points[:, r, :counts[r]].  Its callers: _draw_windows (the
+    windows of a draw block), extend() and forward_simulate (one one-row
+    call per slice of the horizon, the points read as its jumps).
     """
     quantile = measure.nu_quantile(eps) if lam > 0.0 else None
     k = 2 if quantile is None else 3
@@ -547,13 +546,10 @@ def _draw_windows(measure, mu, T, eps, rngs, budget=math.inf) -> list:
         raise DegenerateMeasureError("no drift and no jumps: empty subordinator")
     _check_window_size(measure, mass_above * T, T, eps)
     points, counts = _draw_points(measure, eps, mass_above * T, T, rngs, budget)
-    windows = []
-    for r, (rng, c) in enumerate(zip(rngs, counts)):
-        window = SubordinatorWindow(measure, mu, T, eps, rng, points[:, r, :c])
-        window._intensity = mass_above
-        window._moment_below = moment_below
-        windows.append(window)
-    return windows
+    return [
+        SubordinatorWindow(measure, mu, T, eps, rng, points[:, r, :c], mass_above, moment_below)
+        for r, (rng, c) in enumerate(zip(rngs, counts))
+    ]
 
 
 def sample_window(
@@ -576,16 +572,11 @@ def sample_window(
     return window
 
 
-def window_from_points(
-    mu: float,
-    points,
-    T: float,
-    measure: LambdaMeasure | None = None,
-    rng: np.random.Generator | None = None,
-) -> SubordinatorWindow:
+def window_from_points(mu: float, points, T: float) -> SubordinatorWindow:
     """Deterministic window from explicit (age, size, mark) triples, sorted
     by age once (stably, so tied ages keep their given order); used to
-    replay known configurations."""
+    replay known configurations.  It has no generator, so it cannot
+    extend."""
     pts = np.array(list(points), dtype=float).reshape(-1, 3).T
     pts = pts[:, pts[0].argsort(kind="stable")]
     ages, sizes, _ = pts
@@ -593,7 +584,7 @@ def window_from_points(
         raise ValueError("ages must lie in [0, T)")
     if np.any((sizes <= 0.0) | (sizes >= 1.0)):
         raise ValueError("sizes must lie strictly inside (0, 1)")
-    return SubordinatorWindow(measure, mu, T, 0.0, rng, pts)
+    return SubordinatorWindow(None, mu, T, 0.0, None, pts, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

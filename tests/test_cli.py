@@ -556,6 +556,41 @@ print(sorted(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modu
     assert proc.stdout == "[]\n"
 
 
+def test_commands_without_nodes_or_splines_leave_out_scipy_linalg(tmp_path):
+    # scipy.linalg comes with the Gauss-Legendre nodes and a cubic table's
+    # tridiagonal solve: exact, the samplers on finite measures and the
+    # default validation need neither; parsing the pin table, a cubic
+    # spline, loads it
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    script = f"""
+import contextlib, io, sys
+import lambdacoal.cli
+from lambdacoal import parse_measure
+runs = []
+for measure in ("poly3x2", "atoms:0.5=0.25"):
+    runs.append(["exact", "--measure", measure, "--mu", "1", "--n", "4"])
+    for sampler in ("frozen", "chain", "set", "composition"):
+        runs.append(["simulate", sampler, "--measure", measure, "--mu", "1", "--n", "4",
+                     "--reps", "3", "--seed", "1"])
+runs.append(["validate", "--reps", "50", "--seed", "5"])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    print(*[lambdacoal.cli.main(argv) for argv in runs], file=sys.__stdout__)
+print("scipy.linalg" in sys.modules)
+parse_measure({f"density-file:{table}"!r})
+print("scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = " ".join([str(EXIT_OK)] * 10 + [str(EXIT_VALIDATION)])
+    assert proc.stdout == f"{codes}\nFalse\nTrue\n"
+
+
 @pytest.mark.parametrize("command", [["simulate", "forward"], ["forward-snapshot"]])
 def test_forward_over_the_point_budget_is_refused(command):
     # 3e308 expected jumps: refused at once rather than run without end
@@ -1023,22 +1058,22 @@ def test_validate_default_streams_pinned(capsys):
 # after jumps, mu = 10 drops them only by erosion.
 FORWARD_SHA256 = {
     ("simulate", "1", "5", "1"): (
-        "65a64628d02aa5741273aa465cd0b3b249d8c8c87287d77354d3d97ef1cd5dce"
+        "af347eeb6a232f977b2103d89e88e8dc44eef7471b8cadfbc510080e3be34c94"
     ),
     ("simulate", "0", "200", "2"): (
-        "1be1fed4f0732f2f7959bbeba6d7ac7eb16fd8e73986ac9826a1f676a9237688"
+        "6608ced7701adbc9ccba37aafd754d78311cecdd18ff79585c7494c99e408500"
     ),
     ("simulate", "10", "20", "3"): (
-        "4f92a456d5411050bfb9b40ef4a76971f8deec4f8b1a57047cc29f58083328fc"
+        "09cf48a10690af1cb83180cc818b3684cd0c15d7abf6dab14580c57875e0698d"
     ),
     ("forward-snapshot", "1", "5", "4"): (
-        "ad53e0e53c5097e68c156c938b295bb7005d6d4f62c86ff931398888faa275c3"
+        "cc020f97587f2a4251ab1dfdd6bff0ea3cc9194a8d1189181197adf54eec572a"
     ),
     ("forward-snapshot", "0", "200", "2"): (
-        "514bbd8b516c5fdac51de8831fd445ba43cfb5ca075a45d71ad47f226fcf1b03"
+        "c71934591bd26e10c325788320d6484e6de83cbdfaba839bc71b3b2d6fb76ee8"
     ),
     ("forward-snapshot", "10", "20", "3"): (
-        "cfcad307a1ff740f1fd65f3a2d1fbf0cffe3206fc29ddd5c9c12f1bfb1c45bb1"
+        "6934ccd47d23297a9263e6bdca5efdf6b529169c2c88a73e3db03459522a23e7"
     ),
 }
 

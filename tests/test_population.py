@@ -645,3 +645,57 @@ def test_forward_stationarity_two_sample(rng_factory):
         window_mass[rep] = float(np.sum(np.exp(-w.left_g) - np.exp(-w.right_g)))
     stat = ks_2samp(forward_mass, window_mass)
     assert stat.pvalue >= 1e-3
+
+
+@pytest.mark.parametrize(
+    "measure, mu, horizon, message",
+    [
+        # no atoms: nothing else would look at mu
+        (AtomicMeasure((), ()), math.nan, 1.0, "mu must be nonnegative"),
+        (POLY, math.nan, 1.0, "mu must be nonnegative"),
+        (POLY, 1.0, math.nan, "horizon must be positive and finite"),
+        (POLY, 1.0, math.inf, "horizon must be positive and finite"),
+        (POLY, 1.0, 0.0, "horizon must be positive and finite"),
+    ],
+    ids=["mu-nan-no-atoms", "mu-nan", "horizon-nan", "horizon-inf", "horizon-zero"],
+)
+def test_forward_refuses_nonfinite_arguments(rng_factory, measure, mu, horizon, message):
+    rng = rng_factory(6, "nonfinite")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        forward_simulate(measure, mu, horizon, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_forward_draws_its_jumps_in_slices(monkeypatch, rng_factory):
+    # at 8 points a block, poly3x2 (|nu| = 3) over 42 time units takes 16
+    # one-row kernel calls of 7.875 expected jumps each
+    from lambdacoal import population
+
+    calls = []
+    draw = population._draw_points
+
+    def spy(measure, eps, lam, T, rngs):
+        points, counts = draw(measure, eps, lam, T, rngs)
+        calls.append((lam, T, counts[0]))
+        return points, counts
+
+    monkeypatch.setattr(population, "_BLOCK_POINTS", 8)
+    monkeypatch.setattr(population, "_draw_points", spy)
+    horizon = 42.0
+    path = forward_simulate(POLY, 1.0, horizon, rng_factory(6, "slices"))
+    assert len(calls) == 16
+    assert all(lam <= 8 for lam, _, _ in calls)
+    # slice k holds the next counts[k] jumps, all inside [start, start + T)
+    times = [t for t, _ in path[1:-1]]
+    start = 0.0
+    for _, width, count in calls:
+        inside, times = times[:count], times[count:]
+        assert all(start <= t < start + width for t in inside)
+        start += width
+    assert not times
+    assert start == pytest.approx(horizon, rel=1e-12)
+    jumps = sum(count for _, _, count in calls)
+    assert abs(jumps - 3.0 * horizon) < 4.0 * math.sqrt(3.0 * horizon)
+    final = forward_simulate(POLY, 1.0, horizon, rng_factory(6, "slices"), record_path=False)
+    assert final == [path[0], path[-1]]
