@@ -17,13 +17,12 @@ import math
 import sys
 
 from .errors import LambdaCoalError, MeasureSpecError
-from .measures import build_rate_table, measure_descriptor, parse_measure
+from .measures import MAX_BLOCKS, build_rate_table, measure_descriptor, parse_measure
 from .population import LitterHistory, forward_simulate, rho_state
 # perfbench's tracer test reads cli.simulate_frozen_coalescent
 from .coalescent import simulate_frozen_coalescent  # noqa: F401
 from .sampling_formula import DEFAULT_PARTITION_CAP, solve
 from .streams import derive_rng, fan_out
-from .subordinator import default_window_horizon
 from .validation import (
     draw_span,
     load_plan,
@@ -37,10 +36,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-# Largest (nmax + 1)**2 float64 grid `rates` builds, on the scale of the
-# window point budget (subordinator.MAX_WINDOW_POINTS): nmax <= 3161.
-MAX_RATE_CELLS = 1e7
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -183,11 +178,8 @@ def cmd_forward_snapshot(args) -> int:
     measure = parse_measure(args.measure)
     rng = derive_rng(args.seed, "forward-snapshot", 0)
     if args.stationary:
-        t0 = args.t0
-        if t0 is None:
-            t0 = default_window_horizon(measure, args.mu, 1)
         eps = "auto" if args.eps is None else args.eps
-        history = LitterHistory.build(measure, args.mu, rng, T0=t0, eps=eps)
+        history = LitterHistory.build(measure, args.mu, rng, T0=args.t0, eps=eps)
         state = rho_state(history)
         bias = history.window.truncation_bias()
     else:
@@ -346,10 +338,9 @@ def _check_args(args) -> None:
     nmax = getattr(args, "nmax", 2)
     if nmax < 2:
         raise MeasureSpecError("--nmax must be >= 2")
-    if (nmax + 1) ** 2 > MAX_RATE_CELLS:
+    if nmax > MAX_BLOCKS:
         raise MeasureSpecError(
-            f"--nmax {nmax} needs a rate grid of {(nmax + 1) ** 2:.3g} cells, "
-            f"above the budget of {MAX_RATE_CELLS:.0e}"
+            f"--nmax {nmax} is above {MAX_BLOCKS}: C(nmax, k) overflows a float"
         )
     if getattr(args, "seed", 0) < 0:
         raise MeasureSpecError("--seed must be >= 0")

@@ -80,24 +80,21 @@ def _block_chain(table: np.ndarray, blocks: np.ndarray, u: np.ndarray, until: in
     return frozen, blocks
 
 
-def _family_rows(table: np.ndarray, n: int, rngs) -> np.ndarray:
-    """(R, n) family sizes, one row per generator, zeros to be skipped.
+def _family_texts(table: np.ndarray, n: int, rngs) -> list[str]:
+    """Family partition-vector texts, one per generator, in order.
 
     A lone block can only freeze, so the chain stops at one live block
     and takes it as the last family; that also ends a run whose lone
     block cannot freeze (mu = 0) with the one family it merged into.
     """
-    u = np.stack([rng.random((n, 2)) for rng in rngs])
+    u = np.empty((len(rngs), n, 2))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
     frozen, blocks = _block_chain(
         table, np.ones((len(rngs), n), dtype=np.int64), u, until=1
     )
     frozen[:, -1] = blocks[:, -1]  # a run to one block takes < n steps
-    return frozen
-
-
-def _family_texts(table: np.ndarray, n: int, rngs) -> list[str]:
-    """Partition-vector texts of _family_rows, in generator order."""
-    return _partition_texts(_family_rows(table, n, rngs))
+    return _partition_texts(frozen)
 
 
 def _partition_texts(sizes: np.ndarray) -> list[str]:
@@ -148,7 +145,8 @@ def simulate_frozen_coalescent(
     a uniform block with probability mu*b / (mu*b + total(b)) and is
     otherwise a k-merger of a uniform k-subset, with probability
     proportional to C(b,k) rate(b,k).  At mu = 0 nothing freezes: the
-    chain merges down to one block, which is the one family.
+    chain merges down to one block, which is the one family.  A parsed
+    one-row call of the block draw (_family_texts).
     """
-    (sizes,) = _family_rows(_frozen_table(rates, mu, n), n, [rng])
-    return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
+    (text,) = _family_texts(_frozen_table(rates, mu, n), n, [rng])
+    return PartitionVector.from_text(text)

@@ -727,12 +727,23 @@ class RateTable:
         return float(self.totals[b])
 
 
+# The largest block count of a rate table or first-part law: every C(n, k)
+# with n <= 1029 is a finite float, and C(1030, 515) is not.
+MAX_BLOCKS = 1029
+
+
+def _check_blocks(n: int) -> None:
+    if n > MAX_BLOCKS:
+        raise ValueError(f"n = {n} is above {MAX_BLOCKS}: C(n, k) overflows a float")
+
+
 def build_rate_table(measure: LambdaMeasure, n_max: int) -> RateTable:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    rows = _rate_rows(measure, n_max)
     rates = np.zeros((n_max + 1, n_max + 1))
     totals = np.zeros(n_max + 1)
-    for b, row in enumerate(_rate_rows(measure, n_max), start=2):
+    for b, row in enumerate(rows, start=2):
         rates[b, 2 : b + 1] = row
         totals[b] = math.fsum(math.comb(b, k) * row[k - 2] for k in range(2, b + 1))
     return RateTable(n_max, rates, totals, measure_descriptor(measure))
@@ -743,6 +754,7 @@ def _rate_rows(measure: LambdaMeasure, n_max: int) -> list[list[float]]:
     table builds row b in one array pass (_table_rate_row) on the grid of
     its node count, which two consecutive rows share; only the last grid
     is kept, and only during this call."""
+    _check_blocks(n_max)
     if isinstance(measure, DensityTableMeasure):
         grid = functools.lru_cache(maxsize=1)(measure._grid)
         return [_table_rate_row(grid(_node_count(0.0, b - 2.0)), b) for b in range(2, n_max + 1)]
@@ -805,6 +817,7 @@ def first_part_weight(measure: LambdaMeasure, mu: float, n: int, m: int) -> floa
     _check_mu(mu)
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+    _check_blocks(n)
     if m == 1:
         return mu * n + n * single_ball_integral(measure, n)
     return math.comb(n, m) * coalescence_rate(measure, n, m)
@@ -844,6 +857,7 @@ def first_part_law(measure: LambdaMeasure, mu: float, n: int) -> FirstPartLaw:
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_mu(mu)
+    _check_blocks(n)
     single = single_ball_integral(measure, n)
     return _first_part_law(
         mu, n, single, [coalescence_rate(measure, n, m) for m in range(2, n + 1)]

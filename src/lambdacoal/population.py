@@ -54,9 +54,8 @@ from itertools import compress
 
 import numpy as np
 
-from .coalescent import _family_rows, _frozen_table, _partition_texts
+from .coalescent import _family_texts, _frozen_table, _partition_texts
 from .errors import (
-    DustConditionError,
     InfiniteActivityError,
     PopulationSupportError,
     WindowBudgetError,
@@ -80,7 +79,6 @@ from .subordinator import (
     _part_starts,
     _Rows,
     _window_blocks,
-    _window_hits,
     default_window_horizon,
     sample_window,
     window_from_points,
@@ -161,17 +159,14 @@ class LitterHistory:
         rng: np.random.Generator,
         T0: float | None = None,
         eps: float | str = "auto",
-        n_hint: int = 1,
     ) -> "LitterHistory":
-        # the support check is part of sample_window's cached set-up; only
-        # the horizon, which needs the dust integral first, converts its
-        # error here
-        _require_drift(mu)
+        """A history on a fresh window of horizon T0 (default: the
+        one-individual horizon), refused in the set sampler's order: the
+        default horizon (a divergent dust integral), then mu, then the
+        window's own checks."""
         if T0 is None:
-            try:
-                T0 = default_window_horizon(measure, mu, n_hint)
-            except DustConditionError as exc:
-                raise PopulationSupportError(str(exc)) from exc
+            T0 = default_window_horizon(measure, mu, 1)
+        _require_drift(mu)
         return cls(sample_window(measure, mu, T0, eps, rng))
 
     @classmethod
@@ -254,12 +249,14 @@ def _family_sizes(block: _Rows, j: np.ndarray, litter: np.ndarray) -> np.ndarray
     key[rows, slots] = roots
     run = np.where(starts, np.arange(n), 0)
     np.maximum.accumulate(run, axis=1, out=run)
-    key = np.sort(np.take_along_axis(key, run, axis=1), axis=1)
+    key = np.sort(key[np.arange(R)[:, None], run], axis=1)
     first = np.ones((R, n), dtype=bool)
     first[:, 1:] = key[:, 1:] != key[:, :-1]
     at = first.ravel().nonzero()[0]
+    ends = np.full_like(at, R * n)
+    ends[:-1] = at[1:]
     sizes = np.zeros(R * n, dtype=np.int64)
-    sizes[at] = np.diff(at, append=R * n)
+    sizes[at] = ends - at
     return sizes.reshape(R, n)
 
 
@@ -268,6 +265,8 @@ def _set_texts(measure, mu, n, T0, rngs) -> list[str]:
     draws its window (one kernel draw per block), then its uniforms; a
     block inverts them and chases the roots of all its replicates at
     once."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     _require_drift(mu)
     return _window_blocks(
         measure, mu, T0, rngs, n, lambda *hits: _partition_texts(_family_sizes(*hits))
@@ -286,13 +285,14 @@ def sample_family_partition_set(
     The window's composition of n gives each individual's hit: one on the
     regenerative set is its own mutant family, and litter hits pool by
     the root of their litter, since litters sharing a root share a
-    genotype.
+    genotype.  A parsed one-row call of the block draw (_set_texts) on
+    the horizon T0 (default: default_window_horizon), so it refuses what
+    that draw refuses, in its order.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    history = LitterHistory.build(measure, mu, rng, T0=T0, n_hint=n)
-    (sizes,) = _family_sizes(*_window_hits([history.window], [rng], n))
-    return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
+    if T0 is None:
+        T0 = default_window_horizon(measure, mu, n)
+    (text,) = _set_texts(measure, mu, n, T0, [rng])
+    return PartitionVector.from_text(text)
 
 
 def _chain_prepare(measure: LambdaMeasure, mu: float, n: int) -> np.ndarray:
@@ -324,15 +324,11 @@ def sample_family_partition_chain(
     single (which would leave the state as it is), decides the next event:
     a mutant part freezes one lineage as a family, a part of size m merges
     a uniform m-subset.  That conditioned law is the frozen coalescent's
-    event row, so this is a one-row call of its table and kernel.  After
-    the domain of mu, a measure without population support is refused
-    before the chain's other checks, a divergent dust integral included.
-    laws is unused.
+    event row, so this is a parsed one-row call of its table and kernel,
+    with the refusals of _chain_prepare.  laws is unused.
     """
-    _check_mu(mu)
-    require_population_support(measure)
-    (sizes,) = _family_rows(_chain_prepare(measure, mu, n), n, [rng])
-    return PartitionVector.from_sizes(s for s in sizes.tolist() if s)
+    (text,) = _family_texts(_chain_prepare(measure, mu, n), n, [rng])
+    return PartitionVector.from_text(text)
 
 
 # ---------------------------------------------------------------------------

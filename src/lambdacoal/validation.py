@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -65,17 +66,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def total_variation(exact: dict, counts: dict, strict: bool = False) -> float:
+def total_variation(exact: dict, counts: dict) -> float:
     """Half the L1 distance between a probability table and empirical
-    frequencies.  With strict=True, empirical outcomes missing from the
-    exact table raise (mismatched outcome spaces)."""
+    frequencies."""
     n = sum(counts.values())
     if n <= 0:
         raise ValueError("empirical counts are empty")
-    if strict:
-        stray = set(counts) - set(exact)
-        if stray:
-            raise ValueError(f"outcomes outside the exact space: {sorted(stray)!r}")
     keys = set(exact) | set(counts)
     return 0.5 * math.fsum(
         abs(exact.get(k, 0.0) - counts.get(k, 0) / n) for k in keys
@@ -152,7 +148,9 @@ class ValidationCase:
     'first_part' (window first parts against the first-part law),
     'sequential_vs_window' (two-sample over full compositions).
     exact_mu overrides the mutation rate fed to the exact side only,
-    which is how forced-failure controls are expressed.
+    which is how forced-failure controls are expressed.  A field of
+    another type than its annotation (n an int, not a bool; mu, exact_mu,
+    tvd_max and p_floor real numbers, not bools) raises TypeError.
     """
 
     case_id: str
@@ -164,6 +162,25 @@ class ValidationCase:
     exact_mu: float | None = None
     tvd_max: float = 0.01
     p_floor: float = 1e-3
+
+    def __post_init__(self):
+        def real(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+        typed = {
+            "case_id": isinstance(self.case_id, str),
+            "kind": isinstance(self.kind, str),
+            "measure_spec": isinstance(self.measure_spec, str),
+            "mu": real(self.mu),
+            "n": isinstance(self.n, numbers.Integral) and not isinstance(self.n, bool),
+            "sampler": self.sampler is None or isinstance(self.sampler, str),
+            "exact_mu": self.exact_mu is None or real(self.exact_mu),
+            "tvd_max": real(self.tvd_max),
+            "p_floor": real(self.p_floor),
+        }
+        for name, ok in typed.items():
+            if not ok:
+                raise TypeError(f"{name} has the wrong type: {getattr(self, name)!r}")
 
     def fixture(self) -> str:
         bits = [f"measure={self.measure_spec}", f"mu={self.mu:g}", f"n={self.n}"]

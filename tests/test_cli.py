@@ -12,7 +12,18 @@ import sys
 
 import pytest
 
-from lambdacoal import MeasureSpecError, build_rate_table, parse_measure, solve
+from lambdacoal import (
+    LambdaCoalError,
+    LitterHistory,
+    MeasureSpecError,
+    build_rate_table,
+    derive_rng,
+    parse_measure,
+    rho_state,
+    sample_family_partition_chain,
+    sample_family_partition_set,
+    solve,
+)
 from lambdacoal.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -78,14 +89,22 @@ def test_rates_nmax_above_the_grid_budget_is_usage_error(capsys):
 
 
 def test_rates_grid_budget_edge():
-    # 3162**2 cells is the largest grid within the budget, 3163**2 the
-    # smallest above it
+    # every C(1029, k) is a finite float, C(1030, 515) is not
     def check(nmax):
         _check_args(build_parser().parse_args(["rates", "--measure", "poly3x2", "--nmax", nmax]))
 
-    check("3161")
-    with pytest.raises(MeasureSpecError, match="--nmax 3162 needs a rate grid"):
-        check("3162")
+    check("1029")
+    with pytest.raises(MeasureSpecError, match="--nmax 1030 is above 1029"):
+        check("1030")
+
+
+def test_rates_nmax_above_the_binomial_range_is_usage_error(capsys):
+    # at 1030 the rate totals' C(b, k) overflowed a float after the whole
+    # table's moments, and the command died with a traceback
+    assert main(["rates", "--measure", "delta:0.5", "--nmax", "1030"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --nmax 1030 is above 1029: C(nmax, k) overflows a float\n"
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +776,51 @@ def test_validate_malformed_plan_is_usage_error(tmp_path, capsys, payload, messa
     assert capsys.readouterr().err.startswith(message.format(path=path))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", "5"),
+        ("n", 5.5),
+        ("measure_spec", 5),
+        ("case_id", ["x"]),
+        ("tvd_max", "big"),
+        ("mu", "1"),
+    ],
+)
+def test_validate_plan_field_of_the_wrong_type_is_usage_error(
+    tmp_path, capsys, field, value
+):
+    # the first four died with a traceback, tvd_max "big" was reported
+    # as a failing case and mu "1" was refused only by a format error
+    plan = _write_plan(tmp_path, [dict(_EWENS_CASE, **{field: value})])
+    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: plan {plan}: case 0: {field} has the wrong type: {value!r}\n"
+    )
+
+
+def test_validate_case_above_the_binomial_range_fails_only_its_case(tmp_path, capsys):
+    # its first-part law overflowed C(1030, m) and the run died
+    big = {
+        "case_id": "big",
+        "kind": "first_part",
+        "measure_spec": "poly3x2",
+        "mu": 1,
+        "n": 1030,
+    }
+    plan = _write_plan(tmp_path, [big, dict(_EWENS_CASE)])
+    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+    assert code == EXIT_VALIDATION
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert reports[0]["error"] == (
+        "ValueError: n = 1030 is above 1029: C(n, k) overflows a float"
+    )
+    assert [r["passed"] for r in reports] == [False, True]
+
+
 def test_validate_pooling_failure_fails_only_its_case(tmp_path, capsys):
     # 10 frozen draws at n = 4 leave fewer than 2 chi-square cells after
     # pooling: that case records the error, and every case still reports
@@ -1157,6 +1221,52 @@ def test_snapshot_modes_mutually_exclusive(capsys):
             ]
         )
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one-row samplers refuse as the CLI does
+# ---------------------------------------------------------------------------
+
+# entry: (one-row library call, the CLI command drawing the same thing)
+_ONE_ROW_ENTRIES = {
+    "set": (
+        lambda m, mu, rng: sample_family_partition_set(m, mu, 4, rng),
+        ["simulate", "set", "--n", "4"],
+    ),
+    "chain": (
+        lambda m, mu, rng: sample_family_partition_chain(m, mu, 4, rng),
+        ["simulate", "chain", "--n", "4"],
+    ),
+    "stationary": (
+        lambda m, mu, rng: rho_state(LitterHistory.build(m, mu, rng)),
+        ["forward-snapshot", "--stationary"],
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ONE_ROW_ENTRIES))
+@pytest.mark.parametrize("mu", ["0", "1"])
+@pytest.mark.parametrize(
+    "spec",
+    ["delta:0", "beta:1,1,1", "atoms:0=1,0.5=1", "delta:1", "atoms:0.5=0.25,1=0.1", "poly3x2"],
+)
+def test_one_row_samplers_refuse_as_the_cli_does(capsys, spec, mu, entry):
+    # the first three specs have a divergent 1/x integral, the next two an
+    # atom at 1; the one-row calls refused them with PopulationSupportError
+    # where the CLI printed DustConditionError, and the chain at mu = 0
+    # named the atom where the CLI named mu
+    one_row, command = _ONE_ROW_ENTRIES[entry]
+    try:
+        one_row(parse_measure(spec), float(mu), derive_rng(1, "one-row", 0))
+        refusal = None
+    except LambdaCoalError as exc:
+        refusal = f"{type(exc).__name__}: {exc}"
+    code = main(command + ["--measure", spec, "--mu", mu, "--seed", "1"])
+    err = capsys.readouterr().err
+    if refusal is None:
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert (code, err) == (EXIT_NUMERIC, f"error: {refusal}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,36 @@ def test_first_part_laws_upto_checks_mu_and_n():
         first_part_laws_upto(LEBESGUE, 1.0, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: build_rate_table(m, 1030),
+        lambda m: first_part_laws_upto(m, 1.0, 1030),
+        lambda m: first_part_law(m, 1.0, 1030),
+        lambda m: first_part_weight(m, 1.0, 1030, 2),
+    ],
+    ids=["rate-table", "laws-upto", "law", "weight"],
+)
+@pytest.mark.parametrize("spec", ["poly3x2", "delta:0.5"])
+def test_binomial_range_is_refused_before_any_moment(monkeypatch, spec, build):
+    # C(1030, 515) is no float: the totals and first-part weights raised
+    # OverflowError, the rate table only after all its moments
+    measure = parse_measure(spec)
+    calls = []
+    real = type(measure).moment
+    monkeypatch.setattr(
+        type(measure), "moment", lambda self, *a: calls.append(a) or real(self, *a)
+    )
+    with pytest.raises(ValueError, match="n = 1030 is above 1029"):
+        build(measure)
+    assert calls == []
+
+
+def test_first_part_law_at_the_binomial_edge():
+    law = first_part_law(POLY, 1.0, 1029)
+    assert law.n == 1029 and all(math.isfinite(w) for w in law.weights)
+
+
 # cubic with cells clipped where the interpolant dips below 0
 TABLE_CLIPPED = DensityTableMeasure(
     np.linspace(0.1, 0.9, 5), (0.0, 1.0, 0.0, 0.0, 2.0), order=3

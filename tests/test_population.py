@@ -17,6 +17,7 @@ import lambdacoal as lc
 from lambdacoal import (
     AtomicMeasure,
     BeyondWindowError,
+    DustConditionError,
     InfiniteActivityError,
     LitterHistory,
     PopulationMeasure,
@@ -278,7 +279,7 @@ def test_height_geometric_smoke(rng_factory):
 
 
 def test_set_sampler_preconditions(rng_factory):
-    with pytest.raises(PopulationSupportError):
+    with pytest.raises(DustConditionError):
         sample_family_partition_set(
             parse_measure("delta:0"), 1.0, 4, rng_factory(6, "pre", 0)
         )
@@ -286,20 +287,36 @@ def test_set_sampler_preconditions(rng_factory):
         sample_family_partition_set(POLY, 0.0, 4, rng_factory(6, "pre", 1))
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_set_sampler_refuses_n_below_one_before_mu_and_any_draw(rng_factory, monkeypatch, mu):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a window was drawn")
+
+    monkeypatch.setattr(lc.subordinator, "_draw_points", no_draw)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        sample_family_partition_set(POLY, mu, 0, rng_factory(6, "pre", 4))
+
+
+# without T0 a divergent 1/x integral is refused by the default horizon,
+# before mu, as the set sampler refuses it
+_BUILD_REFUSALS = [
+    ("poly3x2", 0.0, None, PopulationSupportError),
+    ("poly3x2", -1.0, 2.0, PopulationSupportError),
+    ("delta:0", 1.0, None, DustConditionError),
+    ("delta:1", 1.0, None, PopulationSupportError),
+    ("beta:1,1,1", 1.0, None, DustConditionError),
+    ("delta:1", 1.0, 2.0, PopulationSupportError),
+    ("beta:1,1,1", 1.0, 2.0, PopulationSupportError),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, mu, T0",
-    [
-        ("poly3x2", 0.0, None),
-        ("poly3x2", -1.0, 2.0),
-        ("delta:0", 1.0, None),
-        ("delta:1", 1.0, None),
-        ("beta:1,1,1", 1.0, None),
-        ("delta:1", 1.0, 2.0),
-        ("beta:1,1,1", 1.0, 2.0),
-    ],
+    "spec, mu, T0, error",
+    _BUILD_REFUSALS,
+    ids=[f"{spec}-{mu}-{T0}" for spec, mu, T0, _ in _BUILD_REFUSALS],
 )
-def test_history_build_preconditions(rng_factory, spec, mu, T0):
-    with pytest.raises(PopulationSupportError):
+def test_history_build_preconditions(rng_factory, spec, mu, T0, error):
+    with pytest.raises(error):
         LitterHistory.build(parse_measure(spec), mu, rng_factory(6, "pre-build"), T0=T0)
 
 
@@ -312,7 +329,7 @@ def test_set_sampler_refuses_oversized_window(rng_factory):
 
 
 def test_chain_sampler_preconditions(rng_factory):
-    with pytest.raises(PopulationSupportError):
+    with pytest.raises(DustConditionError):
         sample_family_partition_chain(
             parse_measure("beta:1,1,1"), 1.0, 4, rng_factory(6, "pre", 2)
         )
