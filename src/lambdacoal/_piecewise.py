@@ -1,17 +1,18 @@
-"""Piecewise polynomials in numpy and LAPACK, with the bits of scipy's.
+"""Piecewise polynomials in numpy, with the bits of scipy's.
 
 A density table's L is the not-a-knot cubic spline through its nodes, or
 their linear interpolant, stored as one polynomial per piece.  The
 construction, the evaluation, the derivative and the root search follow
 scipy's CubicSpline and PPoly operation for operation, so L and the cuts
 at the roots of L and L' keep the bits scipy's classes gave them: the
-spline's tridiagonal system goes to LAPACK dgtsv, the routine CubicSpline
-reaches through solve_banded, and the roots of a cubic piece are the
+spline's tridiagonal system goes to _dgtsv, a port of the LAPACK routine
+dgtsv that CubicSpline reaches through solve_banded, written operation
+for operation in Python floats, and the roots of a cubic piece are the
 eigenvalues of PPoly's companion matrix from the routine PPoly calls,
-dgeev, which np.linalg.eigvals calls too.  dgtsv comes from scipy's own
-LAPACK, as CubicSpline's does; dgeev comes from numpy's, which may be
-another build than scipy's, so a cubic piece's roots can differ from
-PPoly's by rounding where the two builds differ.
+dgeev, which np.linalg.eigvals calls too.  No scipy module loads here.
+dgeev comes from numpy's LAPACK, which may be another build than
+scipy's, so a cubic piece's roots can differ from PPoly's by rounding
+where the two builds differ.
 """
 
 from __future__ import annotations
@@ -134,11 +135,8 @@ def _cubic_roots(c: np.ndarray) -> dict:
 def not_a_knot(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
     """The not-a-knot cubic spline through (x, y), len(x) >= 4, with the
     bits of scipy's CubicSpline(x, y): its tridiagonal system for the
-    slopes, solved by dgtsv, then the Hermite coefficients.  A singular
+    slopes, solved by _dgtsv, then the Hermite coefficients.  A singular
     system raises ValueError, non-finite slopes FloatingPointError."""
-    # imported here: scipy.linalg loads only for a cubic table
-    from scipy.linalg.lapack import dgtsv
-
     dx = np.diff(x)
     slope = np.diff(y) / dx
     n = len(x)
@@ -154,14 +152,53 @@ def not_a_knot(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
     w = x[-1] - x[-3]
     diag[-1], lower[-1] = dx[-2], w
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
-    *_, s, info = dgtsv(lower, diag, upper, rhs[:, None], 1, 1, 1, 1)
+    s, info = _dgtsv(lower, diag, upper, rhs)
     if info > 0:
         raise ValueError("singular matrix")
-    s = s[:, 0]
     if not np.all(np.isfinite(s)):
         raise FloatingPointError("overflow in the spline slopes")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return PiecewisePoly(np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])), x)
+
+
+def _dgtsv(lower, diag, upper, rhs) -> tuple:
+    """(solution, info) of the tridiagonal system with sub-, main and
+    super-diagonals lower, diag, upper and one right-hand side: LAPACK's
+    dgtsv for one column, operation for operation in Python floats.
+    Gaussian elimination interchanges rows i and i+1 where the
+    subdiagonal entry is the larger, then a back substitution; info > 0
+    is the 1-based index of the first zero pivot, and the solution is
+    then None."""
+    dl, d, du, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                return None, i + 1
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i+1; dl[i] then holds the fill-in of
+            # row i two places right of the diagonal
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        return None, n
+    b[-1] = b[-1] / d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b), 0
 
 
 def linear(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:

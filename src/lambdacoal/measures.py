@@ -40,6 +40,11 @@ draw kernel those of a whole block in lockstep (_nu_rows).
                       polynomial, Gauss-Legendre moments per cell, envelope
                       rejection for nu from the same L(x)/x**2
 
+Only BetaMeasure needs a special function.  The module imports the scipy
+package alone, and scipy.special loads on the first Beta moment or
+density; atoms and tables are numpy alone, and no measure loads
+scipy.linalg.
+
 With mutation rate mu >= 0 and a sample of size n, the weight of the event
 "the smallest of n uniform balls is in a part of size m" is
 
@@ -62,7 +67,7 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc, betaln
+import scipy
 
 from ._piecewise import linear, not_a_knot
 from ._quadrature import _legendre, adaptive_integral
@@ -274,6 +279,14 @@ def _atom_nu_cdf(measure: AtomicMeasure, eps: float) -> tuple[np.ndarray, np.nda
     return locs, cdf
 
 
+# The largest float below 1: a Beta jump size is clipped to it.  For
+# beta < 1 part of nu lies within an ulp of 1, where a draw rounds to 1.0;
+# clipped, its g = -log(1 - x) is -log(2**-53) = 36.74, and no window
+# query can tell, since a query -log1p(-v) for a float v < 1 is at most
+# that.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 @dataclass(frozen=True)
 class BetaMeasure:
     """mass * Beta(alpha, beta) probability density on (0, 1)."""
@@ -297,7 +310,7 @@ class BetaMeasure:
         log_dens = (
             (self.alpha - 1.0) * np.log(xi)
             + (self.beta - 1.0) * np.log1p(-xi)
-            - betaln(self.alpha, self.beta)
+            - scipy.special.betaln(self.alpha, self.beta)
         )
         out[inside] = self.mass * np.exp(log_dens)
         return out
@@ -313,7 +326,9 @@ class BetaMeasure:
             b = self.beta + q
             if a <= 0.0 or b <= 0.0:
                 raise _diverges(self, p, q)
-            return self.mass * math.exp(betaln(a, b) - betaln(self.alpha, self.beta))
+            return self.mass * math.exp(
+                scipy.special.betaln(a, b) - scipy.special.betaln(self.alpha, self.beta)
+            )
         # On a sub-interval the integrand is x**(A-1) (1-x)**(B-1) times
         # mass / B(alpha, beta).  Sub-intervals arise only for nu = L / x**2,
         # so A is formed from nu's exponent p + 2: alpha + p itself can
@@ -321,11 +336,15 @@ class BetaMeasure:
         A = self.alpha + (p + 2.0) - 2.0
         B = self.beta + q
         if A > 0.0:
-            scale = self.mass * math.exp(betaln(A, B) - betaln(self.alpha, self.beta))
-            return scale * float(betainc(A, B, hi) - betainc(A, B, lo))
+            scale = self.mass * math.exp(
+                scipy.special.betaln(A, B) - scipy.special.betaln(self.alpha, self.beta)
+            )
+            return scale * float(
+                scipy.special.betainc(A, B, hi) - scipy.special.betainc(A, B, lo)
+            )
         if lo <= 0.0:
             raise _diverges(self, p, q)
-        c = self.mass * math.exp(-betaln(self.alpha, self.beta))
+        c = self.mass * math.exp(-scipy.special.betaln(self.alpha, self.beta))
         total = 0.0
         mid = min(hi, 0.5)
         if lo < mid:
@@ -368,9 +387,11 @@ class BetaMeasure:
         """(sizes, keep) of candidates from _nu_candidates, or of several
         such blocks joined along the last axis.  alpha > 2: a draw is kept
         when above eps.  alpha <= 2: two-piece power-law envelope
-        rejection, density proportional to x**(alpha-3) (1-x)**(beta-1)."""
+        rejection, density proportional to x**(alpha-3) (1-x)**(beta-1).
+        Either way a size is clipped to _BELOW_ONE."""
         if self.alpha > 2.0:
-            return cands, cands > eps
+            x = np.minimum(cands, _BELOW_ONE)
+            return x, x > eps
         a, b = self.alpha, self.beta
         A = a - 2.0  # x exponent + 1: target density prop. to x**(A-1) (1-x)**(b-1)
         split = 0.5 if eps < 0.5 else eps
@@ -401,9 +422,9 @@ class BetaMeasure:
         x[left] = xl
         ok[left] = acc[left] * c_left <= (1.0 - xl) ** (b - 1.0)
         right = ~left
-        xr = 1.0 - (1.0 - split) * v[right] ** (1.0 / b)
+        xr = np.minimum(1.0 - (1.0 - split) * v[right] ** (1.0 / b), _BELOW_ONE)
         x[right] = xr
-        ok[right] = (xr > eps) & (xr < 1.0) & (acc[right] * c_right <= xr ** (A - 1.0))
+        ok[right] = (xr > eps) & (acc[right] * c_right <= xr ** (A - 1.0))
         return x, ok
 
     def nu_quantile(self, eps: float):

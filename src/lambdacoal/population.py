@@ -114,6 +114,17 @@ class PopulationMeasure:
         if self.diffuse < -1e-12:
             raise ValueError("diffuse mass must be nonnegative")
 
+    @classmethod
+    def _unchecked(cls, atoms: tuple, diffuse: float) -> PopulationMeasure:
+        """One built without the checks of __post_init__, for the states a
+        forward run records: its genotypes are distinct draws, its masses
+        stay above the prune threshold, and the diffuse part is 1 minus
+        their sum."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "atoms", atoms)
+        object.__setattr__(state, "diffuse", diffuse)
+        return state
+
     def total(self) -> float:
         return math.fsum(s for _, s in self.atoms) + self.diffuse
 
@@ -403,7 +414,9 @@ def forward_simulate(
     masses = [s for _, s in atoms]
 
     def snapshot() -> PopulationMeasure:
-        return PopulationMeasure(tuple(zip(genotypes, masses)), 1.0 - math.fsum(masses))
+        return PopulationMeasure._unchecked(
+            tuple(zip(genotypes, masses)), 1.0 - math.fsum(masses)
+        )
 
     t = 0.0
     path = [(t, snapshot())]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc
+import scipy
 
 from .errors import LambdaCoalError
 from .measures import (
@@ -54,6 +54,7 @@ __all__ = [
     "ValidationCase",
     "ValidationReport",
     "default_plan",
+    "edge_plan",
     "load_plan",
     "run_validation",
     "reports_to_json",
@@ -101,7 +102,7 @@ def _chi_square(cells) -> tuple[float, int, float]:
         raise ValueError("fewer than 2 cells after pooling")
     stat = math.fsum(sum((o - e) ** 2 / e for e, o in cell) for cell in kept)
     df = len(kept) - 1
-    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+    return stat, df, float(scipy.special.gammaincc(df / 2.0, stat / 2.0))
 
 
 def chi_square_gof(exact: dict, counts: dict) -> tuple[float, int, float]:
@@ -254,6 +255,20 @@ def default_plan() -> list[ValidationCase]:
         )
     )
     return plan
+
+
+def edge_plan() -> list[ValidationCase]:
+    """Beta measures with beta < 1 at n = 4, mu = 1, where part of nu lies
+    within one ulp of 1 and the jump sizes are clipped below 1: window
+    first parts, the set sampler (also at alpha > 2, where the sizes are
+    Beta draws) and, for a sampler that reads no window, the frozen
+    coalescent.  Kept out of default_plan, whose run time is gated."""
+    return [
+        ValidationCase("fp", "first_part", "beta:2,0.05,1", 1.0, 4),
+        ValidationCase("set", "sampler_vs_exact", "beta:2,0.05,1", 1.0, 4, "set"),
+        ValidationCase("frozen", "sampler_vs_exact", "beta:2,0.05,1", 1.0, 4, "frozen"),
+        ValidationCase("set3", "sampler_vs_exact", "beta:3,0.1,1", 1.0, 4, "set"),
+    ]
 
 
 def load_plan(path) -> list[ValidationCase]:

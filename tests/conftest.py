@@ -5,7 +5,8 @@ implementation under test: scipy.integrate.quad for rate integrals, a
 brute-force enumeration of the frozen jump chain for family-partition
 laws, the last-event recursion written one partition at a time, the
 first-part chain written as its own loop, the truncation search on the
-full tail pair, and exact rational Ewens probabilities.
+full tail pair, and exact rational Ewens probabilities.  Every spline
+solve the session makes is also checked against scipy's LAPACK dgtsv.
 """
 
 from fractions import Fraction
@@ -212,6 +213,31 @@ def quadrature_calls(monkeypatch):
 
     monkeypatch.setattr(lambdacoal.measures, "adaptive_integral", counted)
     return calls
+
+
+@pytest.fixture(autouse=True, scope="session")
+def dgtsv_checked():
+    """Every tridiagonal solve of a cubic table's spline in the session,
+    solved by the library's port of LAPACK dgtsv, solved again by the
+    dgtsv in scipy's LAPACK: the two must give the same bits, or fail at
+    the same pivot.  Yields the number of solves checked so far."""
+    import lambdacoal._piecewise as piecewise
+    from scipy.linalg.lapack import dgtsv
+
+    port = piecewise._dgtsv
+    checked = [0]
+
+    def both(lower, diag, upper, rhs):
+        got, info = port(lower, diag, upper, rhs)
+        *_, want, want_info = dgtsv(lower, diag, upper, rhs[:, None])
+        assert info == want_info, (info, want_info)
+        assert info or got.tobytes() == want[:, 0].tobytes(), (got, want[:, 0])
+        checked[0] += 1
+        return got, info
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(piecewise, "_dgtsv", both)
+        yield lambda: checked[0]
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,14 @@ Most tests drive main() in-process; one subprocess test confirms the
 installed console script is wired to the same entry point.
 """
 
+import functools
 import hashlib
 import json
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lambdacoal import (
@@ -576,10 +578,9 @@ print(sorted(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modu
 
 
 def test_commands_without_nodes_or_splines_leave_out_scipy_linalg(tmp_path):
-    # scipy.linalg comes with the Gauss-Legendre nodes and a cubic table's
-    # tridiagonal solve: exact, the samplers on finite measures and the
-    # default validation need neither; parsing the pin table, a cubic
-    # spline, loads it
+    # exact, the samplers on finite measures and the default validation
+    # leave out scipy.linalg, and so does parsing the pin table, whose
+    # cubic spline and Gauss-Legendre nodes are numpy alone
     table = tmp_path / "table.txt"
     table.write_text(PIN_TABLE_TEXT)
     script = f"""
@@ -607,7 +608,74 @@ print("scipy.linalg" in sys.modules)
     )
     assert proc.returncode == 0, proc.stderr
     codes = " ".join([str(EXIT_OK)] * 10 + [str(EXIT_VALIDATION)])
-    assert proc.stdout == f"{codes}\nFalse\nTrue\n"
+    assert proc.stdout == f"{codes}\nFalse\nFalse\n"
+
+
+# Every command on a table, an atom and delta:0, each run in one
+# interpreter that prints {argv: [exit code, stdout]} as JSON and then the
+# scipy submodules it loaded.
+_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy.special"] = sys.modules["scipy.linalg"] = None
+import lambdacoal.cli
+runs = {}
+for measure in (sys.argv[1], "atoms:0.5=0.25", "delta:0"):
+    common = ["--measure", measure, "--mu", "1"]
+    argvs = [["rates", "--nmax", "12", "--measure", measure],
+             ["exact", *common, "--n", "4"],
+             ["forward-snapshot", "--stationary", *common, "--seed", "2"],
+             ["simulate", "forward", *common, "--horizon", "3", "--seed", "2"]]
+    for sampler in ("frozen", "chain", "set", "composition"):
+        argvs.append(["simulate", sampler, *common, "--n", "5", "--reps", "20", "--seed", "1"])
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = lambdacoal.cli.main(argv)
+        runs[" ".join(argv)] = [code, out.getvalue()]
+print(json.dumps(runs))
+print(sorted(m for m in ("scipy.special", "scipy.linalg") if sys.modules.get(m)))
+"""
+
+
+def test_table_and_atom_commands_load_neither_scipy_special_nor_linalg(tmp_path):
+    # with both submodules blocked, every command on the pin table,
+    # atoms:0.5=0.25 and delta:0 prints the same bytes and exits with the
+    # same code as with them available, and the unblocked run loads
+    # neither; a Beta measure loads scipy.special and still not
+    # scipy.linalg
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    results = []
+    for mode in ("blocked", "open"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMMANDS_SCRIPT, f"density-file:{table}", mode],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs, loaded = proc.stdout.splitlines()
+        results.append(json.loads(runs))
+        assert loaded == "[]"
+    blocked, unblocked = results
+    assert blocked == unblocked
+    # delta:0 is refused by the window samplers and the forward process
+    codes = [code for code, _ in unblocked.values()]
+    assert sorted(codes) == [EXIT_OK] * 19 + [EXIT_NUMERIC] * 5
+    script = """
+import contextlib, io, sys
+import lambdacoal.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert lambdacoal.cli.main(["simulate", "set", "--measure", "poly3x2", "--mu", "1",
+                                "--n", "5", "--reps", "20", "--seed", "1"]) == 0
+print(sorted(m for m in ("scipy.special", "scipy.linalg") if m in sys.modules))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['scipy.special']\n"
 
 
 @pytest.mark.parametrize("command", [["simulate", "forward"], ["forward-snapshot"]])
@@ -1092,9 +1160,9 @@ def test_simulate_table_streams_pinned(tmp_path, capsys, sampler):
 # sha256 of the whole stdout of `rates --format csv --nmax 60`: every rate
 # and total of the pinned table and of the two near-zero tables, to the bit
 RATES_TABLE_CSV_SHA256 = {
-    "pin-table": "eca9bd2c7bb716a5ca5c9a900d917eab96802760ae1bbeb879edd01e80cf2c05",
-    "subnormal": "efef47bd349da0294b8073fc6a50f7cf026e270f30f5d7aff81fb815679a9029",
-    "tiny-heavy": "5d29ac58f6ba992538e854259e9bab0e75f333f2b4076bbb5f12eeda025f0498",
+    "pin-table": "cdf954c790f8bd90cc4b5adb34c6271f6966383aaa48a07bd9c7b3a1696bb7fc",
+    "subnormal": "1f8078ad9c1353eaa6ef1355331c5b59314fae96f9e619b81e134e4b59e613c5",
+    "tiny-heavy": "55dc3f31d2b55a09cb28c0dfd7d7586ba62ca3cf72e3396639e47c53b26bd0b3",
 }
 
 
@@ -1107,6 +1175,29 @@ def test_rates_table_csv_pinned(tmp_path, capsys, table):
     assert main(argv) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == RATES_TABLE_CSV_SHA256[table]
+
+
+@pytest.mark.parametrize("table", sorted(RATES_TABLE_CSV_SHA256))
+def test_rates_table_near_scipy_nodes(tmp_path, capsys, monkeypatch, table):
+    # the pinned rates against those on scipy's Gauss-Legendre nodes: the
+    # library's own nodes differ from them in the last bits only
+    import scipy.special
+
+    import lambdacoal.measures
+
+    path = tmp_path / "table.txt"
+    path.write_text({"pin-table": PIN_TABLE_TEXT, **NEAR_ZERO_TABLES}[table])
+    argv = ["rates", "--format", "csv", "--nmax", "60", "--measure", f"density-file:{path}"]
+    tables = []
+    scipy_nodes = functools.lru_cache(maxsize=None)(scipy.special.roots_legendre)
+    for legendre in (lambdacoal.measures._legendre, scipy_nodes):
+        monkeypatch.setattr(lambdacoal.measures, "_legendre", legendre)
+        assert main(argv) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        tables.append(np.array([row.split(",") for row in rows], dtype=float))
+    ours, scipys = tables
+    assert np.array_equal(ours[:, :2], scipys[:, :2])
+    assert np.all(np.abs(ours[:, 2:] - scipys[:, 2:]) <= 1e-12 * np.abs(scipys[:, 2:]))
 
 
 def test_validate_default_streams_pinned(capsys):

@@ -39,6 +39,7 @@ from lambdacoal import (
     single_ball_integral,
     total_mass,
 )
+from lambdacoal._quadrature import _legendre
 
 from conftest import choose_truncation_reference, quad_rate
 
@@ -704,6 +705,58 @@ def test_table_interpolant_matches_scipy_interpolate(monkeypatch):
         assert _within_ulps(ours._hi, oracle._hi, 4), where
 
 
+def test_legendre_integrates_even_powers():
+    # count nodes integrate x**(2j) over [-1, 1] to 2 / (2j + 1) for every
+    # 2j <= 2 count - 1, up to the 528 nodes of _node_count(-1, 1028)
+    assert lc.measures._node_count(-1, lc.measures.MAX_BLOCKS - 1) == 528
+    for count in range(1, 529):
+        x, w = _legendre(count)
+        assert x.shape == w.shape == (count,) and np.all(np.diff(x) > 0.0)
+        err = w @ np.vander(x * x, count, increasing=True) - 2.0 / (2 * np.arange(count) + 1)
+        assert np.max(np.abs(err)) <= 1e-14, count
+
+
+def test_legendre_matches_scipy_roots_legendre():
+    for count in range(1, 41):
+        x, w = _legendre(count)
+        xs, ws = scipy.special.roots_legendre(count)
+        assert np.max(np.abs(x - xs)) <= 1e-12 and np.max(np.abs(w - ws)) <= 1e-12, count
+
+
+def _tridiagonal_systems(count, seed):
+    """(lower, diag, upper, rhs): seeded systems of 2 to 60 unknowns,
+    normal, with zero or tiny pivots, spline-like with widely scaled
+    diagonals, and of small integers, which are often singular."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 61))
+        kind = i % 4
+        if kind == 0:
+            yield rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n)
+        elif kind == 1:
+            diag = rng.exponential(size=n) * rng.choice([0.0, 1e-8, 1.0], size=n)
+            yield rng.exponential(size=n - 1), diag, rng.exponential(size=n - 1), rng.normal(size=n)
+        elif kind == 2:
+            dx = np.diff(np.sort(rng.uniform(0.0, 1.0, n + 3)))
+            yield 1e3 * dx[: n - 1], dx[:n] * rng.normal(size=n), 1e-3 * dx[1:n], rng.normal(size=n)
+        else:
+            lower, diag, upper = (rng.integers(-2, 3, m).astype(float) for m in (n - 1, n, n - 1))
+            yield lower, diag, upper, rng.normal(size=n)
+
+
+def test_dgtsv_port_matches_lapack_bit_for_bit(dgtsv_checked):
+    # the session fixture checks the port against scipy's LAPACK dgtsv on
+    # every solve, here on 2 000 seeded systems and the pin table's spline
+    before = dgtsv_checked()
+    singular = 0
+    for system in _tridiagonal_systems(2000, 31):
+        # through the module, where the fixture put its checked solve
+        singular += lc._piecewise._dgtsv(*system)[1] > 0
+    DensityTableMeasure((0.1, 0.26, 0.42, 0.58, 0.74, 0.9), (0.2, 1.0, 0.1, 0.0, 2.0, 1.5))
+    assert dgtsv_checked() == before + 2001
+    assert 100 < singular < 1000
+
+
 def test_sample_jump_sizes_table_matches_moments(rng_factory):
     # the draws come from L(x)/x**2 of the interpolant the moments read,
     # here a cubic that dips below 0 between nodes and is clipped there
@@ -963,15 +1016,12 @@ def test_total_mass():
     assert total_mass(BETA221) == 1.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 12: for beta < 1 part of nu lies within one ulp of 1; "
-    "alpha <= 2 rejects it, alpha > 2 draws it as exactly 1.0",
-)
 @pytest.mark.parametrize("spec", ["beta:2,0.05,1", "beta:1.9,0.05,1", "beta:3,0.05,1"])
 def test_sample_jump_sizes_beta_tail_near_one(rng_factory, spec):
     # P(x > 1 - delta) at the cutoff a window of n = 4 at mu = 1 uses,
-    # against the exact moment(-2, 0, 1 - delta, 1) / moment(-2, 0, eps, 1)
+    # against the exact moment(-2, 0, 1 - delta, 1) / moment(-2, 0, eps, 1):
+    # for beta < 1 part of nu lies within one ulp of 1, and a draw there
+    # is clipped below 1, neither rejected nor drawn as 1.0
     m = parse_measure(spec)
     eps = choose_truncation(m, lc.default_window_horizon(m, 1.0, 4))
     reps = 400_000

@@ -25,6 +25,7 @@ from lambdacoal import (
     chi_square_gof,
     chi_square_two_sample,
     default_plan,
+    edge_plan,
     load_plan,
     reports_to_csv,
     reports_to_json,
@@ -302,6 +303,17 @@ def test_default_plan_shape():
     for c in plan:
         if c.sampler in ("chain", "set"):
             assert c.measure_spec in ("poly3x2", "atoms:0.5=0.25")
+
+
+def test_edge_plan_passes():
+    # Beta measures with beta < 1, whose jump sizes reach within one ulp
+    # of 1: before the clip below 1, window first parts (p = 7e-5) and the
+    # set sampler (p = 1e-9) drew another law, and at alpha > 2 the set
+    # sampler died on log1p(-1); the module marks RuntimeWarning an error
+    plan = edge_plan()
+    assert not {c.case_id for c in plan} & {c.case_id for c in default_plan()}
+    reports = run_validation(plan, 20_000, 1)
+    assert [(r.case_id, r.error) for r in reports if not r.passed] == []
 
 
 def test_load_plan_roundtrip(tmp_path):
