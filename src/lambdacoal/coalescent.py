@@ -80,8 +80,8 @@ def _block_chain(table: np.ndarray, blocks: np.ndarray, u: np.ndarray, until: in
     return frozen, blocks
 
 
-def _family_texts(table: np.ndarray, n: int, rngs) -> list[str]:
-    """Family partition-vector texts, one per generator, in order.
+def _family_counts(table: np.ndarray, n: int, rngs) -> np.ndarray:
+    """(R, n) family-size counts, one row per generator, in order.
 
     A lone block can only freeze, so the chain stops at one live block
     and takes it as the last family; that also ends a run whose lone
@@ -94,16 +94,20 @@ def _family_texts(table: np.ndarray, n: int, rngs) -> list[str]:
         table, np.ones((len(rngs), n), dtype=np.int64), u, until=1
     )
     frozen[:, -1] = blocks[:, -1]  # a run to one block takes < n steps
-    return _partition_texts(frozen)
+    return _partition_counts(frozen)
 
 
-def _partition_texts(sizes: np.ndarray) -> list[str]:
-    """Partition-vector text of each row of (R, n) family sizes, zeros
-    skipped."""
+def _partition_counts(sizes: np.ndarray) -> np.ndarray:
+    """(R, n) counts: row r's [j - 1] is the number of its families of
+    size j, given (R, n) family sizes, zeros skipped."""
     R, n = sizes.shape
-    counts = np.bincount(
+    return np.bincount(
         (sizes + (n + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (n + 1)
     ).reshape(R, n + 1)[:, 1:]
+
+
+def _count_texts(counts: np.ndarray) -> list[str]:
+    """Partition-vector text of each row of (R, n) counts."""
     texts: dict = {}
     out = []
     for row in map(tuple, counts.tolist()):
@@ -145,8 +149,8 @@ def simulate_frozen_coalescent(
     a uniform block with probability mu*b / (mu*b + total(b)) and is
     otherwise a k-merger of a uniform k-subset, with probability
     proportional to C(b,k) rate(b,k).  At mu = 0 nothing freezes: the
-    chain merges down to one block, which is the one family.  A parsed
-    one-row call of the block draw (_family_texts).
+    chain merges down to one block, which is the one family.  A one-row
+    call of the block draw (_family_counts).
     """
-    (text,) = _family_texts(_frozen_table(rates, mu, n), n, [rng])
-    return PartitionVector.from_text(text)
+    (counts,) = _family_counts(_frozen_table(rates, mu, n), n, [rng]).tolist()
+    return PartitionVector(tuple(counts))

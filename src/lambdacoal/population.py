@@ -31,7 +31,7 @@ Two family-size samplers are cross-checked against the exact recursion:
 
 * set-based: take the hits of the window's composition of n; a hit on
   the regenerative set is a singleton mutant family, and litter hits
-  pool by the root of their litter.  The lockstep draw (_set_texts)
+  pool by the root of their litter.  The lockstep draw (_set_counts)
   drops the uniforms of a whole block of replicates and chases all
   their roots on one block of windows;
 * chain-based: the embedded first-part chain, whose law of b without
@@ -54,7 +54,7 @@ from itertools import compress
 
 import numpy as np
 
-from .coalescent import _family_texts, _frozen_table, _partition_texts
+from .coalescent import _family_counts, _frozen_table, _partition_counts
 from .errors import (
     InfiniteActivityError,
     PopulationSupportError,
@@ -271,17 +271,18 @@ def _family_sizes(block: _Rows, j: np.ndarray, litter: np.ndarray) -> np.ndarray
     return sizes.reshape(R, n)
 
 
-def _set_texts(measure, mu, n, T0, rngs) -> list[str]:
-    """Set-sampler partition texts, one per generator: each replicate
-    draws its window (one kernel draw per block), then its uniforms; a
-    block inverts them and chases the roots of all its replicates at
-    once."""
+def _set_counts(measure, mu, n, T0, rngs) -> np.ndarray:
+    """Set-sampler (R, n) family-size counts, a row per generator: each
+    replicate draws its window (one kernel draw per block), then its
+    uniforms; a block inverts them and chases all its roots at once."""
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_drift(mu)
-    return _window_blocks(
-        measure, mu, T0, rngs, n, lambda *hits: _partition_texts(_family_sizes(*hits))
-    )
+
+    def read(*hits):
+        return [_partition_counts(_family_sizes(*hits))]
+
+    return np.concatenate(_window_blocks(measure, mu, T0, rngs, n, read))
 
 
 def sample_family_partition_set(
@@ -296,14 +297,14 @@ def sample_family_partition_set(
     The window's composition of n gives each individual's hit: one on the
     regenerative set is its own mutant family, and litter hits pool by
     the root of their litter, since litters sharing a root share a
-    genotype.  A parsed one-row call of the block draw (_set_texts) on
-    the horizon T0 (default: default_window_horizon), so it refuses what
+    genotype.  A one-row call of the block draw (_set_counts) on the
+    horizon T0 (default: default_window_horizon), so it refuses what
     that draw refuses, in its order.
     """
     if T0 is None:
         T0 = default_window_horizon(measure, mu, n)
-    (text,) = _set_texts(measure, mu, n, T0, [rng])
-    return PartitionVector.from_text(text)
+    (counts,) = _set_counts(measure, mu, n, T0, [rng]).tolist()
+    return PartitionVector(tuple(counts))
 
 
 def _chain_prepare(measure: LambdaMeasure, mu: float, n: int) -> np.ndarray:
@@ -335,11 +336,11 @@ def sample_family_partition_chain(
     single (which would leave the state as it is), decides the next event:
     a mutant part freezes one lineage as a family, a part of size m merges
     a uniform m-subset.  That conditioned law is the frozen coalescent's
-    event row, so this is a parsed one-row call of its table and kernel,
-    with the refusals of _chain_prepare.  laws is unused.
+    event row, so this is a one-row call of its table and kernel, with
+    the refusals of _chain_prepare.  laws is unused.
     """
-    (text,) = _family_texts(_chain_prepare(measure, mu, n), n, [rng])
-    return PartitionVector.from_text(text)
+    (counts,) = _family_counts(_chain_prepare(measure, mu, n), n, [rng]).tolist()
+    return PartitionVector(tuple(counts))
 
 
 # ---------------------------------------------------------------------------

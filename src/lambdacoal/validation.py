@@ -29,10 +29,11 @@ from .measures import (
     first_part_laws_upto,
     parse_measure,
 )
-from .population import _chain_prepare, _set_texts
+from .population import _chain_prepare, _set_counts
 # perfbench's tracer test reads validation.simulate_frozen_coalescent
 from .coalescent import (  # noqa: F401
-    _family_texts,
+    _count_texts,
+    _family_counts,
     _frozen_table,
     simulate_frozen_coalescent,
 )
@@ -330,17 +331,17 @@ def _first_part_texts(measure, mu, n, T0, rngs) -> list[str]:
 _SAMPLERS = {
     "frozen": _Sampler(
         lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
-        lambda measure, mu, n, table, rngs: _family_texts(table, n, rngs),
+        lambda measure, mu, n, table, rngs: _count_texts(_family_counts(table, n, rngs)),
         False,
     ),
     "chain": _Sampler(
         _chain_prepare,
-        lambda measure, mu, n, table, rngs: _family_texts(table, n, rngs),
+        lambda measure, mu, n, table, rngs: _count_texts(_family_counts(table, n, rngs)),
         False,
     ),
     "set": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        _set_texts,
+        lambda measure, mu, n, T0, rngs: _count_texts(_set_counts(measure, mu, n, T0, rngs)),
         True,
     ),
     "composition": _Sampler(

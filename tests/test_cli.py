@@ -1015,72 +1015,72 @@ def test_validate_output_file(tmp_path, capsys):
 SIMULATE_POLY3X2_N6 = {
     "frozen": [
         "1^2 4^1",
-        "6^1",
-        "3^2",
-        "6^1",
+        "1^4 2^1",
         "1^3 3^1",
-        "1^2 4^1",
-        "1^2 4^1",
         "1^3 3^1",
+        "1^1 5^1",
+        "1^4 2^1",
+        "1^1 5^1",
+        "1^1 5^1",
     ],
     "chain": [
-        "1^6",
-        "1^6",
         "1^2 4^1",
+        "1^1 2^1 3^1",
         "1^4 2^1",
-        "1^2 4^1",
-        "1^3 3^1",
+        "6^1",
         "1^4 2^1",
-        "1^3 3^1",
+        "1^1 5^1",
+        "1^1 5^1",
+        "1^6",
     ],
     "set": [
-        "1^2 4^1",
-        "1^4 2^1",
+        "1^2 2^2",
         "1^1 2^1 3^1",
-        "1^6",
-        "1^1 5^1",
+        "1^2 4^1",
         "1^3 3^1",
-        "6^1",
+        "1^2 4^1",
         "1^6",
+        "1^2 4^1",
+        "1^3 3^1",
     ],
     "composition": [
-        "1,5",
-        "5,1",
-        "1,3,1,1",
-        "1,1,3,1",
-        "1,1,1,1,1,1",
-        "5,1",
-        "1,5",
         "1,1,1,3",
+        "1,1,1,2,1",
+        "1,4,1",
+        "1,1,1,1,2",
+        "3,1,1,1",
+        "3,1,1,1",
+        "1,1,4",
+        "1,5",
     ],
 }
 # beta:1.9,1,1 has infinite activity, so these windows are truncated at
 # the auto cutoff
 SIMULATE_BETA19_N6 = {
     "set": [
-        "1^2 2^2",
-        "1^1 5^1",
-        "1^2 4^1",
         "1^3 3^1",
-        "1^1 5^1",
-        "1^1 2^1 3^1",
+        "1^6",
+        "1^4 2^1",
+        "1^3 3^1",
         "1^2 4^1",
         "1^1 5^1",
+        "1^3 3^1",
+        "1^4 2^1",
     ],
     "composition": [
-        "1,2,1,2",
         "1,1,1,1,1,1",
-        "1,1,1,2,1",
+        "5,1",
+        "1,3,1,1",
+        "1,2,2,1",
         "2,1,1,1,1",
-        "4,1,1",
-        "2,3,1",
-        "1,1,3,1",
-        "3,3",
+        "1,1,1,3",
+        "1,1,4",
+        "1,2,3",
     ],
 }
 # sha256 of {case_id: [empirical, reference]} over the default plan
 VALIDATE_DEFAULT_TABLES_SHA256 = (
-    "c4a310364832d180496e83befc61d227813e0001fc153d3696472f3b06b1f4f8"
+    "4d698c3df4d1afd3e3d060b5b7229ba1fe2591490949b47f254d81b0a49fdf2d"
 )
 
 
@@ -1107,43 +1107,43 @@ PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
 SIMULATE_TABLE_N6 = {
     "frozen": [
         "1^2 4^1",
-        "6^1",
-        "1^2 2^2",
-        "1^1 5^1",
         "1^4 2^1",
         "1^3 3^1",
-        "1^1 5^1",
         "1^3 3^1",
+        "1^1 5^1",
+        "1^4 2^1",
+        "1^2 4^1",
+        "1^1 5^1",
     ],
     "chain": [
-        "1^6",
-        "1^6",
-        "1^3 3^1",
         "1^4 2^1",
-        "1^3 3^1",
-        "1^3 3^1",
+        "1^1 2^1 3^1",
+        "1^4 2^1",
+        "6^1",
+        "1^4 2^1",
+        "1^1 2^1 3^1",
+        "1^1 5^1",
         "1^6",
-        "1^3 3^1",
     ],
     "set": [
-        "1^4 2^1",
         "1^6",
+        "1^1 5^1",
         "1^4 2^1",
-        "1^3 3^1",
-        "1^6",
-        "1^2 4^1",
-        "1^3 3^1",
-        "1^3 3^1",
+        "1^4 2^1",
+        "1^1 5^1",
+        "1^1 5^1",
+        "1^4 2^1",
+        "1^4 2^1",
     ],
     "composition": [
-        "1,1,2,1,1",
-        "1,2,1,2",
-        "2,1,1,1,1",
-        "3,2,1",
         "1,1,1,1,1,1",
+        "1,1,3,1",
         "2,1,1,2",
-        "1,4,1",
-        "2,1,1,1,1",
+        "1,1,1,2,1",
+        "1,1,1,1,1,1",
+        "1,1,1,1,1,1",
+        "1,2,2,1",
+        "1,1,1,2,1",
     ],
 }
 
@@ -1213,22 +1213,22 @@ def test_validate_default_streams_pinned(capsys):
 # after jumps, mu = 10 drops them only by erosion.
 FORWARD_SHA256 = {
     ("simulate", "1", "5", "1"): (
-        "af347eeb6a232f977b2103d89e88e8dc44eef7471b8cadfbc510080e3be34c94"
+        "1a9930da195c3634363e292a2c161cc43997fce35a800d916d0784654a5a130b"
     ),
     ("simulate", "0", "200", "2"): (
-        "6608ced7701adbc9ccba37aafd754d78311cecdd18ff79585c7494c99e408500"
+        "edf730c25d3beadfaebdf05ec3df78c4eab47fa26acff13147fe4cb282a35e1d"
     ),
     ("simulate", "10", "20", "3"): (
-        "09cf48a10690af1cb83180cc818b3684cd0c15d7abf6dab14580c57875e0698d"
+        "5d30a3cf0e95a29663283a3facb6bfe076fc2c4d247c3d0fb00602ca7ea0f953"
     ),
     ("forward-snapshot", "1", "5", "4"): (
-        "cc020f97587f2a4251ab1dfdd6bff0ea3cc9194a8d1189181197adf54eec572a"
+        "5a022d4f8b09f49cabb5743027cdfab6f2f1b2f7fae0e980a9b8ad2ce2e29350"
     ),
     ("forward-snapshot", "0", "200", "2"): (
-        "c71934591bd26e10c325788320d6484e6de83cbdfaba839bc71b3b2d6fb76ee8"
+        "e06a50b71833cba5ff2eb53aa104c025f2ffa5ee1ab9904232bed02e3c46f7f2"
     ),
     ("forward-snapshot", "10", "20", "3"): (
-        "6934ccd47d23297a9263e6bdca5efdf6b529169c2c88a73e3db03459522a23e7"
+        "a320253479e3c22a74d94e03603aefd34cdb3274543c44a0c9169f9373a1f6c9"
     ),
 }
 
