@@ -40,10 +40,8 @@ draw kernel those of a whole block in lockstep (_nu_rows).
                       polynomial, Gauss-Legendre moments per cell, envelope
                       rejection for nu from the same L(x)/x**2
 
-Only BetaMeasure needs a special function.  The module imports the scipy
-package alone, and scipy.special loads on the first Beta moment or
-density; atoms and tables are numpy alone, and no measure loads
-scipy.linalg.
+Only BetaMeasure needs special functions: betaln and betainc from
+_special.py, on the math module.  No measure imports scipy.
 
 With mutation rate mu >= 0 and a sample of size n, the weight of the event
 "the smallest of n uniform balls is in a part of size m" is
@@ -67,10 +65,10 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-import scipy
 
 from ._piecewise import linear, not_a_knot
 from ._quadrature import _legendre, adaptive_integral
+from ._special import betainc, betaln
 from .errors import (
     DegenerateMeasureError,
     DustConditionError,
@@ -310,7 +308,7 @@ class BetaMeasure:
         log_dens = (
             (self.alpha - 1.0) * np.log(xi)
             + (self.beta - 1.0) * np.log1p(-xi)
-            - scipy.special.betaln(self.alpha, self.beta)
+            - betaln(self.alpha, self.beta)
         )
         out[inside] = self.mass * np.exp(log_dens)
         return out
@@ -327,7 +325,7 @@ class BetaMeasure:
             if a <= 0.0 or b <= 0.0:
                 raise _diverges(self, p, q)
             return self.mass * math.exp(
-                scipy.special.betaln(a, b) - scipy.special.betaln(self.alpha, self.beta)
+                betaln(a, b) - betaln(self.alpha, self.beta)
             )
         # On a sub-interval the integrand is x**(A-1) (1-x)**(B-1) times
         # mass / B(alpha, beta).  Sub-intervals arise only for nu = L / x**2,
@@ -337,14 +335,12 @@ class BetaMeasure:
         B = self.beta + q
         if A > 0.0:
             scale = self.mass * math.exp(
-                scipy.special.betaln(A, B) - scipy.special.betaln(self.alpha, self.beta)
+                betaln(A, B) - betaln(self.alpha, self.beta)
             )
-            return scale * float(
-                scipy.special.betainc(A, B, hi) - scipy.special.betainc(A, B, lo)
-            )
+            return scale * (betainc(A, B, hi) - betainc(A, B, lo))
         if lo <= 0.0:
             raise _diverges(self, p, q)
-        c = self.mass * math.exp(-scipy.special.betaln(self.alpha, self.beta))
+        c = self.mass * math.exp(-betaln(self.alpha, self.beta))
         total = 0.0
         mid = min(hi, 0.5)
         if lo < mid:

@@ -6,7 +6,7 @@ identical (plan, reps, seed) regardless of worker count.  Sampler output
 distributions are compared against the exact recursion (or against each
 other) with total variation distance and a chi-square goodness-of-fit
 test whose tail probability comes from the regularized upper incomplete
-gamma function.
+gamma function, _special.gammaincc; no scipy module loads.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
+from ._special import gammaincc
 from .errors import LambdaCoalError
 from .measures import (
     build_rate_table,
@@ -103,7 +103,7 @@ def _chi_square(cells) -> tuple[float, int, float]:
         raise ValueError("fewer than 2 cells after pooling")
     stat = math.fsum(sum((o - e) ** 2 / e for e, o in cell) for cell in kept)
     df = len(kept) - 1
-    return stat, df, float(scipy.special.gammaincc(df / 2.0, stat / 2.0))
+    return stat, df, gammaincc(df / 2.0, stat / 2.0)
 
 
 def chi_square_gof(exact: dict, counts: dict) -> tuple[float, int, float]:

@@ -642,8 +642,7 @@ def test_table_and_atom_commands_load_neither_scipy_special_nor_linalg(tmp_path)
     # with both submodules blocked, every command on the pin table,
     # atoms:0.5=0.25 and delta:0 prints the same bytes and exits with the
     # same code as with them available, and the unblocked run loads
-    # neither; a Beta measure loads scipy.special and still not
-    # scipy.linalg
+    # neither
     table = tmp_path / "table.txt"
     table.write_text(PIN_TABLE_TEXT)
     results = []
@@ -663,19 +662,64 @@ def test_table_and_atom_commands_load_neither_scipy_special_nor_linalg(tmp_path)
     # delta:0 is refused by the window samplers and the forward process
     codes = [code for code, _ in unblocked.values()]
     assert sorted(codes) == [EXIT_OK] * 19 + [EXIT_NUMERIC] * 5
-    script = """
-import contextlib, io, sys
+
+
+# Every command on Beta measures, the pin table and an atom, plus the
+# default validation, run in one interpreter that prints {argv: [exit
+# code, stdout]} as JSON and then the scipy modules it loaded.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
 import lambdacoal.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert lambdacoal.cli.main(["simulate", "set", "--measure", "poly3x2", "--mu", "1",
-                                "--n", "5", "--reps", "20", "--seed", "1"]) == 0
-print(sorted(m for m in ("scipy.special", "scipy.linalg") if m in sys.modules))
+argvs = [["validate", "--reps", "50", "--seed", "1"]]
+for measure in ("poly3x2", "beta:1.9,1,1", "beta:2,2,1", sys.argv[1], "atoms:0.5=0.25"):
+    common = ["--measure", measure, "--mu", "1"]
+    argvs += [["rates", "--nmax", "12", "--measure", measure],
+              ["exact", *common, "--n", "4"],
+              ["forward-snapshot", "--stationary", *common, "--seed", "2"],
+              ["simulate", "forward", *common, "--horizon", "3", "--seed", "2"]]
+    for sampler in ("frozen", "chain", "set", "composition"):
+        argvs.append(["simulate", sampler, *common, "--n", "5", "--reps", "20", "--seed", "1"])
+runs = {}
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = lambdacoal.cli.main(argv)
+    runs[" ".join(argv)] = [code, out.getvalue()]
+print(json.dumps(runs))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['scipy.special']\n"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # with scipy itself blocked, every command on Beta measures (finite
+    # and infinite activity), the pin table and an atom, and the default
+    # validation, prints the same bytes and exits with the same code as
+    # with scipy available, and the open run loads no scipy module
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    procs = {
+        mode: subprocess.Popen(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, f"density-file:{table}", mode],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for mode in ("blocked", "open")
+    }
+    results = {}
+    for mode, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        runs, loaded = out.splitlines()
+        results[mode] = json.loads(runs), loaded
+    assert results["blocked"][0] == results["open"][0]
+    assert results["open"][1] == "[]"
+    assert results["blocked"][1] == "['scipy']"
+    # the forward process refuses the two infinite-activity Beta measures
+    codes = [code for code, _ in results["open"][0].values()]
+    assert sorted(codes) == [EXIT_OK] * 38 + [EXIT_VALIDATION] + [EXIT_NUMERIC] * 2
 
 
 @pytest.mark.parametrize("command", [["simulate", "forward"], ["forward-snapshot"]])

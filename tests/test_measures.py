@@ -716,6 +716,66 @@ def test_legendre_integrates_even_powers():
         assert np.max(np.abs(err)) <= 1e-14, count
 
 
+def test_beta_special_functions_match_scipy():
+    # betaln and betainc of _special.py against scipy.special on a log
+    # grid of shapes, x from 1e-300 to 1 - 1e-16, wherever betainc is at
+    # least 1e-300.  The bound is 1e-13 relative, and in the far tail
+    # 2e-15 per unit of |ln I|: a value e**(ln I) near 1e-300 holds ln I
+    # only to its last bit, and there scipy itself is off from 40-digit
+    # values by up to 2.5e-13 on this grid.  scipy's betaln subtracts
+    # log-gammas once a + b > 171, which costs it an ulp of each (3.6e-12
+    # at a = 2000, b = 0.38, where 40-digit values put ours within 5e-16);
+    # the betaln bound adds that rounding.
+    from lambdacoal._special import betainc, betaln
+
+    shapes = np.geomspace(1e-3, 2e3, 16)
+    xs = np.concatenate([np.geomspace(1e-300, 0.5, 40), 1.0 - np.geomspace(1e-16, 0.5, 25)])
+    eps = np.finfo(float).eps
+    for a in shapes:
+        for b in shapes:
+            a, b = float(a), float(b)
+            ref = scipy.special.betaln(a, b)
+            rounding = eps * sum(abs(math.lgamma(v)) for v in (a, b, a + b))
+            assert abs(betaln(a, b) - ref) <= 1e-13 * max(1.0, abs(ref)) + rounding, (a, b)
+            for x in xs:
+                ref = scipy.special.betainc(a, b, x)
+                if ref >= 1e-300:
+                    bound = max(1e-13, 2e-15 * abs(math.log(ref)))
+                    assert abs(betainc(a, b, float(x)) - ref) <= bound * ref, (a, b, x)
+
+
+def test_special_functions_refuse_rather_than_hang(monkeypatch):
+    # a series or continued fraction that runs out of steps raises the
+    # typed error the CLI reports with exit 3
+    from lambdacoal import _special
+
+    monkeypatch.setattr(_special, "_MAX_STEPS", 3)
+    for call in (
+        lambda: _special.betainc(2000.0, 2000.0, 0.49),
+        lambda: _special.betainc(2000.0, 0.5, 0.999),
+        lambda: _special.gammaincc(5e4, 4.9e4),
+        lambda: _special.gammaincc(5e4, 5.1e4),
+    ):
+        with pytest.raises(lc.NonIntegrableError, match="did not converge"):
+            call()
+
+
+@pytest.mark.parametrize("spec", ["poly3x2", "beta:1.9,1,1", "beta:1.2,3.7,1", "beta:0.5,0.05,1"])
+def test_beta_rate_table_matches_scipy(spec):
+    # the n = 40 rate table against mass B(alpha+k-2, beta+b-k) / B(alpha,
+    # beta) on scipy's betaln, which takes the Gamma functions themselves
+    # at these arguments
+    measure = parse_measure(spec)
+    rates = build_rate_table(measure, 40).rates
+    log_norm = scipy.special.betaln(measure.alpha, measure.beta)
+    for b in range(2, 41):
+        for k in range(2, b + 1):
+            ref = measure.mass * math.exp(
+                scipy.special.betaln(measure.alpha + k - 2.0, measure.beta + b - k) - log_norm
+            )
+            assert rates[b, k] == pytest.approx(ref, rel=1e-13, abs=0.0), (b, k)
+
+
 def test_legendre_matches_scipy_roots_legendre():
     for count in range(1, 41):
         x, w = _legendre(count)

@@ -1,12 +1,14 @@
 """Statistics helpers and the cross-validation harness.
 
-Chi-square tail probabilities are cross-checked against scipy.stats
-rather than hand-frozen constants; the harness itself is exercised with
-small deterministic plans, including a forced-failure control where the
-exact side runs at a different mutation rate.
+Chi-square tail probabilities are cross-checked against scipy.special,
+scipy.stats and exact decimal sums rather than hand-frozen constants;
+the harness itself is exercised with small deterministic plans,
+including a forced-failure control where the exact side runs at a
+different mutation rate.
 """
 
 import concurrent.futures
+import decimal
 import json
 import math
 import tracemalloc
@@ -14,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+import scipy.special
 from scipy.stats import chi2 as chi2_dist
 
 from lambdacoal import (
@@ -40,6 +42,7 @@ from lambdacoal import (
     total_variation,
 )
 import lambdacoal.subordinator
+from lambdacoal._special import gammaincc
 from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, draw_span, prepare_shared
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -126,6 +129,54 @@ def test_gof_tail_matches_scipy():
     assert p == pytest.approx(chi2_dist.sf(stat, df), rel=1e-12)
 
 
+@pytest.mark.parametrize("df", [*range(1, 51), 999, 3000, 37338, 100_000])
+def test_chi_square_tail_matches_scipy(df):
+    # the chi-square tail Q(df/2, x/2) against scipy.special.gammaincc,
+    # x from 0 to 1e6 and around df, up to df = 1e5 (37338 is p(40), the
+    # cell count of the n = 40 family-size law), wherever the tail is at
+    # least 1e-300: within 1e-13 relative down to p = 1e-20.  Below that
+    # scipy's own values are off from 40-digit ones by up to 1.8e-12
+    # (ours by 1.2e-13), so the bound there is 4e-12, and
+    # test_chi_square_tail_exact_at_even_df holds ours to the exact tail.
+    xs = np.concatenate([
+        np.linspace(0.0, 1e6, 101),
+        np.geomspace(1e-8, 1e6, 141),
+        df * np.linspace(0.5, 2.0, 61),
+        df + np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+    ])
+    checked = 0
+    for x in xs[xs >= 0.0]:
+        ref = scipy.special.gammaincc(df / 2.0, x / 2.0)
+        if ref >= 1e-300:
+            bound = 1e-13 if ref >= 1e-20 else 4e-12
+            assert abs(gammaincc(df / 2.0, float(x) / 2.0) - ref) <= bound * ref, x
+            checked += 1
+    assert checked > 100
+    # a statistic far past any float tail (a pooled cell of tiny expected
+    # count) reads p = 0 without overflowing x**(df/2)
+    for x in (1e300, math.inf):
+        assert gammaincc(df / 2.0, x / 2.0) == 0.0
+
+
+@pytest.mark.parametrize("df", [2, 4, 10, 30, 50, 1000])
+def test_chi_square_tail_exact_at_even_df(df):
+    # at even df the tail is a Poisson sum, e**-y (1 + y + ... +
+    # y**(df/2-1) / (df/2-1)!) at y = x/2, here in 60-digit decimals, down
+    # to 1e-300: within 1e-13 relative, and in the far tail 2e-15 per unit
+    # of |ln p|, since a value e**(ln p) holds ln p only to its last bit
+    ctx = decimal.Context(prec=60)
+    for x in np.concatenate([np.geomspace(1e-6, 4.0 * df + 1500.0, 150), [df - 1.0, df, df + 1.0]]):
+        y = ctx.divide(decimal.Decimal(float(x)), 2)
+        term = total = decimal.Decimal(1)
+        for k in range(1, df // 2):
+            term = ctx.divide(ctx.multiply(term, y), k)
+            total = ctx.add(total, term)
+        exact = float(ctx.multiply(total, ctx.exp(-y)))
+        if exact >= 1e-300:
+            bound = max(1e-13, 2e-15 * abs(math.log(exact)))
+            assert abs(gammaincc(df / 2.0, float(x) / 2.0) - exact) <= bound * exact, x
+
+
 # ---------------------------------------------------------------------------
 # chi-square homogeneity
 # ---------------------------------------------------------------------------
@@ -170,6 +221,8 @@ def test_two_sample_empty_raises():
 # ---------------------------------------------------------------------------
 
 
+# The references pool and sum by hand and take p from the library's tail,
+# which test_chi_square_tail_matches_scipy checks against scipy.
 def _gof_reference(exact, counts):
     n = sum(counts.values())
     keys = sorted(set(exact) | set(counts))
@@ -193,7 +246,7 @@ def _gof_reference(exact, counts):
         raise ValueError("fewer than 2 cells after pooling")
     stat = math.fsum((o - e) ** 2 / e for e, o in zip(keep_e, keep_o))
     df = len(keep_e) - 1
-    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+    return stat, df, gammaincc(df / 2.0, stat / 2.0)
 
 
 def _two_sample_reference(counts_a, counts_b):
@@ -221,7 +274,7 @@ def _two_sample_reference(counts_a, counts_b):
         for e_a, o_a, e_b, o_b in cells
     )
     df = len(cells) - 1
-    return stat, df, float(gammaincc(df / 2.0, stat / 2.0))
+    return stat, df, gammaincc(df / 2.0, stat / 2.0)
 
 
 def _outcome(fn, *args):
