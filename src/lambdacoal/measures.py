@@ -324,9 +324,7 @@ class BetaMeasure:
             b = self.beta + q
             if a <= 0.0 or b <= 0.0:
                 raise _diverges(self, p, q)
-            return self.mass * math.exp(
-                betaln(a, b) - betaln(self.alpha, self.beta)
-            )
+            return self.mass * _exp(betaln(a, b) - betaln(self.alpha, self.beta))
         # On a sub-interval the integrand is x**(A-1) (1-x)**(B-1) times
         # mass / B(alpha, beta).  Sub-intervals arise only for nu = L / x**2,
         # so A is formed from nu's exponent p + 2: alpha + p itself can
@@ -334,13 +332,11 @@ class BetaMeasure:
         A = self.alpha + (p + 2.0) - 2.0
         B = self.beta + q
         if A > 0.0:
-            scale = self.mass * math.exp(
-                betaln(A, B) - betaln(self.alpha, self.beta)
-            )
+            scale = self.mass * _exp(betaln(A, B) - betaln(self.alpha, self.beta))
             return scale * (betainc(A, B, hi) - betainc(A, B, lo))
         if lo <= 0.0:
             raise _diverges(self, p, q)
-        c = self.mass * math.exp(-betaln(self.alpha, self.beta))
+        c = self.mass * _exp(-betaln(self.alpha, self.beta))
         total = 0.0
         mid = min(hi, 0.5)
         if lo < mid:
@@ -560,6 +556,15 @@ def _grid_moment(grid: tuple, p: float, q: float) -> float:
     with np.errstate(over="ignore") if p < 0 else contextlib.nullcontext():
         cells = half * (weights @ (xs**p * ys**q * L))
     return _fsum(cells)
+
+
+def _exp(x: float) -> float:
+    """math.exp(x), inf where it overflows, as an overflowing table
+    moment reads."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _fsum(cells) -> float:

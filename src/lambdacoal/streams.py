@@ -10,9 +10,13 @@ derivation after Salmon et al., SC'11).  Distinct addresses give
 independent streams, whatever the scheduling or worker count; a small LRU
 keeps the recent blocks.  A derived generator pickles but does not spawn.
 
-fan_out splits a run's replicate indices into spans, one per process of
-a pool of at most one process per 512 replicates; since a replicate's
-stream depends only on its index, the results do not depend on the split.
+fan_out splits a run's replicate indices into spans, at most one per 512
+replicates, and forks one child per span.  A child inherits the caller's
+state (the parsed measure, its tables and caches), so nothing is pickled
+on the way in; it sends its span's result back through a pipe.  Where
+os.fork does not exist the whole range runs in the calling process.
+Since a replicate's stream depends only on its index, the results do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import functools
 import hashlib
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -89,25 +95,86 @@ def derive_rng(master_seed: int, *indices) -> np.random.Generator:
     return Generator(PCG64(_Seeds(_block_seeds((*prefix, last - i))[i])))
 
 
-def fan_out(fn, args: tuple, reps: int, workers: int, executor=None) -> list:
+def fan_out(fn, args: tuple, reps: int, workers: int) -> list:
     """[fn(*args, start, stop), ...] over spans covering replicates [0, reps).
 
     It uses min(workers, reps // _DRAW_BLOCK) processes, at most one per
-    full draw block.  Below two, the whole range is one span run in this
-    process and no pool is made, since a forked process's first span pays
-    its copy-on-write faults and a lockstep span's numpy cost is per
-    block, not per replicate.  Otherwise one span of ceil(reps /
-    processes) replicates per process goes to the executor, or to a pool
-    made for this call when none is given; results come back in span
-    order.
+    full draw block.  Below two the whole range is one span run in this
+    process, since a forked process's first span pays its copy-on-write
+    faults and a lockstep span's numpy cost is per block, not per
+    replicate; so is it where os.fork does not exist.  Otherwise one span of
+    ceil(reps / processes) replicates goes to each of that many forked
+    children, and the caller only waits.  Results come back in span
+    order; a span's exception is raised here, and a child that leaves
+    without a result raises RuntimeError naming its span.  Every child is
+    reaped before this returns or raises.
     """
     workers = min(workers, reps // _DRAW_BLOCK)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(*args, 0, reps)]
-    if executor is None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return fan_out(fn, args, reps, workers, pool)
     chunk = math.ceil(reps / workers)
     spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
-    futures = [executor.submit(fn, *args, a, b) for a, b in spans]
-    return [f.result() for f in futures]
+    children, replies, statuses = [], [], []
+    try:
+        for start, stop in spans:
+            children.append(_fork_span(fn, args, start, stop, [r for _, r in children]))
+        replies = [_read_to_eof(r) for _, r in children]
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if not replies:
+                # a fork or a read failed: a child still drawing is killed,
+                # not waited for
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    results = []
+    for (start, stop), data, status in zip(spans, replies, statuses):
+        if status != 0:
+            raise RuntimeError(
+                f"the process drawing replicates [{start}, {stop}) left without a "
+                f"result (wait status {status}, exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        kind, value = pickle.loads(data)
+        if kind == "err":
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork_span(fn, args: tuple, start: int, stop: int, inherited: list) -> tuple:
+    """(pid, read end of its pipe) of a forked child that writes the
+    pickled ("ok", fn(*args, start, stop)) or ("err", exception) and exits
+    0, or exits 1 without a reply if that does not pickle; `inherited` are
+    the caller's read ends the child closes."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        for fd in (r, *inherited):
+            os.close(fd)
+        try:
+            reply = ("ok", fn(*args, start, stop))
+        except BaseException as exc:
+            reply = ("err", exc)
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        # the child never returns into the caller's stack
+        os._exit(code)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)

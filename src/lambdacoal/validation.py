@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
@@ -373,8 +372,8 @@ def prepare_shared(names, measure, mu: float, n: int) -> tuple:
 def draw_span(names, measure, mu, n, seed, tag, shared, start, stop) -> list[str]:
     """Outcome texts of replicates [start, stop) in replicate order:
     replicate r runs names[r % len(names)] on the stream (seed, tag, r).
-    The measure is the caller's parsed one; a pool worker gets a pickled
-    copy, so no span parses its spec again."""
+    The measure is the caller's parsed one, which a forked span inherits
+    with its tables and caches, so no span parses its spec again."""
     m = len(names)
     out = [""] * (stop - start)
     for lo in range(start, stop, _DRAW_BLOCK):
@@ -406,13 +405,12 @@ def _case_samplers(case: ValidationCase) -> tuple:
     raise ValueError(f"unknown case kind {case.kind!r}")
 
 
-def _case_outcomes(case, measure, names, shared, reps, seed, workers, executor) -> list:
+def _case_outcomes(case, measure, names, shared, reps, seed, workers) -> list:
     spans = fan_out(
         draw_span,
         (names, measure, case.mu, case.n, seed, case.case_id, shared),
         reps,
         workers,
-        executor,
     )
     return [text for span in spans for text in span]
 
@@ -427,7 +425,7 @@ def _truncation_bias(measure, names, shared) -> float:
 
 
 def _evaluate_case(
-    case: ValidationCase, names, reps: int, seed: int, workers: int, executor
+    case: ValidationCase, names, reps: int, seed: int, workers: int
 ) -> ValidationReport:
     """The report of one case; a failure to evaluate it (a domain error or
     a statistic that cannot be formed, such as too few cells after
@@ -470,7 +468,7 @@ def _evaluate_case(
                 for m in range(2, case.n + 1):
                     exact[str(m)] = law.probs[m - 1]
             counts = Counter(
-                _case_outcomes(case, measure, names, shared, reps, seed, workers, executor)
+                _case_outcomes(case, measure, names, shared, reps, seed, workers)
             )
             report.empirical = dict(sorted(counts.items()))
             report.expected = exact
@@ -482,9 +480,7 @@ def _evaluate_case(
                 f"p>={case.p_floor:g}": p >= case.p_floor,
             }
         else:  # sequential_vs_window
-            outcomes = _case_outcomes(
-                case, measure, names, shared, reps, seed, workers, executor
-            )
+            outcomes = _case_outcomes(case, measure, names, shared, reps, seed, workers)
             seq, win = Counter(outcomes[0::2]), Counter(outcomes[1::2])
             report.empirical = dict(sorted(seq.items()))
             report.reference = dict(sorted(win.items()))
@@ -518,21 +514,10 @@ def run_validation(
         raise ValueError("seed must be non-negative")
     # a plan error raises before any case draws
     names = [_case_samplers(case) for case in plan]
-    # every case draws reps replicates, and fan_out runs them on at most
-    # one process per full draw block: a larger pool would fork idle
-    # processes
-    workers = min(workers, reps // _DRAW_BLOCK)
-    executor = None
-    try:
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        return [
-            _evaluate_case(case, case_names, reps, seed, workers, executor)
-            for case, case_names in zip(plan, names)
-        ]
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    return [
+        _evaluate_case(case, case_names, reps, seed, workers)
+        for case, case_names in zip(plan, names)
+    ]
 
 
 def reports_to_json(reports: list[ValidationReport]) -> str:

@@ -265,13 +265,13 @@ def test_simulate_worker_count_invariance(tmp_path, sampler):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_simulate_parses_the_measure_once(tmp_path, monkeypatch, workers):
     # the command parses --measure once: its spans, in this process or in
-    # the two pool workers of 1100 replicates, reuse the parsed measure
+    # the two forked children of 1100 replicates, reuse the parsed measure
     table = tmp_path / "table.txt"
     table.write_text(PIN_TABLE_TEXT)
     log = tmp_path / "parses.log"
 
     def counted(spec):
-        with open(log, "a") as f:  # forked workers append here too
+        with open(log, "a") as f:  # forked children append here too
             f.write(spec + "\n")
         return parse_measure(spec)
 
@@ -537,6 +537,62 @@ def test_near_zero_table_runs_or_refuses(tmp_path, capsys, table, command, flags
     else:
         assert not out
         assert re.fullmatch(r"error: \w+Error: [^\n]*\n", err), err
+
+
+def _run_cli(argv):
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lambdacoal.cli"] + argv,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["simulate", "set"] + DRAW_FLAGS, id="set"),
+        pytest.param(["simulate", "composition"] + DRAW_FLAGS, id="composition"),
+        pytest.param(["forward-snapshot"] + SNAPSHOT_FLAGS, id="snapshot"),
+    ],
+)
+def test_beta_measure_whose_nu_moment_overflows_is_refused(argv):
+    # beta:3,1e300,1 has nu mass near 1e600: the Beta ratio reads inf, as
+    # an overflowing table moment does, and is refused with one typed line
+    proc = _run_cli(argv + ["--measure", "beta:3,1e300,1"])
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: InfiniteActivityError: [^\n]*overflows\n", proc.stderr)
+
+
+def test_overflowing_beta_refusal_from_forked_children_is_the_serial_line():
+    # at 1100 replicates and two workers each forked child raises the
+    # refusal; the caller prints it as the serial run does
+    argv = ["simulate", "set", "--measure", "beta:3,1e300,1", "--mu", "1", "--n", "4",
+            "--reps", "1100", "--seed", "1", "--workers"]
+    serial, forked = _run_cli(argv + ["1"]), _run_cli(argv + ["2"])
+    assert serial.returncode == forked.returncode == EXIT_NUMERIC, forked.stderr
+    assert serial.stdout == forked.stdout == ""
+    assert serial.stderr == forked.stderr
+    assert serial.stderr.startswith("error: InfiniteActivityError: ")
+    assert serial.stderr.count("\n") == 1
+
+
+def test_cli_loads_neither_multiprocessing_nor_concurrent_futures():
+    # --workers forks its span children itself: no process pool
+    script = (
+        "import sys, lambdacoal.cli\n"
+        "argv = ['simulate', 'set', '--measure', 'poly3x2', '--mu', '1', '--n', '6',\n"
+        "        '--reps', '1100', '--seed', '3', '--workers', '2']\n"
+        "assert lambdacoal.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_exact_on_underflowing_atom_is_unchanged(capsys):

@@ -163,6 +163,18 @@ def test_atom_whose_power_underflows_diverges():
     assert coalescence_rate(m, 3, 2) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_beta_moment_that_overflows_reads_inf():
+    # nu's mass is about 1e600: the Beta-function ratio overflows, on all
+    # of (0, 1) and on the sub-interval choose_truncation first tries
+    m = parse_measure("beta:3,1e300,1")
+    assert m.moment(-2.0) == math.inf
+    assert m.moment(-2.0, 0.0, 0.0, 1e-30) == math.inf
+    assert total_mass(m) == 1.0
+    with pytest.raises(InfiniteActivityError, match="overflows"):
+        litter_intensity_tail(m, 0.0)
+
+
 def test_descriptor_round_trip():
     for spec in ["delta:0", "delta:1", "atoms:0.5=0.25", "beta:2,2,1"]:
         m = parse_measure(spec)

@@ -11,12 +11,12 @@ words, seeds PCG64.  Warnings are errors here.
 import hashlib
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
-import lambdacoal.streams
-from lambdacoal import derive_rng, parse_measure
+from lambdacoal import InfiniteActivityError, derive_rng, parse_measure
 from lambdacoal.streams import _block_seeds, fan_out
 from lambdacoal.validation import draw_span, prepare_shared
 
@@ -191,36 +191,128 @@ def _span_pid(start, stop):
     return os.getpid(), start, stop
 
 
+def _counting_forks(monkeypatch) -> list:
+    """Patch os.fork to record each call's pid before forking."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 @pytest.mark.parametrize("reps", [1, 511, 512, 1023])
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_fan_out_below_two_blocks_runs_in_this_process(monkeypatch, reps, workers):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was built for fewer than two draw blocks")
-
-    monkeypatch.setattr(lambdacoal.streams, "ProcessPoolExecutor", refuse)
+    calls = _counting_forks(monkeypatch)
     assert fan_out(_span_pid, (), reps, workers) == [(os.getpid(), 0, reps)]
+    assert calls == []
+
+
+def test_fan_out_without_fork_runs_in_this_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert fan_out(_span_pid, (), 2048, 4) == [(os.getpid(), 0, 2048)]
 
 
 @forks
 @pytest.mark.parametrize("reps, workers", [(1024, 2), (1024, 3), (1537, 3), (2048, 2)])
-def test_fan_out_runs_one_span_per_full_block_in_other_processes(reps, workers):
+def test_fan_out_runs_one_span_per_full_block_in_other_processes(monkeypatch, reps, workers):
+    calls = _counting_forks(monkeypatch)
     spans = fan_out(_span_pid, (), reps, workers)
-    assert len(spans) == min(workers, reps // 512)
+    assert len(spans) == len(calls) == min(workers, reps // 512)
+    assert set(calls) == {os.getpid()}
     assert os.getpid() not in {pid for pid, _, _ in spans}
     edges = [0] + [stop for _, _, stop in spans]
     assert [(a, b) for _, a, b in spans] == list(zip(edges, edges[1:]))
     assert edges[-1] == reps
+    _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_in_second_span(start, stop):
+    if start > 0:
+        raise InfiniteActivityError(f"span [{start}, {stop}) refused")
+    return start, stop
+
+
+def _exit_in_second_span(start, stop):
+    if start > 0:
+        os._exit(7)
+    return start, stop
+
+
+def _unpicklable_result(start, stop):
+    return lambda: start
+
+
+@forks
+def test_fan_out_raises_a_span_exception_with_its_type_and_message():
+    with pytest.raises(InfiniteActivityError, match=r"^span \[512, 1024\) refused$"):
+        fan_out(_fail_in_second_span, (), 1024, 2)
+    _assert_no_child_left()
+
+
+@forks
+def test_fan_out_reports_a_child_that_leaves_without_a_result():
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"\[683, 1366\).*exit code 7"):
+        fan_out(_exit_in_second_span, (), 2048, 3)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def _sleep_span(start, stop):
+    time.sleep(60)
+
+
+@forks
+def test_fan_out_kills_its_children_when_a_fork_fails(monkeypatch):
+    calls, fork = [], os.fork
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError("no process left")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    start = time.monotonic()
+    with pytest.raises(BlockingIOError):
+        fan_out(_sleep_span, (), 2048, 3)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+@forks
+def test_fan_out_reports_a_result_that_does_not_pickle():
+    with pytest.raises(RuntimeError, match=r"\[0, 512\).*exit code 1\)"):
+        fan_out(_unpicklable_result, (), 1024, 2)
+    _assert_no_child_left()
+
+
+# the 6-node table the CLI's stream pins use
+PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
 
 
 @forks
 @pytest.mark.parametrize("workers", [2, 3])
-def test_fan_out_output_does_not_depend_on_the_worker_count(workers):
-    names = ("frozen",)
-    measure = parse_measure("poly3x2")
-    shared = prepare_shared(names, measure, 1.0, 4)
-    args = (names, measure, 1.0, 4, 7, "fan-out", shared)
-    for reps in (1023, 1024, 1100, 1537):
-        serial = fan_out(draw_span, args, reps, 1)
-        assert len(serial) == 1 and len(serial[0]) == reps
-        parallel = fan_out(draw_span, args, reps, workers)
-        assert [text for span in parallel for text in span] == serial[0]
+def test_fan_out_output_does_not_depend_on_the_worker_count(tmp_path, workers):
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    for spec in ("poly3x2", f"density-file:{table}"):
+        measure = parse_measure(spec)
+        for sampler in ("frozen", "chain", "set", "composition"):
+            names = (sampler,)
+            shared = prepare_shared(names, measure, 1.0, 4)
+            args = (names, measure, 1.0, 4, 7, "fan-out", shared)
+            for reps in (1023, 1024, 1100, 1537):
+                serial = fan_out(draw_span, args, reps, 1)
+                assert len(serial) == 1 and len(serial[0]) == reps
+                parallel = fan_out(draw_span, args, reps, workers)
+                assert [text for span in parallel for text in span] == serial[0], (spec, sampler)

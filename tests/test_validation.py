@@ -7,10 +7,10 @@ including a forced-failure control where the exact side runs at a
 different mutation rate.
 """
 
-import concurrent.futures
 import decimal
 import json
 import math
+import os
 import tracemalloc
 from collections import Counter
 
@@ -453,16 +453,15 @@ def test_worker_count_invariance():
 
 @pytest.mark.parametrize("reps, pool", [(600, None), (1100, 2), (1600, 3)])
 def test_pool_has_one_process_per_full_draw_block(monkeypatch, reps, pool):
-    sizes = []
+    forks, fork = [], os.fork
 
-    class Recorder(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    def counted():
+        forks.append(None)
+        return fork()
 
-    monkeypatch.setattr(lambdacoal.validation, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "fork", counted)
     run_validation([FROZEN_CASE], reps, 5, workers=4)
-    assert sizes == ([] if pool is None else [pool])
+    assert len(forks) == (0 if pool is None else pool)
 
 
 def test_negative_control_fails():
