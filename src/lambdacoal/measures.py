@@ -22,17 +22,16 @@ reports it in its own domain: DustConditionError for the 1/x integrals,
 InfiniteActivityError for nu, PopulationSupportError for the standing
 assumptions of the population construction.
 
-Each representation is one class with four members: `moment`,
-`sample_nu` (draws from nu restricted to (eps, 1], normalized, into a
-given array or a new one), `nu_quantile` (the inverse cdf of that law as
-a map of uniforms, or None where sample_nu rejects) and `descriptor` (its
-canonical text form).  A class that rejects writes its rule once, as
-`_nu_candidates` (one round's candidates from one generator) and
-`_nu_accept` (the sizes and keep mask of any rounds joined); its
-sample_nu runs the rounds of one generator (_nu_rounds), and the window
-draw kernel those of a whole block in lockstep (_nu_rows).
+Each representation is one class with `moment`, `descriptor` (its
+canonical text form) and the rule by which it draws from nu restricted
+to (eps, 1], normalized: `_nu_candidates` (one round's candidates from
+one generator) and `_nu_accept` (the sizes and keep mask of any rounds
+joined).  sample_jump_sizes runs the rounds of one generator
+(_nu_rounds), and the window draw kernel those of a whole block in
+lockstep (_nu_rows).
 
-* AtomicMeasure       weighted atoms: sums over the atoms
+* AtomicMeasure       weighted atoms: sums over the atoms, inverse cdf
+                      for nu (one round that keeps every size)
 * BetaMeasure         mass * Beta(alpha, beta) density: complete and
                       incomplete Beta functions, power-law envelope
                       rejection for nu
@@ -139,7 +138,7 @@ def _check_mu(mu: float) -> None:
 
 
 def _nu_rounds(measure, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """sample_nu of a measure that draws nu by rejection: rounds of the
+    """`count` draws from nu above eps by one generator: rounds of the
     candidates measure._nu_candidates draws for the count still needed,
     of which the sizes measure._nu_accept keeps are taken in draw order
     until there are `count`.  The draws are written to `out` if given."""
@@ -165,7 +164,7 @@ def _nu_rows(measure, eps: float, counts, rngs, out: np.ndarray) -> None:
     every row still short draws its own candidate block, one
     measure._nu_accept call reads all the blocks joined, and each row
     takes its first kept sizes in draw order; so each generator reads
-    exactly the draws of a one-row sample_nu call (as a lone row does, by
+    exactly the draws of a one-row _nu_rounds call (as a lone row does, by
     that call).  Rows go in passes of consecutive rows that hold about
     _NU_PASS_POINTS sizes between them."""
     if len(counts) == 1:
@@ -241,16 +240,17 @@ class AtomicMeasure:
                 terms.append(w * (1.0 - x) ** q / den)
         return math.fsum(terms)
 
-    def sample_nu(self, eps: float, count: int, rng: np.random.Generator, out=None) -> np.ndarray:
-        # numpy's rng.choice(locs, size=count, p=p) without its checks of p:
-        # the same uniforms against the same cdf
-        return self.nu_quantile(eps)(rng.random(count), out)
+    def _nu_candidates(self, eps: float, need: int, rng: np.random.Generator) -> np.ndarray:
+        """One round for `need` more draws: that many uniforms."""
+        return rng.random(need)
 
-    def nu_quantile(self, eps: float):
-        """The inverse cdf of nu restricted to (eps, 1], normalized: a map
-        of uniforms on [0, 1) to jump sizes, written to `out` if given."""
+    def _nu_accept(self, eps: float, u: np.ndarray) -> tuple:
+        """(sizes, keep) of uniforms from _nu_candidates: the inverse cdf
+        of the atoms above eps, every size kept.  numpy's
+        rng.choice(locs, size=count, p=p) without its checks of p: the
+        same uniforms against the same cdf."""
         locs, cdf = _atom_nu_cdf(self, eps)
-        return lambda u, out=None: locs.take(cdf.searchsorted(u, side="right"), out=out)
+        return locs.take(cdf.searchsorted(u, side="right")), np.ones(len(u), dtype=bool)
 
     def descriptor(self) -> str:
         if len(self.locations) == 1 and self.weights[0] == 1.0:
@@ -360,8 +360,6 @@ class BetaMeasure:
             total += adaptive_integral(right, z_lo, z_hi) / B
         return c * total
 
-    sample_nu = _nu_rounds
-
     def _nu_candidates(self, eps: float, need: int, rng: np.random.Generator) -> np.ndarray:
         """One rejection round for `need` more draws: alpha > 2, that many
         Beta(alpha-2, beta) variates at eps = 0 (where only a draw of
@@ -419,10 +417,6 @@ class BetaMeasure:
         ok[right] = (xr > eps) & (acc[right] * c_right <= xr ** (A - 1.0))
         return x, ok
 
-    def nu_quantile(self, eps: float):
-        """None: sample_nu draws by rejection."""
-        return None
-
     def descriptor(self) -> str:
         return f"beta:{self.alpha:g},{self.beta:g},{self.mass:g}"
 
@@ -439,7 +433,7 @@ class DensityTableMeasure:
     and PPoly), cut at the real roots of L
     and L' into cells where it is one-signed and monotone, and cut further
     so that no cell spans more than a factor 2; `density_at`, `moment` and
-    `sample_nu` all read the cells where L > 0.  Treated as immutable after
+    the nu draws all read the cells where L > 0.  Treated as immutable after
     construction.
     """
 
@@ -508,12 +502,6 @@ class DensityTableMeasure:
         half = 0.5 * (b - a)
         xs = 0.5 * (a + b) + half * nodes[:, None]
         return half, weights, xs, 1.0 - xs, self._pp(xs)
-
-    def nu_quantile(self, eps: float):
-        """None: sample_nu draws by rejection."""
-        return None
-
-    sample_nu = _nu_rounds
 
     def _nu_candidates(self, eps: float, need: int, rng: np.random.Generator) -> np.ndarray:
         """One rejection round for `need` more draws: a (3, max(2 need, 16))
@@ -983,6 +971,4 @@ def sample_jump_sizes(
     measure: LambdaMeasure, eps: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample jump sizes from nu restricted to (eps, 1], normalized."""
-    if count == 0:
-        return np.empty(0)
-    return measure.sample_nu(eps, count, rng)
+    return _nu_rounds(measure, eps, count, rng)

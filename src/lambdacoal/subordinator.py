@@ -26,14 +26,13 @@ the same composition law also arises part by part from the first-part law
 
 _draw_points is the one draw kernel.  It draws every window of a draw
 block in one pass, each from its own generator: a Poisson count c, then
-one block of uniforms holding c + 1 exponential spacings, the atoms'
-inverse-cdf uniforms and the marks, then (Beta and table measures) the c
-jump sizes by rejection rounds in lockstep over the block, each row's
-candidates from its own generator.  The ages are the normalised
-partial sums of the spacings, the order statistics of c uniforms
-(Devroye, Non-Uniform Random Variate Generation, ch. V), so every window
-comes sorted by age; the spacings' log1p, cumsum and scale and the atoms'
-inverse cdf run once over the block.  sample_window, extend() and so
+one block of uniforms holding c + 1 exponential spacings and the marks,
+then the c jump sizes by the measure's rounds in lockstep over the
+block, each row's candidates from its own generator.  The ages are the
+normalised partial sums of the spacings, the order statistics of c
+uniforms (Devroye, Non-Uniform Random Variate Generation, ch. V), so
+every window comes sorted by age; the spacings' log1p, cumsum and scale
+run once over the block.  sample_window, extend() and so
 LitterHistory.build are one-row calls of it, and so is each slice of a
 forward run's horizon (population.forward_simulate).
 
@@ -489,26 +488,22 @@ def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
     of them, of each generator in turn, until the rows drawn hold `budget`
     points between them.
 
-    Row r's stream: one Poisson count c, then one block of k c + 1
-    uniforms, c (spacing, inverse-cdf uniform, mark) triples and a last
-    spacing; a measure without a nu_quantile (k = 2) has no inverse-cdf
-    uniforms and draws its c sizes after the block, by the rounds of
-    sample_nu run in lockstep over all the rows (measures._nu_rows).  The
-    ages are T * S_i / S_(c+1), i = 1..c, of the partial sums S of the
-    c + 1 exponential spacings, the order statistics of c uniforms on
-    [0, T), so every row comes sorted by age.  The rows' blocks sit in
-    one zero-padded (R, W + 1, k) array, W the largest count, whose k
-    planes are the spacings, the inverse-cdf uniforms and the marks; the
-    spacings' log1p, their cumsum along the rows (a row's sums do not
-    depend on the others, and the zero pads add nothing), the scale and
-    the inverse cdf each run once over all the rows.  Returns (points,
-    counts): points (3, R, W + 1) holds row r's (age, size, mark) points
-    in points[:, r, :counts[r]].  Its callers: _draw_windows (the
-    windows of a draw block), extend() and forward_simulate (one one-row
-    call per slice of the horizon, the points read as its jumps).
+    Row r's stream: one Poisson count c, then one block of 2 c + 1
+    uniforms, c (spacing, mark) pairs and a last spacing, then its c sizes
+    by the measure's rounds, run in lockstep over all the rows
+    (measures._nu_rows).  The ages are T * S_i / S_(c+1), i = 1..c, of the
+    partial sums S of the c + 1 exponential spacings, the order statistics
+    of c uniforms on [0, T), so every row comes sorted by age.  The rows'
+    blocks sit in one zero-padded (R, W + 1, 2) array, W the largest
+    count, whose 2 planes are the spacings and the marks; the spacings'
+    log1p, their cumsum along the rows (a row's sums do not depend on the
+    others, and the zero pads add nothing) and the scale each run once
+    over all the rows.  Returns (points, counts): points (3, R, W + 1)
+    holds row r's (age, size, mark) points in points[:, r, :counts[r]].
+    Its callers: _draw_windows (the windows of a draw block), extend() and
+    forward_simulate (one one-row call per slice of the horizon, the
+    points read as its jumps).
     """
-    quantile = measure.nu_quantile(eps) if lam > 0.0 else None
-    k = 2 if quantile is None else 3
     counts = []
     for rng in rngs:
         counts.append(int(rng.poisson(lam)))
@@ -516,22 +511,17 @@ def _draw_points(measure, eps, lam, T, rngs, budget=math.inf):
         if budget <= 0:
             break
     R, width = len(counts), max(counts) + 1
-    u = np.zeros((R, k * width))
-    planes = u.reshape(R, width, k).transpose(2, 0, 1)
-    # with inverse-cdf uniforms the planes become the points in place
-    points = planes if k == 3 else np.empty((3, R, width))
+    u = np.zeros((R, 2 * width))
+    spacings, marks = u.reshape(R, width, 2).transpose(2, 0, 1)
     for r, (rng, c) in enumerate(zip(rngs, counts)):
-        rng.random(out=u[r, : k * c + 1])
-    if k == 2:
-        _nu_rows(measure, eps, counts, rngs, points[1])
+        rng.random(out=u[r, : 2 * c + 1])
+    points = np.empty((3, R, width))
+    _nu_rows(measure, eps, counts, rngs, points[1])
     # log1p(-u) = -E: the sums of -E give the same ratios as the sums of E
-    sums = np.log1p(-planes[0])
+    sums = np.log1p(-spacings)
     np.add.accumulate(sums, axis=1, out=sums)
     np.multiply(sums, T / sums[:, -1:], out=points[0])
-    if k == 2:
-        points[2] = planes[1]
-    else:
-        quantile(points[1], out=points[1])
+    points[2] = marks
     return points, counts
 
 

@@ -528,29 +528,33 @@ def reports_to_json(reports: list[ValidationReport]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _csv_field(text: str, always: bool = False) -> str:
+    """text as one CSV field: in double quotes, each inner quote doubled,
+    when `always` or when it holds a comma, a quote or a line break."""
+    if always or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reports_to_csv(reports: list[ValidationReport]) -> str:
     """One line per criterion (error records get one line with an empty
-    criterion column)."""
+    criterion column); the fixture and error fields are always quoted."""
     lines = [
         "case_id,kind,fixture,replicates,tvd,chi2,df,p_value,criterion,passed,error"
     ]
     for r in reports:
         prefix = [
-            r.case_id,
+            _csv_field(r.case_id),
             r.kind,
-            '"' + r.fixture + '"',
+            _csv_field(r.fixture, always=True),
             str(r.replicates),
             "" if r.tvd is None else repr(r.tvd),
             "" if r.chi2 is None else repr(r.chi2),
             "" if r.df is None else str(r.df),
             "" if r.p_value is None else repr(r.p_value),
         ]
+        error = "" if r.error is None else _csv_field(r.error, always=True)
         rows = list(r.criteria.items()) or [("", False)]
         for name, ok in rows:
-            lines.append(
-                ",".join(
-                    prefix
-                    + [name, str(ok), "" if r.error is None else '"' + r.error + '"']
-                )
-            )
+            lines.append(",".join(prefix + [name, str(ok), error]))
     return "\n".join(lines) + "\n"

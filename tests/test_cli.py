@@ -1180,7 +1180,7 @@ SIMULATE_BETA19_N6 = {
 }
 # sha256 of {case_id: [empirical, reference]} over the default plan
 VALIDATE_DEFAULT_TABLES_SHA256 = (
-    "4d698c3df4d1afd3e3d060b5b7229ba1fe2591490949b47f254d81b0a49fdf2d"
+    "00721070cda7e3826d7ee1c5e84a74109b53a802b2c7efa1287cd040a6fe0514"
 )
 
 
@@ -1313,22 +1313,22 @@ def test_validate_default_streams_pinned(capsys):
 # after jumps, mu = 10 drops them only by erosion.
 FORWARD_SHA256 = {
     ("simulate", "1", "5", "1"): (
-        "1a9930da195c3634363e292a2c161cc43997fce35a800d916d0784654a5a130b"
+        "34d0c5351d771a84798c01e59e8b59166db268227a60a82e0d3a65c381be5f9f"
     ),
     ("simulate", "0", "200", "2"): (
-        "edf730c25d3beadfaebdf05ec3df78c4eab47fa26acff13147fe4cb282a35e1d"
+        "103acf9fe8a36fc9953ef2036cda5b7f8ca66676620eb1680b0326291cc416c6"
     ),
     ("simulate", "10", "20", "3"): (
-        "5d30a3cf0e95a29663283a3facb6bfe076fc2c4d247c3d0fb00602ca7ea0f953"
+        "d76be5106f3880aa62a31cb11e19b3e6def6939b22bb99adaff83d053bbef9ed"
     ),
     ("forward-snapshot", "1", "5", "4"): (
-        "5a022d4f8b09f49cabb5743027cdfab6f2f1b2f7fae0e980a9b8ad2ce2e29350"
+        "cc11aaecf6d659239a2424c1f59526a1321cc86441d5bc0052ab5e01dcf2ff68"
     ),
     ("forward-snapshot", "0", "200", "2"): (
-        "e06a50b71833cba5ff2eb53aa104c025f2ffa5ee1ab9904232bed02e3c46f7f2"
+        "991d8f5889430954daf6602732f7e85f6a75f51462911a7cff7e043f67b6e693"
     ),
     ("forward-snapshot", "10", "20", "3"): (
-        "a320253479e3c22a74d94e03603aefd34cdb3274543c44a0c9169f9373a1f6c9"
+        "4b7e62d6b57bb2bb7d0f61d72660ee078939fb253b99f7fa089888723d92ee0c"
     ),
 }
 

@@ -40,6 +40,8 @@ from lambdacoal import (
     total_mass,
 )
 from lambdacoal._quadrature import _legendre
+from lambdacoal.measures import _nu_rows
+from lambdacoal.validation import _chi_square
 
 from conftest import choose_truncation_reference, quad_rate
 
@@ -593,7 +595,7 @@ TABLE_CLIPPED = DensityTableMeasure(
 
 
 def _table_nu_per_call(m, eps, count, rng):
-    """DensityTableMeasure.sample_nu with its envelope rebuilt on every
+    """A table's nu draws with their envelope rebuilt on every
     call, as it was before the envelope was kept per (measure, eps)."""
     if eps >= m.x[-1]:
         raise InfiniteActivityError("cutoff removes the whole support")
@@ -631,7 +633,7 @@ def test_table_nu_draws_equal_per_call_envelope(table):
             for count in (1, 5, 40):
                 ours = np.random.default_rng([seed, count])
                 ref = np.random.default_rng([seed, count])
-                got = table.sample_nu(eps, count, ours)
+                got = sample_jump_sizes(table, eps, count, ours)
                 want = _table_nu_per_call(table, eps, count, ref)
                 assert got.tobytes() == want.tobytes(), (name, seed, count)
                 assert ours.bit_generator.state == ref.bit_generator.state
@@ -642,11 +644,11 @@ def test_table_nu_degenerate_cutoffs_raise_every_call():
     table = DensityTableMeasure((0.2, 0.4, 0.6, 0.8), (1.0, 1.0, 0.0, 0.0), order=1)
     for _ in range(3):
         with pytest.raises(DegenerateMeasureError):
-            table.sample_nu(0.7, 3, np.random.default_rng(1))
+            sample_jump_sizes(table, 0.7, 3, np.random.default_rng(1))
         with pytest.raises(InfiniteActivityError):
-            table.sample_nu(0.8, 3, np.random.default_rng(1))
+            sample_jump_sizes(table, 0.8, 3, np.random.default_rng(1))
         with pytest.raises(InfiniteActivityError):
-            table.sample_nu(0.95, 3, np.random.default_rng(1))
+            sample_jump_sizes(table, 0.95, 3, np.random.default_rng(1))
 
 
 class _ScipyInterpolant:
@@ -972,7 +974,7 @@ def test_atom_jump_sizes_match_rng_choice(spec, eps):
         for count in (1, 7, 40):
             ours = np.random.default_rng([seed, count])
             ref = np.random.default_rng([seed, count])
-            got = m.sample_nu(eps, count, ours)
+            got = sample_jump_sizes(m, eps, count, ours)
             want = ref.choice(locs[keep], size=count, p=p / p.sum())
             assert got.tobytes() == want.tobytes()
             assert ours.bit_generator.state == ref.bit_generator.state
@@ -982,7 +984,7 @@ def test_atom_jump_sizes_none_above_cutoff(rng_factory):
     m = parse_measure("atoms:0.25=0.5,0.75=0.5")
     for _ in range(2):  # the refusal is not cached away
         with pytest.raises(DegenerateMeasureError):
-            m.sample_nu(0.8, 3, rng_factory(1, "none-above"))
+            sample_jump_sizes(m, 0.8, 3, rng_factory(1, "none-above"))
 
 
 def test_sample_jump_sizes_poly_uniform(rng_factory):
@@ -1104,3 +1106,111 @@ def test_sample_jump_sizes_beta_tail_near_one(rng_factory, spec):
         z = (np.mean(draws > 1.0 - delta) - p) / math.sqrt(p * (1.0 - p) / reps)
         assert abs(z) <= 4.0, (delta, z)
     assert np.all(draws < 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the nu-law audit: every representation's lockstep draws against the exact
+# cdf F(t) = moment(-2, 0, eps, t) / moment(-2, 0, eps, 1)
+# ---------------------------------------------------------------------------
+
+AUDIT_MEASURES = {
+    "atoms2": parse_measure("atoms:0.25=0.5,0.75=0.125"),
+    "atoms-edges": parse_measure("atoms:1e-09=1e-18,0.5=0.25,0.999999999999=1"),
+    **{
+        f"beta:{a:g},{b:g},1": BetaMeasure(a, b, 1.0)
+        for a in (1.2, 1.9, 2.0, 3.0)
+        for b in (0.05, 0.3, 1.0, 3.7)
+    },
+    "pin-table": DensityTableMeasure(
+        (0.1, 0.26, 0.42, 0.58, 0.74, 0.9), (0.2, 1.0, 0.1, 0.0, 2.0, 1.5), order=3
+    ),
+    "subnormal-table": DensityTableMeasure((1e-310, 0.5), (1.0, 1.0), order=1),
+    "tiny-heavy-table": DensityTableMeasure((1e-200, 0.5), (1e90, 1e90), order=1),
+    "clipped-cubic": TABLE_CLIPPED,
+}
+
+
+def _audit_cutoffs(m):
+    """eps = 0 where nu has finite mass as a float, else 1e-3, 0.05, 0.5."""
+    try:
+        litter_intensity_tail(m, 0.0)
+        return [0.0]
+    except InfiniteActivityError:
+        return [1e-3, 0.05, 0.5]
+
+
+AUDIT_GRID = [(label, eps) for label, m in AUDIT_MEASURES.items() for eps in _audit_cutoffs(m)]
+# family-wise level of the audit, split over the grid (Bonferroni)
+AUDIT_ALPHA = 1e-3
+AUDIT_SIZES = 100_000
+AUDIT_ROWS = 512
+# cells of about 1/30 of nu's mass each, cut also at the tail edges 1 - 10**-k
+AUDIT_CELL_MASS = 1.0 / 30.0
+AUDIT_TAILS = [1.0 - 10.0**-k for k in (3, 6, 9, 12, 15)]
+
+
+def _audit_draws(m, eps, cell):
+    """AUDIT_SIZES sizes drawn by _nu_rows on one block of AUDIT_ROWS rows."""
+    counts = [AUDIT_SIZES // AUDIT_ROWS + (r < AUDIT_SIZES % AUDIT_ROWS) for r in range(AUDIT_ROWS)]
+    rngs = [lc.derive_rng(20, "nu-audit", cell, r) for r in range(AUDIT_ROWS)]
+    out = np.empty((AUDIT_ROWS, max(counts)))
+    _nu_rows(m, eps, counts, rngs, out)
+    return np.concatenate([row[:c] for row, c in zip(out, counts)])
+
+
+def _audit_cells(m, eps, draws, total):
+    """(expected, observed) cells of the draws: grid intervals (a, b],
+    linear in x, geometric in x up to 1/2 and in 1 - x beyond, of nu mass
+    moment(-2, 0, a, b) each, joined in order into cells of at least
+    AUDIT_CELL_MASS of the total and cut at every tail edge; the last cell
+    is (1 - 1e-15, 1], where a size clipped below 1 lands."""
+    grid = np.unique(
+        np.concatenate(
+            [
+                np.linspace(eps, 1.0, 91),
+                np.geomspace(max(eps, 1e-9), 0.5, 60),
+                1.0 - np.geomspace(0.5, 1e-15, 60),
+                AUDIT_TAILS,
+            ]
+        )
+    )
+    observed = np.bincount(np.searchsorted(grid, draws, side="left"), minlength=len(grid))
+    cells, mass, seen = [], 0.0, 0
+    for a, b, o in zip(grid[:-1], grid[1:], observed[1:]):
+        mass += max(m.moment(-2.0, 0.0, a, b), 0.0)
+        seen += o
+        if mass >= AUDIT_CELL_MASS * total or b in AUDIT_TAILS or b == 1.0:
+            cells.append(((AUDIT_SIZES * mass / total, float(seen)),))
+            mass, seen = 0.0, 0
+    return cells
+
+
+@pytest.mark.parametrize("label, eps", AUDIT_GRID, ids=[f"{l}@{e:g}" for l, e in AUDIT_GRID])
+def test_nu_draws_follow_the_moment_cdf(label, eps):
+    # the sizes of one lockstep draw block lie in (eps, 1) and follow nu
+    # above eps: per atom against w / x**2, otherwise by a chi-square on
+    # cells at F's quantiles and tails, each p above the Bonferroni bound
+    m = AUDIT_MEASURES[label]
+    cell = f"{label}@{eps:g}"
+    total = m.moment(-2.0, 0.0, eps, 1.0)
+    if total == 0.0:
+        # no nu mass above the cutoff: a window draws no jump there, and a
+        # draw asked for anyway is refused
+        with pytest.raises(lc.LambdaCoalError):
+            _audit_draws(m, eps, cell)
+        return
+    draws = _audit_draws(m, eps, cell)
+    assert np.all((draws > eps) & (draws < 1.0))
+    if isinstance(m, AtomicMeasure):
+        locs, wts = np.array(m.locations), np.array(m.weights)
+        locs, wts = locs[locs > eps], wts[locs > eps]
+        nu = wts / (locs * locs)
+        assert np.all(np.isin(draws, locs))
+        cells = [
+            ((AUDIT_SIZES * w / nu.sum(), float(np.sum(draws == x))),) for x, w in zip(locs, nu)
+        ]
+    else:
+        cells = _audit_cells(m, eps, draws, total)
+        assert sum(o for ((_, o),) in cells) == AUDIT_SIZES
+    _, _, p = _chi_square(cells)
+    assert p > AUDIT_ALPHA / len(AUDIT_GRID), p

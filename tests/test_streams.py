@@ -305,7 +305,7 @@ PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
 def test_fan_out_output_does_not_depend_on_the_worker_count(tmp_path, workers):
     table = tmp_path / "table.txt"
     table.write_text(PIN_TABLE_TEXT)
-    for spec in ("poly3x2", f"density-file:{table}"):
+    for spec in ("poly3x2", f"density-file:{table}", "atoms:0.5=0.25"):
         measure = parse_measure(spec)
         for sampler in ("frozen", "chain", "set", "composition"):
             names = (sampler,)

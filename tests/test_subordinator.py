@@ -582,10 +582,9 @@ PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
 
 @pytest.mark.parametrize("label", ["atoms2", "poly3x2", "beta1.9", "pin-table"])
 def test_drawn_sizes_match_sample_jump_sizes(tmp_path, label):
-    # a two-sample chi-square of the kernel's sizes (inverse cdf over the
-    # block for atoms, sample_nu rounds per row otherwise) against
-    # sample_jump_sizes at the same cutoff: per atom, or on the ten cells
-    # between the reference deciles
+    # a two-sample chi-square of the kernel's sizes (the measure's rounds
+    # in lockstep over the block) against sample_jump_sizes at the same
+    # cutoff: per atom, or on the ten cells between the reference deciles
     if label == "pin-table":
         table = tmp_path / "table.txt"
         table.write_text(PIN_TABLE_TEXT)
@@ -655,7 +654,7 @@ def test_beta_nu_rounds_draw_the_count_needed_at_eps_zero():
     # the same variates rng.beta(alpha - 2, beta) gives
     m = parse_measure("beta:3.5,2,1")
     rng = derive_rng(18, "beta-round")
-    drawn = np.concatenate((m.sample_nu(0.0, 37, rng), m.sample_nu(0.0, 5, rng)))
+    drawn = np.concatenate((sample_jump_sizes(m, 0.0, 37, rng), sample_jump_sizes(m, 0.0, 5, rng)))
     assert np.array_equal(drawn, derive_rng(18, "beta-round").beta(1.5, 2.0, size=42))
 
 
@@ -664,10 +663,13 @@ def _auto_eps(measure):
     return _window_setup(measure, T, "auto")[0]
 
 
-# (measure, cutoff) of the rejection samplers: the clipped cubic dips
-# below 0 on (0.5, 0.7), and its cutoff 0.44 cuts into the cell before,
-# where L falls to its root at 0.5 and few candidates are kept
+# (measure, cutoff) of the nu samplers: the clipped cubic dips below 0 on
+# (0.5, 0.7), and its cutoff 0.44 cuts into the cell before, where L falls
+# to its root at 0.5 and few candidates are kept; atoms keep every size of
+# their one round, and the cutoff 0.1 leaves out the atom at 0.1
 BLOCK_SIZE_CASES = {
+    "atoms2": (parse_measure("atoms:0.25=0.5,0.75=0.125"), 0.0),
+    "atoms-at-cutoff": (parse_measure("atoms:0.1=1,0.3=2,0.9=0.5"), 0.1),
     "table-cubic": (TABLE, 0.0),
     "table-linear": (DensityTableMeasure((0.2, 0.5, 0.8), (1.0, 2.5, 0.5), order=1), 0.0),
     "table-clipped": (
@@ -687,9 +689,9 @@ BLOCK_SIZE_SEEDS = [0, 207, 1, 8148, 2]
 def test_block_sizes_equal_one_row_sample_nu(monkeypatch, label, pass_points):
     # a draw block takes its jump sizes in lockstep rounds over its rows;
     # each row gets the sizes, the rounds and the generator state of its
-    # twin, whose count and uniform block are followed by one-row sample_nu
-    # (also when the rows are cut into passes of about 8 sizes, some of
-    # them a single row)
+    # twin, whose count and uniform block are followed by one-row
+    # sample_jump_sizes (also when the rows are cut into passes of about 8
+    # sizes, some of them a single row)
     if pass_points is not None:
         monkeypatch.setattr(lambdacoal.measures, "_NU_PASS_POINTS", pass_points)
     measure, eps = BLOCK_SIZE_CASES[label]
@@ -708,7 +710,7 @@ def test_block_sizes_equal_one_row_sample_nu(monkeypatch, label, pass_points):
     for r, twin in enumerate(twins):
         c = int(twin.poisson(6.0))
         twin.random(2 * c + 1)
-        want = measure.sample_nu(eps, c, twin)
+        want = sample_jump_sizes(measure, eps, c, twin)
         assert counts[r] == c
         assert points[1, r, :c].tobytes() == want.tobytes(), r
         assert rngs[r].bit_generator.state == twin.bit_generator.state, r

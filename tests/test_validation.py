@@ -7,7 +7,9 @@ including a forced-failure control where the exact side runs at a
 different mutation rate.
 """
 
+import csv
 import decimal
+import io
 import json
 import math
 import os
@@ -764,3 +766,21 @@ def test_csv_one_line_per_criterion():
     # frozen: tvd + p criteria, ewens: one criterion, error case: one line
     assert len(lines) == 1 + 2 + 1 + 1
     assert any("DustConditionError" in ln for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "case_id, spec",
+    [('t,a"b', 'density-file:/no/such/dir/a"b,c.txt'), ("q", 'beta:1,"x",1')],
+    ids=["file-path", "beta-field"],
+)
+def test_csv_fields_with_quotes_and_commas_round_trip(case_id, spec):
+    # a measure spec, and so the fixture and the error text, and a case id
+    # holding quotes and commas still read back as 11 fields
+    case = ValidationCase(case_id, "sampler_vs_exact", spec, 1.0, 4, sampler="frozen")
+    (report,) = run_validation([case], 10, 1)
+    header, row = csv.reader(io.StringIO(reports_to_csv([report])))
+    assert len(header) == len(row) == 11
+    got = dict(zip(header, row))
+    assert got["case_id"] == case_id
+    assert got["fixture"] == report.fixture and spec in got["fixture"]
+    assert got["error"] == report.error and got["error"].startswith("MeasureSpecError")
