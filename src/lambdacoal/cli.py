@@ -136,14 +136,14 @@ def cmd_simulate(args) -> int:
             )
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
-    names = (args.sampler,)
-    shared = prepare_shared(names, measure, args.mu, args.n)
+    shared = prepare_shared(args.sampler, measure, args.mu, args.n)
     tag = "simulate:" + args.sampler
     spans = fan_out(
         draw_span,
-        (names, measure, args.mu, args.n, args.seed, tag, shared),
-        args.reps,
-        args.workers,
+        (args.sampler, measure, args.mu, args.n, args.seed, tag, shared),
+        # None is the default of 1; 0 was refused by _check_args
+        args.reps or 1,
+        args.workers or 1,
     )
     lines = [line for span in spans for line in span]
     _emit("\n".join(lines) + "\n", args.output)
@@ -276,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--n", type=int, default=None, help="sample size")
-    p.add_argument("--reps", type=int, default=1, help="number of replicates")
+    p.add_argument("--reps", type=int, default=None, help="number of replicates")
     p.add_argument(
         "--horizon", type=float, default=None, help="forward sampler: run time"
     )
-    p.add_argument("--workers", type=int, default=1, help=workers_help)
+    p.add_argument("--workers", type=int, default=None, help=workers_help)
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_simulate)
 
@@ -290,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run every case of the validation plan (default: the standing "
             "matrix of simulators against the exact recursion, the "
-            "closed-form pair-merger check, first-part laws, and the "
-            "sequential-vs-window two-sample test).  Exit 0 if all cases "
-            "pass, 1 otherwise."
+            "closed-form pair-merger check, first-part laws, and window "
+            "compositions against their regenerative law).  Exit 0 if all "
+            "cases pass, 1 otherwise."
         ),
     )
     p.add_argument("--plan", default=None, help="JSON plan file (default matrix)")
@@ -333,7 +333,7 @@ def _check_args(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             raise MeasureSpecError(f"--{flag} must be finite")
-    if getattr(args, "reps", 1) is not None and getattr(args, "reps", 1) < 1:
+    if getattr(args, "reps", None) is not None and args.reps < 1:
         raise MeasureSpecError("replicates must be >= 1")
     nmax = getattr(args, "nmax", 2)
     if nmax < 2:
@@ -344,9 +344,17 @@ def _check_args(args) -> None:
         )
     if getattr(args, "seed", 0) < 0:
         raise MeasureSpecError("--seed must be >= 0")
-    if getattr(args, "workers", 1) < 1:
+    if getattr(args, "workers", None) is not None and args.workers < 1:
         raise MeasureSpecError("--workers must be >= 1")
     forward = args.command == "simulate" and args.sampler == "forward"
+    unused, mode = (), ""
+    if forward:
+        unused, mode = ("n", "reps", "workers"), "the forward sampler"
+    elif args.command == "forward-snapshot" and not args.stationary:
+        unused, mode = ("t0", "eps"), "--horizon"
+    for flag in unused:
+        if getattr(args, flag) is not None:
+            raise MeasureSpecError(f"--{flag} does not apply to {mode}")
     if forward and args.horizon is None:
         raise MeasureSpecError("forward sampler requires --horizon")
     if args.command == "simulate" and not forward and args.n is None:

@@ -97,7 +97,6 @@ __all__ = [
     "litter_intensity_tail",
     "choose_truncation",
     "sample_jump_sizes",
-    "require_dust_condition",
     "require_population_support",
 ]
 
@@ -787,19 +786,15 @@ def dust_integral(measure: LambdaMeasure) -> float:
     return _finite(measure, DustConditionError, -1.0)
 
 
-def require_dust_condition(measure: LambdaMeasure) -> None:
-    dust_integral(measure)
-
-
 @functools.lru_cache(maxsize=64)
 def require_population_support(measure: LambdaMeasure) -> None:
     """Standing assumptions of the population construction: no atoms at the
     endpoints and a finite 1/x integral.
 
-    A success is remembered per measure (samplers call this once per
-    replicate); a failure raises on every call.  An atom at 0 makes the
-    1/x integral diverge; the mass at 1 is the limit of the x**p moments
-    as p grows, read off at p = inf.
+    A success is remembered per measure (the one-row chain sampler checks
+    once per replicate); a failure raises on every call.  An atom at 0
+    makes the 1/x integral diverge; the mass at 1 is the limit of the x**p
+    moments as p grows, read off at p = inf.
     """
     _finite(measure, PopulationSupportError, -1.0)
     if measure.moment(math.inf, 0.0) > 0.0:
@@ -945,7 +940,7 @@ def choose_truncation(measure: LambdaMeasure, horizon: float) -> float:
     moment below eps, and the returned value is the largest tested eps
     meeting the budget.
     """
-    require_dust_condition(measure)
+    dust_integral(measure)
     try:
         measure.moment(-2.0, 0.0, 0.0, _EPS_FLOOR)
         return 0.0

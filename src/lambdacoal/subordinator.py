@@ -20,9 +20,12 @@ Ties at interval endpoints resolve to the range; they carry no
 probability and the rule only pins down behaviour on replayed fixtures.
 
 Sampling n uniforms against the window and grouping consecutive order
-statistics that share a litter yields the composition of n in age order;
-the same composition law also arises part by part from the first-part law
-(sequential_composition), which is the cheap exact reference sampler.
+statistics that share a litter yields the composition of n in age order.
+That composition is regenerative (Gnedin & Pitman 2005): given its first
+part m, the rest is a fresh composition of n - m.  So its law is exact,
+the product over the parts of the first-part law of the balls left
+(composition_law), and the same law arises part by part from the
+first-part law (sequential_composition).
 
 _draw_points is the one draw kernel.  It draws every window of a draw
 block in one pass, each from its own generator: a Poisson count c, then
@@ -86,7 +89,6 @@ from .errors import (
     WindowExhaustionError,
 )
 from .measures import (
-    FirstPartLaw,
     LambdaMeasure,
     _check_mu,
     _nu_rows,
@@ -106,6 +108,7 @@ __all__ = [
     "default_window_horizon",
     "window_from_points",
     "sample_composition_detailed",
+    "composition_law",
     "sequential_composition",
     "delete_random_ball",
     "MAX_WINDOW_POINTS",
@@ -114,6 +117,9 @@ __all__ = [
 # Largest expected number of litter points a window may hold; beyond it
 # the jump-size cutoff is too small for the horizon to sample in memory.
 MAX_WINDOW_POINTS = 1e7
+
+# Largest n composition_law lists the 2**(n - 1) compositions of.
+MAX_COMPOSITION_N = 16
 
 # Doublings of T a window may make: it reaches at most 2**10 times its
 # initial horizon before extend() refuses.
@@ -663,20 +669,33 @@ def sample_composition_detailed(
     return CompositionSample(Composition(_parts(_part_starts(j, litter))), j, litter)
 
 
+def composition_law(measure: LambdaMeasure, mu: float, n: int) -> dict[str, float]:
+    """P(C_n = c) for every composition c of n, keyed by its text: the
+    product over the parts of c of the first-part law of the balls left,
+    all read from one first_part_laws_upto call.  n above
+    MAX_COMPOSITION_N raises ValueError before any law is built."""
+    if not 1 <= n <= MAX_COMPOSITION_N:
+        raise ValueError(f"composition_law needs 1 <= n <= {MAX_COMPOSITION_N}, got {n}")
+    laws = first_part_laws_upto(measure, mu, n)
+    # levels[k]: the law of the compositions of k, as (parts, probability)
+    levels = [[((), 1.0)]]
+    for k in range(1, n + 1):
+        levels.append([
+            ((m,) + rest, p * q)
+            for m, p in enumerate(laws[k].probs, 1)
+            for rest, q in levels[k - m]
+        ])
+    return {",".join(map(str, parts)): p for parts, p in levels[n]}
+
+
 def sequential_composition(
-    measure: LambdaMeasure,
-    mu: float,
-    n: int,
-    rng: np.random.Generator,
-    laws: list[FirstPartLaw | None] | None = None,
+    measure: LambdaMeasure, mu: float, n: int, rng: np.random.Generator
 ) -> Composition:
     """Build the composition part by part from the first-part law: draw the
-    first part of the remaining sample size, remove it, repeat.  Exact and
-    cheap; the distributional reference for the window sampler."""
+    first part of the remaining sample size, remove it, repeat."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if laws is None:
-        laws = first_part_laws_upto(measure, mu, n)
+    laws = first_part_laws_upto(measure, mu, n)
     parts = []
     remaining = n
     while remaining > 0:

@@ -3,10 +3,11 @@
 The harness runs a plan of cases, each addressing its random streams by
 (master seed, case id, replicate index), so reports are bit-identical for
 identical (plan, reps, seed) regardless of worker count.  Sampler output
-distributions are compared against the exact recursion (or against each
-other) with total variation distance and a chi-square goodness-of-fit
-test whose tail probability comes from the regularized upper incomplete
-gamma function, _special.gammaincc; no scipy module loads.
+distributions are compared against an exact law (the recursion, the
+first-part law or the regenerative composition law) with total variation
+distance and a chi-square goodness-of-fit test whose tail probability
+comes from the regularized upper incomplete gamma function,
+_special.gammaincc; no scipy module loads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import LambdaCoalError
 from .measures import (
     build_rate_table,
     first_part_law,
-    first_part_laws_upto,
     parse_measure,
 )
 from .population import _chain_prepare, _set_counts
@@ -43,8 +43,8 @@ from .subordinator import (
     _part_starts,
     _window_blocks,
     _window_setup,
+    composition_law,
     default_window_horizon,
-    sequential_composition,
 )
 
 __all__ = [
@@ -143,11 +143,10 @@ def chi_square_two_sample(counts_a: dict, counts_b: dict) -> tuple[float, int, f
 class ValidationCase:
     """One line item of the validation matrix.
 
-    kind: 'sampler_vs_exact' (the sampler named by `sampler`, one of
-    frozen | chain | set, against the recursion),
-    'ewens_equivalence' (deterministic closed-form check),
-    'first_part' (window first parts against the first-part law),
-    'sequential_vs_window' (two-sample over full compositions).
+    kind: 'sampler_vs_exact' (the sampler named by `sampler`: frozen,
+    chain or set against the recursion, composition against
+    composition_law), 'ewens_equivalence' (deterministic closed-form
+    check), 'first_part' (window first parts against the first-part law).
     exact_mu overrides the mutation rate fed to the exact side only,
     which is how forced-failure controls are expressed.  A field of
     another type than its annotation (n an int, not a bool; mu, exact_mu,
@@ -222,8 +221,8 @@ def default_plan() -> list[ValidationCase]:
     Simulators against the exact recursion on every fixture they support
     (the window-based samplers need the dust condition and no endpoint
     atoms), the Ewens closed form on the pure pair-merger measure, window
-    first parts against the first-part law, and sequential against window
-    compositions.
+    first parts against the first-part law, and window compositions
+    against their regenerative law.
     """
     plan: list[ValidationCase] = []
     for spec, mu, n in [
@@ -251,7 +250,7 @@ def default_plan() -> list[ValidationCase]:
         plan.append(ValidationCase(f"first-part-{spec}-n5", "first_part", spec, 1.0, 5))
     plan.append(
         ValidationCase(
-            "seq-vs-window-poly3x2-n4", "sequential_vs_window", "poly3x2", 1.0, 4
+            "composition-poly3x2-n4", "sampler_vs_exact", "poly3x2", 1.0, 4, "composition"
         )
     )
     return plan
@@ -326,7 +325,7 @@ def _first_part_texts(measure, mu, n, T0, rngs) -> list[str]:
 # frozen and chain run all their replicates through one lockstep block
 # chain; set, composition and first-part draw each replicate's window and
 # uniforms from its own stream, then read all the windows through one block
-# of the inversion kernel; sequential draws one replicate at a time.
+# of the inversion kernel.
 _SAMPLERS = {
     "frozen": _Sampler(
         lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
@@ -353,79 +352,56 @@ _SAMPLERS = {
         _first_part_texts,
         True,
     ),
-    "sequential": _Sampler(
-        lambda measure, mu, n: first_part_laws_upto(measure, mu, n),
-        lambda measure, mu, n, laws, rngs: [
-            sequential_composition(measure, mu, n, rng, laws=laws).to_text()
-            for rng in rngs
-        ],
-        False,
-    ),
 }
 
 
-def prepare_shared(names, measure, mu: float, n: int) -> tuple:
-    """The shared table of each named sampler, in the order of names."""
-    return tuple(_SAMPLERS[name].prepare(measure, mu, n) for name in names)
+def prepare_shared(name, measure, mu: float, n: int):
+    """The table every replicate of the named sampler shares."""
+    return _SAMPLERS[name].prepare(measure, mu, n)
 
 
-def draw_span(names, measure, mu, n, seed, tag, shared, start, stop) -> list[str]:
+def draw_span(name, measure, mu, n, seed, tag, shared, start, stop) -> list[str]:
     """Outcome texts of replicates [start, stop) in replicate order:
-    replicate r runs names[r % len(names)] on the stream (seed, tag, r).
+    replicate r runs the named sampler on the stream (seed, tag, r).
     The measure is the caller's parsed one, which a forked span inherits
     with its tables and caches, so no span parses its spec again."""
-    m = len(names)
-    out = [""] * (stop - start)
+    out = []
     for lo in range(start, stop, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, stop)
-        for i, name in enumerate(names):
-            reps = range(lo + (i - lo) % m, hi, m)
-            if reps:
-                rngs = [derive_rng(seed, tag, r) for r in reps]
-                out[reps.start - start : hi - start : m] = _SAMPLERS[name].draw(
-                    measure, mu, n, shared[i], rngs
-                )
+        rngs = [derive_rng(seed, tag, r) for r in range(lo, min(lo + _DRAW_BLOCK, stop))]
+        out += _SAMPLERS[name].draw(measure, mu, n, shared, rngs)
     return out
 
 
-def _case_samplers(case: ValidationCase) -> tuple:
-    """The samplers a case draws from, in replicate order (none for a
-    closed-form case); an unknown sampler or kind raises ValueError."""
+def _case_sampler(case: ValidationCase) -> str | None:
+    """The sampler a case draws from (None for a closed-form case); an
+    unknown sampler or kind raises ValueError."""
     if case.kind == "sampler_vs_exact":
-        if case.sampler not in ("frozen", "chain", "set"):
+        if case.sampler not in ("frozen", "chain", "set", "composition"):
             raise ValueError(f"unknown sampler {case.sampler!r}")
-        return (case.sampler,)
+        return case.sampler
     if case.kind == "first_part":
-        return ("first-part",)
-    if case.kind == "sequential_vs_window":
-        # even replicates sequential, odd replicates window
-        return ("sequential", "composition")
+        return "first-part"
     if case.kind == "ewens_equivalence":
-        return ()
+        return None
     raise ValueError(f"unknown case kind {case.kind!r}")
 
 
-def _case_outcomes(case, measure, names, shared, reps, seed, workers) -> list:
-    spans = fan_out(
-        draw_span,
-        (names, measure, case.mu, case.n, seed, case.case_id, shared),
-        reps,
-        workers,
-    )
-    return [text for span in spans for text in span]
-
-
-def _truncation_bias(measure, names, shared) -> float:
-    # window coverage is exact (extension until covered); only the
-    # small-jump truncation contributes bias
-    for name, T0 in zip(names, shared):
-        if _SAMPLERS[name].window:
-            return T0 * _window_setup(measure, T0, "auto")[2]
-    return 0.0
+def _exact_law(case: ValidationCase, measure, mu: float) -> dict:
+    """The exact law of the case's outcome texts at mutation rate mu."""
+    if case.kind == "first_part":
+        law = first_part_law(measure, mu, case.n)
+        exact = {"1m": law.p_single_mutant, "1l": law.p_single_alone}
+        for m in range(2, case.n + 1):
+            exact[str(m)] = law.probs[m - 1]
+        return exact
+    if case.sampler == "composition":
+        return composition_law(measure, mu, case.n)
+    dist = solve(build_rate_table(measure, case.n), mu, case.n)
+    return {pv.to_text(): p for pv, p in dist.items_ordered()}
 
 
 def _evaluate_case(
-    case: ValidationCase, names, reps: int, seed: int, workers: int
+    case: ValidationCase, name: str | None, reps: int, seed: int, workers: int
 ) -> ValidationReport:
     """The report of one case; a failure to evaluate it (a domain error or
     a statistic that cannot be formed, such as too few cells after
@@ -440,7 +416,6 @@ def _evaluate_case(
     try:
         measure = parse_measure(case.measure_spec)
         exact_mu = case.mu if case.exact_mu is None else case.exact_mu
-        shared = prepare_shared(names, measure, case.mu, case.n)
         if case.kind == "ewens_equivalence":
             rates = build_rate_table(measure, case.n)
             dist = solve(rates, exact_mu, case.n)
@@ -456,20 +431,18 @@ def _evaluate_case(
             }
             report.criteria = {"max_abs_diff<=1e-10": diff <= 1e-10}
             report.note = "closed-form comparison, no sampling"
-        elif case.kind in ("sampler_vs_exact", "first_part"):
-            # the exact law before the draw: a case the recursion refuses
+        else:
+            shared = prepare_shared(name, measure, case.mu, case.n)
+            # the exact law before the draw: a case the exact side refuses
             # draws nothing
-            if case.kind == "sampler_vs_exact":
-                dist = solve(build_rate_table(measure, case.n), exact_mu, case.n)
-                exact = {pv.to_text(): p for pv, p in dist.items_ordered()}
-            else:
-                law = first_part_law(measure, exact_mu, case.n)
-                exact = {"1m": law.p_single_mutant, "1l": law.p_single_alone}
-                for m in range(2, case.n + 1):
-                    exact[str(m)] = law.probs[m - 1]
-            counts = Counter(
-                _case_outcomes(case, measure, names, shared, reps, seed, workers)
+            exact = _exact_law(case, measure, exact_mu)
+            spans = fan_out(
+                draw_span,
+                (name, measure, case.mu, case.n, seed, case.case_id, shared),
+                reps,
+                workers,
             )
+            counts = Counter(text for span in spans for text in span)
             report.empirical = dict(sorted(counts.items()))
             report.expected = exact
             report.tvd = total_variation(exact, counts)
@@ -479,15 +452,10 @@ def _evaluate_case(
                 f"tvd<={case.tvd_max:g}": report.tvd <= case.tvd_max,
                 f"p>={case.p_floor:g}": p >= case.p_floor,
             }
-        else:  # sequential_vs_window
-            outcomes = _case_outcomes(case, measure, names, shared, reps, seed, workers)
-            seq, win = Counter(outcomes[0::2]), Counter(outcomes[1::2])
-            report.empirical = dict(sorted(seq.items()))
-            report.reference = dict(sorted(win.items()))
-            stat, df, p = chi_square_two_sample(seq, win)
-            report.chi2, report.df, report.p_value = stat, df, p
-            report.criteria = {f"p>={case.p_floor:g}": p >= case.p_floor}
-        report.truncation_bias = _truncation_bias(measure, names, shared)
+            if _SAMPLERS[name].window:
+                # window coverage is exact (extension until covered); only
+                # the small-jump truncation contributes bias
+                report.truncation_bias = shared * _window_setup(measure, shared, "auto")[2]
         report.passed = all(report.criteria.values())
     except (LambdaCoalError, ValueError) as exc:
         report.error = f"{type(exc).__name__}: {exc}"
@@ -513,10 +481,10 @@ def run_validation(
     if seed < 0:
         raise ValueError("seed must be non-negative")
     # a plan error raises before any case draws
-    names = [_case_samplers(case) for case in plan]
+    names = [_case_sampler(case) for case in plan]
     return [
-        _evaluate_case(case, case_names, reps, seed, workers)
-        for case, case_names in zip(plan, names)
+        _evaluate_case(case, name, reps, seed, workers)
+        for case, name in zip(plan, names)
     ]
 
 

@@ -17,7 +17,7 @@ from lambdacoal import (
     ValidationCase,
     build_rate_table,
     chi_square_gof,
-    chi_square_two_sample,
+    composition_law,
     cutoff_deviation,
     default_window_horizon,
     derive_rng,
@@ -149,16 +149,10 @@ def test_criterion_04_first_part_law_and_regeneration():
     assert tvd <= 0.01
 
     # regeneration: remainder beyond a first part of size m is a fresh
-    # composition of n - m
+    # composition of n - m, whose law is exact
     p_values = []
     for m in (1, 2):
-        fresh: dict[str, int] = {}
-        for rep in range(4 * 10**4):
-            rng = derive_rng(SEED, f"acc4-fresh{m}", rep)
-            window = sample_window(POLY, 1.0, t0_horizon, rng=rng)
-            comp = sample_composition_detailed(window, n - m, rng).composition
-            fresh[comp.to_text()] = fresh.get(comp.to_text(), 0) + 1
-        _, _, p = chi_square_two_sample(remainders[m], fresh)
+        _, _, p = chi_square_gof(composition_law(POLY, 1.0, n - m), remainders[m])
         p_values.append(p)
         assert p >= 1e-3, (m, p)
     _report(
@@ -218,9 +212,9 @@ def test_criterion_06_cutoff_deviation_bound():
     )
 
 
-def test_criterion_07_sequential_vs_window():
+def test_criterion_07_composition_law():
     case = ValidationCase(
-        "seq-vs-window", "sequential_vs_window", POLY_SPEC, 1.0, 4
+        "composition-poly3x2-n4", "sampler_vs_exact", POLY_SPEC, 1.0, 4, "composition"
     )
     (report,) = run_validation([case], 10**5, SEED)
     assert report.error is None
@@ -229,7 +223,7 @@ def test_criterion_07_sequential_vs_window():
     assert report.truncation_bias <= 1e-6
     _report(
         7,
-        f"two-sample over full compositions: p {report.p_value:.3f}, "
+        f"window compositions vs their regenerative law: p {report.p_value:.3f}, "
         f"truncation bias <= {report.truncation_bias:.1e}",
     )
 
@@ -245,13 +239,7 @@ def test_criterion_08_ball_deletion_consistency():
         comp = sample_composition_detailed(window, n, rng).composition
         smaller = delete_random_ball(comp, rng)
         deleted[smaller.to_text()] = deleted.get(smaller.to_text(), 0) + 1
-    fresh: dict[str, int] = {}
-    for rep in range(reps):
-        rng = derive_rng(SEED, "acc8-fresh", rep)
-        window = sample_window(POLY, 1.0, horizon, rng=rng)
-        comp = sample_composition_detailed(window, n - 1, rng).composition
-        fresh[comp.to_text()] = fresh.get(comp.to_text(), 0) + 1
-    stat, df, p = chi_square_two_sample(deleted, fresh)
+    stat, df, p = chi_square_gof(composition_law(POLY, 1.0, n - 1), deleted)
     assert p >= 1e-3
     _report(8, f"delete-one from C_5 vs C_4: chi2 {stat:.1f} on {df} df, p {p:.3f}")
 

@@ -345,6 +345,31 @@ def test_simulate_forward_requires_horizon(capsys):
     assert "--horizon" in capsys.readouterr().err
 
 
+_FORWARD = ["simulate", "forward", "--measure", "poly3x2", "--mu", "1", "--horizon", "2"]
+_SNAPSHOT = ["forward-snapshot", "--measure", "poly3x2", "--mu", "1", "--horizon", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (_FORWARD, ["--n", "5"]),
+        (_FORWARD, ["--reps", "5"]),
+        (_FORWARD, ["--workers", "2"]),
+        (_SNAPSHOT, ["--t0", "3"]),
+        (_SNAPSHOT, ["--eps", "0.01"]),
+    ],
+    ids=["forward-n", "forward-reps", "forward-workers", "snapshot-t0", "snapshot-eps"],
+)
+def test_flag_the_mode_ignores_is_usage_error(capsys, argv, flag):
+    # before, the flag was accepted and ignored: simulate forward --reps 5
+    # printed one path and exited 0
+    assert main(argv + flag + ["--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and flag[0] in line
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -929,9 +954,9 @@ _EWENS_CASE = {
         ),
         ({"plan": [_EWENS_CASE]}, "error: plan {path}: expected an object"),
         (
-            # a table sampler, but not one that sampler_vs_exact accepts
-            {"cases": [dict(_EWENS_CASE, kind="sampler_vs_exact", sampler="composition")]},
-            "error: unknown sampler 'composition'",
+            # the retired reference sampler of the two-sample case
+            {"cases": [dict(_EWENS_CASE, kind="sampler_vs_exact", sampler="sequential")]},
+            "error: unknown sampler 'sequential'",
         ),
     ],
     ids=["unknown-key", "no-cases", "unknown-sampler"],
@@ -1043,12 +1068,14 @@ def test_validate_unknown_kind_is_usage_error_before_any_case_draws(
         raise AssertionError("a case was prepared before the plan was checked")
 
     monkeypatch.setattr(lambdacoal.validation, "prepare_shared", refuse)
-    plan = _write_plan(tmp_path, [dict(_EWENS_CASE), dict(_EWENS_CASE, kind="nope")])
-    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
-    assert code == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err == "error: unknown case kind 'nope'\n"
-    assert captured.out == ""
+    # sequential_vs_window is the retired two-sample kind
+    for kind in ("nope", "sequential_vs_window"):
+        plan = _write_plan(tmp_path, [dict(_EWENS_CASE), dict(_EWENS_CASE, kind=kind)])
+        code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown case kind '{kind}'\n"
+        assert captured.out == ""
 
 
 def test_validate_csv_format(tmp_path, capsys):
@@ -1178,9 +1205,10 @@ SIMULATE_BETA19_N6 = {
         "1,2,3",
     ],
 }
-# sha256 of {case_id: [empirical, reference]} over the default plan
+# sha256 of {case_id: [empirical, reference]} over the default plan;
+# reference is null in every report
 VALIDATE_DEFAULT_TABLES_SHA256 = (
-    "00721070cda7e3826d7ee1c5e84a74109b53a802b2c7efa1287cd040a6fe0514"
+    "662ec70d0050743af8f9db4e388d51b3965a8517e83b339b8afe37f66b3fd86c"
 )
 
 

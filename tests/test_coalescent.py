@@ -160,7 +160,7 @@ def test_frozen_n2_marginal(rng_factory):
     # (rate(2,2) = 1); the replicates run a draw block at a time through
     # the lockstep block chain, which gives what one-replicate calls give
     # on the same streams
-    (table,) = prepare_shared(("frozen",), POLY, 0.5, 2)
+    table = prepare_shared("frozen", POLY, 0.5, 2)
     reps = 10**5
     hits = 0
     for lo in range(0, reps, _DRAW_BLOCK):

@@ -450,7 +450,7 @@ def test_chain_draws_the_frozen_texts(measure, n):
     # same generators the two give the same texts
     texts = [
         _SAMPLERS[name].draw(
-            measure, 1.0, n, *prepare_shared((name,), measure, 1.0, n),
+            measure, 1.0, n, prepare_shared(name, measure, 1.0, n),
             [derive_rng(13, "chain-frozen", r) for r in range(200)],
         )
         for name in ("chain", "frozen")
@@ -463,7 +463,7 @@ def test_set_sampler_n2_marginal(rng_factory):
     # freezes first (rate 2 mu), so P(one family of two) = 0.25 / 2.25
     # the replicates run a draw block at a time through the block window
     # kernel, which gives what one-replicate calls give on the same streams
-    (T0,) = prepare_shared(("set",), HALF_ATOM, 1.0, 2)
+    T0 = prepare_shared("set", HALF_ATOM, 1.0, 2)
     reps = 20000
     hits = 0
     for lo in range(0, reps, _DRAW_BLOCK):

@@ -308,9 +308,8 @@ def test_fan_out_output_does_not_depend_on_the_worker_count(tmp_path, workers):
     for spec in ("poly3x2", f"density-file:{table}", "atoms:0.5=0.25"):
         measure = parse_measure(spec)
         for sampler in ("frozen", "chain", "set", "composition"):
-            names = (sampler,)
-            shared = prepare_shared(names, measure, 1.0, 4)
-            args = (names, measure, 1.0, 4, 7, "fan-out", shared)
+            shared = prepare_shared(sampler, measure, 1.0, 4)
+            args = (sampler, measure, 1.0, 4, 7, "fan-out", shared)
             for reps in (1023, 1024, 1100, 1537):
                 serial = fan_out(draw_span, args, reps, 1)
                 assert len(serial) == 1 and len(serial[0]) == reps

@@ -1,7 +1,9 @@
 """Subordinator windows: cdf, inversion, extension, and composition
 sampling, including a deterministic gap-set fixture traced by hand."""
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from lambdacoal import (
     DensityTableMeasure,
     PopulationSupportError,
     WindowBudgetError,
+    chi_square_gof,
     chi_square_two_sample,
+    composition_law,
     derive_rng,
     AtomicMeasure,
     default_window_horizon,
@@ -759,6 +763,96 @@ def test_sequential_half_atom_first_part(rng_factory):
         hits += comp.parts[0] == 3
     p_hat = hits / reps
     assert abs(p_hat - 1 / 7) < 3.0 * math.sqrt((1 / 7) * (6 / 7) / reps)
+
+
+def _law_measure(tmp_path, label):
+    if label == "pin-table":
+        table = tmp_path / "table.txt"
+        table.write_text(PIN_TABLE_TEXT)
+        return parse_measure(f"density-file:{table}")
+    return parse_measure(label)
+
+
+LAW_MEASURES = ["poly3x2", "atoms:0.5=0.25", "beta:1.9,1,1", "pin-table"]
+
+
+def _deletion_gap(law: dict, lower: dict, n: int) -> float:
+    """Largest gap between the law of a composition of n with one uniform
+    ball deleted and the law `lower` of a composition of n - 1."""
+    deleted = dict.fromkeys(lower, 0.0)
+    for text, p in law.items():
+        parts = Composition.from_text(text).parts
+        for i, size in enumerate(parts):
+            smaller = parts[:i] + ((size - 1,) if size > 1 else ()) + parts[i + 1 :]
+            deleted[Composition(smaller).to_text()] += p * size / n
+    return max(abs(deleted[k] - lower[k]) for k in lower)
+
+
+@pytest.mark.parametrize("label", LAW_MEASURES)
+def test_composition_law_sums_to_one_and_deletes_consistently(tmp_path, label):
+    # no sampling: every level lists all 2**(n - 1) compositions, sums to
+    # 1, and deleting a uniform ball maps level n onto level n - 1
+    measure = _law_measure(tmp_path, label)
+    lower = None
+    for n in range(1, 15):
+        law = composition_law(measure, 1.0, n)
+        assert len(law) == 2 ** (n - 1)
+        assert abs(math.fsum(law.values()) - 1.0) <= 1e-14
+        if lower is not None:
+            assert _deletion_gap(law, lower, n) <= 1e-14, n
+        lower = law
+
+
+@pytest.mark.parametrize("label", LAW_MEASURES)
+def test_composition_law_with_one_level_at_twice_mu_fails_deletion(
+    tmp_path, monkeypatch, label
+):
+    # a mutant law whose top level reads the first-part law at 2 mu; every
+    # law of n = 2 deletes onto the one law of n = 1
+    measure = _law_measure(tmp_path, label)
+    laws_upto = lambdacoal.subordinator.first_part_laws_upto
+
+    def mutant(measure, mu, n):
+        laws = laws_upto(measure, mu, n)
+        laws[n] = laws_upto(measure, 2.0 * mu, n)[n]
+        return laws
+
+    for n in range(3, 15):
+        lower = composition_law(measure, 1.0, n - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(lambdacoal.subordinator, "first_part_laws_upto", mutant)
+            law = composition_law(measure, 1.0, n)
+        assert _deletion_gap(law, lower, n) > 1e-3, n
+
+
+def test_composition_law_refuses_above_its_cap_before_any_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a first-part law was built")
+
+    monkeypatch.setattr(lambdacoal.subordinator, "first_part_laws_upto", refuse)
+    for n in (0, lambdacoal.subordinator.MAX_COMPOSITION_N + 1):
+        with pytest.raises(ValueError, match="composition_law needs"):
+            composition_law(POLY, 1.0, n)
+
+
+@pytest.mark.parametrize("label", ["poly3x2", "pin-table"])
+def test_sequential_composition_draws_the_composition_law(tmp_path, monkeypatch, label):
+    # first_part_laws_upto is a pure function of its arguments; memoised
+    # here, so the 2e4 draws build the table's laws once
+    monkeypatch.setattr(
+        lambdacoal.subordinator,
+        "first_part_laws_upto",
+        functools.lru_cache(lambdacoal.subordinator.first_part_laws_upto),
+    )
+    measure = _law_measure(tmp_path, label)
+    n = 6
+    counts = Counter(
+        sequential_composition(measure, 1.0, n, derive_rng(19, "seq-law", r)).to_text()
+        for r in range(2 * 10**4)
+    )
+    assert chi_square_gof(composition_law(measure, 1.0, n), counts)[2] >= 1e-3
+    # the same counts against the law at 2 mu
+    assert chi_square_gof(composition_law(measure, 2.0, n), counts)[2] < 1e-3
 
 
 def test_delete_random_ball_hand_law(rng_factory):

@@ -28,6 +28,7 @@ from lambdacoal import (
     build_rate_table,
     chi_square_gof,
     chi_square_two_sample,
+    composition_law,
     default_plan,
     edge_plan,
     load_plan,
@@ -344,12 +345,9 @@ def test_default_plan_shape():
     ids = [c.case_id for c in plan]
     assert len(ids) == len(set(ids))
     kinds = {c.kind for c in plan}
-    assert kinds == {
-        "sampler_vs_exact",
-        "ewens_equivalence",
-        "first_part",
-        "sequential_vs_window",
-    }
+    assert kinds == {"sampler_vs_exact", "ewens_equivalence", "first_part"}
+    # window compositions are judged against their exact law
+    assert "composition" in {c.sampler for c in plan}
     # the pure pair-merger fixture must carry its closed-form line item
     ewens_cases = [c for c in plan if c.kind == "ewens_equivalence"]
     assert len(ewens_cases) == 1
@@ -446,7 +444,7 @@ def test_worker_count_invariance():
         ValidationCase("chain", "sampler_vs_exact", "poly3x2", 1.0, 4, sampler="chain"),
         ValidationCase("set", "sampler_vs_exact", "poly3x2", 1.0, 4, sampler="set"),
         ValidationCase("fp", "first_part", "poly3x2", 1.0, 4),
-        ValidationCase("sw", "sequential_vs_window", "poly3x2", 1.0, 4),
+        ValidationCase("comp", "sampler_vs_exact", "poly3x2", 1.0, 4, sampler="composition"),
     ]
     serial = reports_to_json(run_validation(plan, 1100, 5, workers=1))
     parallel = reports_to_json(run_validation(plan, 1100, 5, workers=2))
@@ -522,13 +520,30 @@ def test_first_part_case_outcomes():
     assert sum(report.empirical.values()) == 500
 
 
-def test_sequential_vs_window_split():
-    case = ValidationCase("sw", "sequential_vs_window", "poly3x2", 1.0, 3)
-    (report,) = run_validation([case], 600, 7)
-    assert sum(report.empirical.values()) == 300
-    assert sum(report.reference.values()) == 300
-    assert report.p_value is not None
-    assert report.passed
+# the 6-node table the CLI's stream pins use
+PIN_TABLE_TEXT = "0.1 0.2\n0.26 1.0\n0.42 0.1\n0.58 0\n0.74 2\n0.9 1.5\n"
+
+
+def test_composition_cases_match_the_regenerative_law(tmp_path):
+    # window compositions against composition_law; the same counts, with
+    # no second draw, fail against the law at 2 mu.  TVD is reported but
+    # not gated: at n = 8 sampling noise alone puts it near 0.02
+    table = tmp_path / "table.txt"
+    table.write_text(PIN_TABLE_TEXT)
+    cells = [
+        (spec, n)
+        for spec in ("poly3x2", "atoms:0.5=0.25", f"density-file:{table}")
+        for n in (4, 8)
+    ] + [("beta:1.9,1,1", 4)]
+    plan = [
+        ValidationCase(f"comp-{i}", "sampler_vs_exact", spec, 1.0, n, sampler="composition")
+        for i, (spec, n) in enumerate(cells)
+    ]
+    for case, report in zip(plan, run_validation(plan, 20_000, 3, workers=2)):
+        assert report.error is None
+        assert report.p_value >= 1e-3, (case.fixture(), report.p_value)
+        twice = composition_law(parse_measure(case.measure_spec), 2.0, case.n)
+        assert chi_square_gof(twice, report.empirical)[2] < 1e-3, case.fixture()
 
 
 def test_window_samplers_match_laws_for_beta_below_one():
@@ -608,7 +623,7 @@ def test_lockstep_draw_matches_one_row_calls(sampler, mu, n):
     # one block-chain call over many replicates gives, byte for byte, what
     # the public one-replicate samplers give on the same streams
     measure = parse_measure("poly3x2")
-    (shared,) = prepare_shared((sampler,), measure, mu, n)
+    shared = prepare_shared(sampler, measure, mu, n)
     reps = range(60 if n < 40 else 20)
     lockstep = _SAMPLERS[sampler].draw(
         measure, mu, n, shared, [derive_rng(11, "lockstep", r) for r in reps]
@@ -662,7 +677,7 @@ def test_window_block_matches_one_row_calls(sampler, label, small_t0):
     # extend while covering their uniforms and while chasing roots
     measure = WINDOW_MEASURES[label]
     mu, n, reps = 1.0, 6, 40
-    (T0,) = prepare_shared((sampler,), measure, mu, n)
+    T0 = prepare_shared(sampler, measure, mu, n)
     if small_t0:
         T0 = 0.05
         grown = [_extensions(measure, mu, n, T0, derive_rng(12, "ext", r)) for r in range(reps)]
@@ -682,7 +697,7 @@ def test_window_blocks_split_by_points(sampler, monkeypatch):
     # a draw cut into blocks of a few window points gives the same texts
     # as one block
     measure = WINDOW_MEASURES["poly3x2"]
-    (T0,) = prepare_shared((sampler,), measure, 1.0, 5)
+    T0 = prepare_shared(sampler, measure, 1.0, 5)
 
     def draw():
         rngs = [derive_rng(13, sampler, r) for r in range(30)]
@@ -698,7 +713,7 @@ def test_window_block_memory_is_bounded():
     # _BLOCK_POINTS window points, not all 512 windows at once (about
     # 35 MB traced when it did)
     measure = WINDOW_MEASURES["beta1.9"]
-    (T0,) = prepare_shared(("set",), measure, 1.0, 6)
+    T0 = prepare_shared("set", measure, 1.0, 6)
     rngs = [derive_rng(14, "memory", r) for r in range(512)]
     tracemalloc.start()
     try:
@@ -710,23 +725,16 @@ def test_window_block_memory_is_bounded():
 
 
 @pytest.mark.parametrize(
-    "names, n",
-    [
-        (("frozen",), 5),
-        (("chain",), 5),
-        (("sequential", "composition"), 4),
-        (("set",), 5),
-        (("first-part",), 5),
-    ],
-    ids=["frozen", "chain", "sequential-composition", "set", "first-part"],
+    "name, n",
+    [("frozen", 5), ("chain", 5), ("composition", 4), ("set", 5), ("first-part", 5)],
+    ids=["frozen", "chain", "composition", "set", "first-part"],
 )
-def test_draw_span_does_not_depend_on_the_split(names, n):
+def test_draw_span_does_not_depend_on_the_split(name, n):
     # spans longer than one draw block, cut at several points, concatenate
-    # to the whole span; an interleaved pair of samplers matches its
-    # replicates drawn one at a time
+    # to the whole span, and match their replicates drawn one at a time
     measure = parse_measure("poly3x2")
-    shared = prepare_shared(names, measure, 1.0, n)
-    args = (names, measure, 1.0, n, 3, "split", shared)
+    shared = prepare_shared(name, measure, 1.0, n)
+    args = (name, measure, 1.0, n, 3, "split", shared)
     reps = _DRAW_BLOCK + 88
     whole = draw_span(*args, 0, reps)
     for cuts in ([1, 300], [_DRAW_BLOCK - 1, _DRAW_BLOCK + 1], [7, 8, 9, 555]):
