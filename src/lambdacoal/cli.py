@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import LambdaCoalError, MeasureSpecError
 from .measures import MAX_BLOCKS, build_rate_table, measure_descriptor, parse_measure
 from .population import LitterHistory, forward_simulate, rho_state
@@ -26,6 +28,7 @@ from .streams import derive_rng, fan_out
 from .validation import (
     draw_span,
     load_plan,
+    outcome_texts,
     prepare_shared,
     reports_to_csv,
     reports_to_json,
@@ -145,7 +148,7 @@ def cmd_simulate(args) -> int:
         args.reps or 1,
         args.workers or 1,
     )
-    lines = [line for span in spans for line in span]
+    lines = outcome_texts(args.sampler, np.concatenate(spans))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

@@ -24,6 +24,9 @@ uniform live slot, which keeps the order exchangeable.
 * First-part chain (population): the first-part law of b without its
   lone-litter self-loop is row b divided by its total, so the chain runs
   this table.
+
+_family_counts returns a block's (R, n) family-size counts; the text of
+a row is made only in the validation module.
 """
 
 from __future__ import annotations
@@ -104,18 +107,6 @@ def _partition_counts(sizes: np.ndarray) -> np.ndarray:
     return np.bincount(
         (sizes + (n + 1) * np.arange(R)[:, None]).ravel(), minlength=R * (n + 1)
     ).reshape(R, n + 1)[:, 1:]
-
-
-def _count_texts(counts: np.ndarray) -> list[str]:
-    """Partition-vector text of each row of (R, n) counts."""
-    texts: dict = {}
-    out = []
-    for row in map(tuple, counts.tolist()):
-        text = texts.get(row)
-        if text is None:
-            text = texts[row] = PartitionVector(row).to_text()
-        out.append(text)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -791,8 +791,8 @@ def require_population_support(measure: LambdaMeasure) -> None:
     """Standing assumptions of the population construction: no atoms at the
     endpoints and a finite 1/x integral.
 
-    A success is remembered per measure (the one-row chain sampler checks
-    once per replicate); a failure raises on every call.  An atom at 0
+    A success is remembered per measure (every set draw block and chain
+    table checks it); a failure raises on every call.  An atom at 0
     makes the 1/x integral diverge; the mass at 1 is the limit of the x**p
     moments as p grows, read off at p = inf.
     """
@@ -849,13 +849,6 @@ class FirstPartLaw:
     def __post_init__(self):
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
             raise ValueError("first-part probabilities do not sum to 1")
-
-    @functools.cached_property
-    def cumulative(self) -> np.ndarray:
-        """Read-only np.cumsum(probs), built once per law."""
-        cum = np.cumsum(self.probs)
-        cum.setflags(write=False)
-        return cum
 
 
 def first_part_law(measure: LambdaMeasure, mu: float, n: int) -> FirstPartLaw:

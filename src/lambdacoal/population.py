@@ -149,6 +149,18 @@ def _require_drift(mu: float) -> None:
         )
 
 
+def _require_population(measure: LambdaMeasure, mu: float) -> None:
+    """The domain of the stationary construction, refused in one order: a
+    mu outside _check_mu (ValueError), a divergent 1/x integral
+    (DustConditionError), mu = 0 (PopulationSupportError: no root chase
+    and no first-part chain would end), then an atom at an endpoint
+    (require_population_support)."""
+    _check_mu(mu)
+    dust_integral(measure)
+    _require_drift(mu)
+    require_population_support(measure)
+
+
 class LitterHistory:
     """A subordinator window annotated with the origination genealogy.
 
@@ -172,12 +184,12 @@ class LitterHistory:
         eps: float | str = "auto",
     ) -> "LitterHistory":
         """A history on a fresh window of horizon T0 (default: the
-        one-individual horizon), refused in the set sampler's order: the
-        default horizon (a divergent dust integral), then mu, then the
+        one-individual horizon), refused as the set sampler refuses: in
+        _require_population's order with or without T0, then by the
         window's own checks."""
         if T0 is None:
             T0 = default_window_horizon(measure, mu, 1)
-        _require_drift(mu)
+        _require_population(measure, mu)
         return cls(sample_window(measure, mu, T0, eps, rng))
 
     @classmethod
@@ -231,13 +243,12 @@ def rho_state(history: LitterHistory) -> PopulationMeasure:
     )
     # interval length of litter i = F(age_i) - F(age_i-)
     lengths = np.exp(-w.left_g[:n_snapshot]) - np.exp(-w.right_g[:n_snapshot])
-    by_root: dict[int, list[float]] = {}
-    for root, length in zip(roots.tolist(), lengths.tolist()):
-        by_root.setdefault(root, []).append(length)
-    # distinct roots carry distinct marks almost surely; merge defensively
+    # a litter's genotype is its root's mark; distinct roots carry distinct
+    # marks almost surely, and ones that do not merge
+    marks = w.marks.tolist()
     by_genotype: dict[float, list[float]] = {}
-    for root, sizes in by_root.items():
-        by_genotype.setdefault(float(w.marks[root]), []).extend(sizes)
+    for root, length in zip(roots.tolist(), lengths.tolist()):
+        by_genotype.setdefault(marks[root], []).append(length)
     atoms = tuple((g, math.fsum(sizes)) for g, sizes in by_genotype.items())
     diffuse = 1.0 - math.fsum(s for _, s in atoms)
     return PopulationMeasure(atoms, diffuse)
@@ -277,12 +288,10 @@ def _set_counts(measure, mu, n, T0, rngs) -> np.ndarray:
     uniforms; a block inverts them and chases all its roots at once."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _require_drift(mu)
-
-    def read(*hits):
-        return [_partition_counts(_family_sizes(*hits))]
-
-    return np.concatenate(_window_blocks(measure, mu, T0, rngs, n, read))
+    _require_population(measure, mu)
+    return _window_blocks(
+        measure, mu, T0, rngs, n, lambda *hits: _partition_counts(_family_sizes(*hits))
+    )
 
 
 def sample_family_partition_set(
@@ -298,8 +307,8 @@ def sample_family_partition_set(
     regenerative set is its own mutant family, and litter hits pool by
     the root of their litter, since litters sharing a root share a
     genotype.  A one-row call of the block draw (_set_counts) on the
-    horizon T0 (default: default_window_horizon), so it refuses what
-    that draw refuses, in its order.
+    horizon T0 (default: default_window_horizon), so it refuses in
+    _require_population's order with or without T0.
     """
     if T0 is None:
         T0 = default_window_horizon(measure, mu, n)
@@ -309,16 +318,8 @@ def sample_family_partition_set(
 
 def _chain_prepare(measure: LambdaMeasure, mu: float, n: int) -> np.ndarray:
     """The first-part chain's event table for up to n lineages, which is
-    the frozen coalescent's, once the chain's refusals pass, in this
-    order: a mu outside _check_mu, a divergent dust integral, mu = 0 (the
-    chain would never end) and an atom at 1."""
-    _check_mu(mu)
-    dust_integral(measure)
-    if mu <= 0.0:
-        raise PopulationSupportError(
-            "the chain sampler needs a positive mutation rate to terminate"
-        )
-    require_population_support(measure)
+    the frozen coalescent's, once _require_population passes."""
+    _require_population(measure, mu)
     return _frozen_table(build_rate_table(measure, n), mu, n)
 
 
@@ -337,7 +338,7 @@ def sample_family_partition_chain(
     a mutant part freezes one lineage as a family, a part of size m merges
     a uniform m-subset.  That conditioned law is the frozen coalescent's
     event row, so this is a one-row call of its table and kernel, with
-    the refusals of _chain_prepare.  laws is unused.
+    the refusals of _require_population.  laws is unused.
     """
     (counts,) = _family_counts(_chain_prepare(measure, mu, n), n, [rng]).tolist()
     return PartitionVector(tuple(counts))

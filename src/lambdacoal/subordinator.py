@@ -54,8 +54,9 @@ genealogy's parent query.  The lockstep window samplers drop the uniforms
 of a whole draw block on one _Rows block (_window_hits; a block holds at
 most _BLOCK_POINTS window points), and the set sampler chases the roots
 of all its litter hits in one _Rows.roots call, one parent step per
-generation.  These are the only query paths: sample_composition_detailed
-is a one-row _window_hits call, and a lone root query is a one-query
+generation; each block is read into arrays, and no outcome text is made
+here.  These are the only query paths: sample_composition_detailed is a
+one-row _window_hits call, and a lone root query is a one-query
 _Rows.roots call.  Queries are g = -log1p(-v) by np.log1p wherever they
 are formed (_g), so every path rounds a query alike.
 
@@ -65,7 +66,7 @@ the initial horizon) extend() raises WindowExhaustionError,
 whichever sampler reads the window.  A block row whose window extends
 is written afresh from the window alone; the other rows stay as they are.
 
-The window set-up (the population support check, the cutoff eps and the
+The window set-up (the dust and support checks, the cutoff eps and the
 intensity nu(eps, 1]) depends only on (measure, T, eps), so it is computed
 once per (measure, T) and shared by every window drawn with it: the
 windows of one validation case or CLI run pay one truncation search
@@ -461,7 +462,9 @@ class _Rows:
 
 def default_window_horizon(measure: LambdaMeasure, mu: float, n: int) -> float:
     """Initial T with n * exp(-decay * T) <= 1e-6, where decay combines the
-    drift and the expected jump attrition (the 1/x integral of L)."""
+    drift and the expected jump attrition (the 1/x integral of L).  A mu
+    outside _check_mu raises ValueError before the integral is read."""
+    _check_mu(mu)
     decay = mu + dust_integral(measure)
     if decay <= 0.0:
         raise DegenerateMeasureError("no drift and no jumps: empty subordinator")
@@ -480,8 +483,10 @@ def _check_window_size(measure, expected: float, T: float, eps: float) -> None:
 @functools.lru_cache(maxsize=64)
 def _window_setup(measure: LambdaMeasure, T: float, eps) -> tuple[float, float, float]:
     """(eps, nu(eps, 1], integral of x nu(dx) below eps) for windows of
-    horizon T; eps="auto" is resolved by choose_truncation.  Failures
-    raise and are not cached."""
+    horizon T; eps="auto" is resolved by choose_truncation.  A divergent
+    1/x integral raises DustConditionError, then an atom at an endpoint
+    PopulationSupportError.  Failures raise and are not cached."""
+    dust_integral(measure)
     require_population_support(measure)
     if eps == "auto":
         eps = choose_truncation(measure, T)
@@ -628,35 +633,18 @@ def _window_hits(windows: list, rngs, n: int):
 _BLOCK_POINTS = 1 << 16
 
 
-def _window_blocks(measure, mu, T, rngs, n: int, read) -> list:
-    """Concatenated read(block, j, litter) of _window_hits, one block of
-    whole windows at a time, in generator order: one _draw_windows call
-    draws the windows of ages [0, T) of a block, which closes once they
-    hold _BLOCK_POINTS points between them."""
+def _window_blocks(measure, mu, T, rngs, n: int, read) -> np.ndarray:
+    """The arrays read(block, j, litter) of _window_hits, one block of
+    whole windows at a time, concatenated in generator order: one
+    _draw_windows call draws the windows of ages [0, T) of a block, which
+    closes once they hold _BLOCK_POINTS points between them."""
     out = []
     done = 0
     while done < len(rngs):
         windows = _draw_windows(measure, mu, T, "auto", rngs[done:], _BLOCK_POINTS)
-        out += read(*_window_hits(windows, rngs[done : done + len(windows)], n))
+        out.append(read(*_window_hits(windows, rngs[done : done + len(windows)], n)))
         done += len(windows)
-    return out
-
-
-def _composition_texts(measure, mu, n, T0, rngs) -> list[str]:
-    """Window compositions of n, one text per generator."""
-
-    def read(block, j, litter):
-        texts: dict = {}
-        out = []
-        for row in _part_starts(j, litter):
-            key = row.tobytes()
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = ",".join(map(str, _parts(row)))
-            out.append(text)
-        return out
-
-    return _window_blocks(measure, mu, T0, rngs, n, read)
+    return np.concatenate(out)
 
 
 def sample_composition_detailed(
@@ -699,7 +687,7 @@ def sequential_composition(
     parts = []
     remaining = n
     while remaining > 0:
-        cum = laws[remaining].cumulative
+        cum = np.cumsum(laws[remaining].probs)
         m = 1 + int(np.searchsorted(cum, rng.random() * cum[-1]))
         m = min(m, remaining)
         parts.append(m)

@@ -31,16 +31,15 @@ from .measures import (
 from .population import _chain_prepare, _set_counts
 # perfbench's tracer test reads validation.simulate_frozen_coalescent
 from .coalescent import (  # noqa: F401
-    _count_texts,
     _family_counts,
     _frozen_table,
     simulate_frozen_coalescent,
 )
-from .sampling_formula import ewens, solve
+from .sampling_formula import PartitionVector, ewens, solve
 from .streams import _DRAW_BLOCK, derive_rng, fan_out
 from .subordinator import (
-    _composition_texts,
     _part_starts,
+    _parts,
     _window_blocks,
     _window_setup,
     composition_law,
@@ -293,63 +292,74 @@ def load_plan(path) -> list[ValidationCase]:
 
 class _Sampler(NamedTuple):
     """prepare(measure, mu, n) -> the table every replicate shares;
-    draw(measure, mu, n, shared, rngs) -> one outcome text per generator,
-    in order; window: the draw reads a subordinator window, so its
+    draw(measure, mu, n, shared, rngs) -> the kernel's integer or bool
+    array, one row per generator, in order; text(row) -> the text of one
+    row as a tuple; window: the draw reads a subordinator window, so its
     small-jump truncation biases the outcome."""
 
     prepare: Callable
     draw: Callable
+    text: Callable
     window: bool
 
 
-def _first_part_texts(measure, mu, n, T0, rngs) -> list[str]:
-    """'1m' mutant single, '1l' lone-litter single, '2'..'n' otherwise,
-    one per generator, read off blocks of windows."""
+def _first_part_codes(measure, mu, n, T0, rngs) -> np.ndarray:
+    """(R, 1) first parts, one row per generator, read off blocks of
+    windows: 0 a mutant single, 1 a lone-litter single, m >= 2 a first
+    part of m."""
 
     def read(block, j, litter):
         starts = _part_starts(j, litter)
         starts[:, 0] = False
-        first = np.where(starts.any(1), starts.argmax(1), n).tolist()
-        lone = litter[:, 0].tolist()
-        return [
-            str(m) if m > 1 else "1l" if alone else "1m"
-            for m, alone in zip(first, lone)
-        ]
+        first = np.where(starts.any(1), starts.argmax(1), n)
+        return np.where(first > 1, first, litter[:, 0])[:, None]
 
     return _window_blocks(measure, mu, T0, rngs, n, read)
 
 
-# The one map from a sampler name to its shared table and its draw.  The
-# entries reach every library function by its module-global name at call
-# time, so a caller that rebinds a module attribute (a tracer) sees the call.
-# frozen and chain run all their replicates through one lockstep block
-# chain; set, composition and first-part draw each replicate's window and
-# uniforms from its own stream, then read all the windows through one block
-# of the inversion kernel.
+def _partition_text(counts) -> str:
+    return PartitionVector(counts).to_text()
+
+
+# The one map from a sampler name to its shared table, its draw and a row's
+# text.  The entries reach every library function by its module-global name
+# at call time, so a caller that rebinds a module attribute (a tracer) sees
+# the call.  frozen and chain run all their replicates through one lockstep
+# block chain into (R, n) family counts; set, composition and first-part
+# draw each replicate's window and uniforms from its own stream, then read
+# all the windows through one block of the inversion kernel, into family
+# counts, (R, n) _part_starts flags and (R, 1) first-part codes.
 _SAMPLERS = {
     "frozen": _Sampler(
         lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
-        lambda measure, mu, n, table, rngs: _count_texts(_family_counts(table, n, rngs)),
+        lambda measure, mu, n, table, rngs: _family_counts(table, n, rngs),
+        _partition_text,
         False,
     ),
     "chain": _Sampler(
         _chain_prepare,
-        lambda measure, mu, n, table, rngs: _count_texts(_family_counts(table, n, rngs)),
+        lambda measure, mu, n, table, rngs: _family_counts(table, n, rngs),
+        _partition_text,
         False,
     ),
     "set": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        lambda measure, mu, n, T0, rngs: _count_texts(_set_counts(measure, mu, n, T0, rngs)),
+        lambda measure, mu, n, T0, rngs: _set_counts(measure, mu, n, T0, rngs),
+        _partition_text,
         True,
     ),
     "composition": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        _composition_texts,
+        lambda measure, mu, n, T0, rngs: _window_blocks(
+            measure, mu, T0, rngs, n, lambda block, j, litter: _part_starts(j, litter)
+        ),
+        lambda starts: ",".join(map(str, _parts(np.array(starts)))),
         True,
     ),
     "first-part": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        _first_part_texts,
+        lambda measure, mu, n, T0, rngs: _first_part_codes(measure, mu, n, T0, rngs),
+        lambda code: str(code[0]) if code[0] > 1 else ("1m", "1l")[code[0]],
         True,
     ),
 }
@@ -360,30 +370,45 @@ def prepare_shared(name, measure, mu: float, n: int):
     return _SAMPLERS[name].prepare(measure, mu, n)
 
 
-def draw_span(name, measure, mu, n, seed, tag, shared, start, stop) -> list[str]:
-    """Outcome texts of replicates [start, stop) in replicate order:
-    replicate r runs the named sampler on the stream (seed, tag, r).
+def draw_span(name, measure, mu, n, seed, tag, shared, start, stop) -> np.ndarray:
+    """The named sampler's draw of replicates [start, stop), one row each
+    in replicate order: replicate r runs on the stream (seed, tag, r).
     The measure is the caller's parsed one, which a forked span inherits
     with its tables and caches, so no span parses its spec again."""
     out = []
     for lo in range(start, stop, _DRAW_BLOCK):
         rngs = [derive_rng(seed, tag, r) for r in range(lo, min(lo + _DRAW_BLOCK, stop))]
-        out += _SAMPLERS[name].draw(measure, mu, n, shared, rngs)
+        out.append(_SAMPLERS[name].draw(measure, mu, n, shared, rngs))
+    return np.concatenate(out)
+
+
+def outcome_texts(name: str, rows: np.ndarray) -> list[str]:
+    """The text of each row of a draw of the named sampler, in order; each
+    distinct row's text is made once."""
+    text = _SAMPLERS[name].text
+    texts: dict = {}
+    out = []
+    for row in map(tuple, rows.tolist()):
+        t = texts.get(row)
+        if t is None:
+            t = texts[row] = text(row)
+        out.append(t)
     return out
 
 
 def _case_sampler(case: ValidationCase) -> str | None:
     """The sampler a case draws from (None for a closed-form case); an
-    unknown sampler or kind raises ValueError."""
+    unknown sampler or kind, or a sampler named on a kind that does not
+    read it, raises ValueError."""
     if case.kind == "sampler_vs_exact":
         if case.sampler not in ("frozen", "chain", "set", "composition"):
             raise ValueError(f"unknown sampler {case.sampler!r}")
         return case.sampler
-    if case.kind == "first_part":
-        return "first-part"
-    if case.kind == "ewens_equivalence":
-        return None
-    raise ValueError(f"unknown case kind {case.kind!r}")
+    if case.kind not in ("first_part", "ewens_equivalence"):
+        raise ValueError(f"unknown case kind {case.kind!r}")
+    if case.sampler is not None:
+        raise ValueError(f"case kind {case.kind!r} takes no sampler, got {case.sampler!r}")
+    return "first-part" if case.kind == "first_part" else None
 
 
 def _exact_law(case: ValidationCase, measure, mu: float) -> dict:
@@ -442,7 +467,7 @@ def _evaluate_case(
                 reps,
                 workers,
             )
-            counts = Counter(text for span in spans for text in span)
+            counts = Counter(outcome_texts(name, np.concatenate(spans)))
             report.empirical = dict(sorted(counts.items()))
             report.expected = exact
             report.tvd = total_variation(exact, counts)

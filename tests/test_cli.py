@@ -1078,6 +1078,28 @@ def test_validate_unknown_kind_is_usage_error_before_any_case_draws(
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["first_part", "ewens_equivalence"])
+def test_validate_sampler_on_a_kind_that_does_not_read_it_is_usage_error(
+    tmp_path, capsys, monkeypatch, kind
+):
+    # a first_part case drew the first-part sampler whatever it named, and
+    # an ewens_equivalence case ignored the field; both wrote it into the
+    # report's fixture
+    import lambdacoal.validation
+
+    def refuse(*args):
+        raise AssertionError("a case was prepared before the plan was checked")
+
+    monkeypatch.setattr(lambdacoal.validation, "prepare_shared", refuse)
+    named = dict(_EWENS_CASE, kind=kind, measure_spec="poly3x2", mu=1.0, sampler="frozen")
+    plan = _write_plan(tmp_path, [dict(_EWENS_CASE), named])
+    code = main(["validate", "--plan", plan, "--reps", "10", "--seed", "1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: case kind '{kind}' takes no sampler, got 'frozen'\n"
+    assert captured.out == ""
+
+
 def test_validate_csv_format(tmp_path, capsys):
     plan = _write_plan(
         tmp_path,
@@ -1460,15 +1482,20 @@ _ONE_ROW_ENTRIES = {
         lambda m, mu, rng: rho_state(LitterHistory.build(m, mu, rng)),
         ["forward-snapshot", "--stationary"],
     ),
+    "stationary-t0": (
+        lambda m, mu, rng: rho_state(LitterHistory.build(m, mu, rng, T0=5.0)),
+        ["forward-snapshot", "--stationary", "--t0", "5"],
+    ),
 }
+
+_REFUSAL_SPECS = [
+    "delta:0", "beta:1,1,1", "atoms:0=1,0.5=1", "delta:1", "atoms:0.5=0.25,1=0.1", "poly3x2"
+]
 
 
 @pytest.mark.parametrize("entry", list(_ONE_ROW_ENTRIES))
-@pytest.mark.parametrize("mu", ["0", "1"])
-@pytest.mark.parametrize(
-    "spec",
-    ["delta:0", "beta:1,1,1", "atoms:0=1,0.5=1", "delta:1", "atoms:0.5=0.25,1=0.1", "poly3x2"],
-)
+@pytest.mark.parametrize("mu", ["-1", "0", "1", "1e308"])
+@pytest.mark.parametrize("spec", _REFUSAL_SPECS)
 def test_one_row_samplers_refuse_as_the_cli_does(capsys, spec, mu, entry):
     # the first three specs have a divergent 1/x integral, the next two an
     # atom at 1; the one-row calls refused them with PopulationSupportError
@@ -1477,15 +1504,40 @@ def test_one_row_samplers_refuse_as_the_cli_does(capsys, spec, mu, entry):
     one_row, command = _ONE_ROW_ENTRIES[entry]
     try:
         one_row(parse_measure(spec), float(mu), derive_rng(1, "one-row", 0))
-        refusal = None
+        refusal = (EXIT_OK, "")
     except LambdaCoalError as exc:
-        refusal = f"{type(exc).__name__}: {exc}"
+        refusal = (EXIT_NUMERIC, f"error: {type(exc).__name__}: {exc}\n")
+    except ValueError as exc:
+        refusal = (EXIT_USAGE, f"error: {exc}\n")
     code = main(command + ["--measure", spec, "--mu", mu, "--seed", "1"])
-    err = capsys.readouterr().err
-    if refusal is None:
-        assert (code, err) == (EXIT_OK, "")
-    else:
-        assert (code, err) == (EXIT_NUMERIC, f"error: {refusal}\n")
+    assert (code, capsys.readouterr().err) == refusal
+
+
+@pytest.mark.parametrize("mu", ["-1", "0", "1", "1e308"])
+@pytest.mark.parametrize("spec", _REFUSAL_SPECS + ["table"])
+def test_population_entries_refuse_in_one_order(tmp_path, capsys, spec, mu):
+    # every entry of the stationary construction refuses a cell alike: a mu
+    # outside [0, 1e100] (exit 2), a divergent 1/x integral, mu = 0, then an
+    # atom at 1.  A negative mu was DegenerateMeasureError on delta:1 for
+    # set and the snapshot, mu = 1e308 exit 3 for all but the chain, and
+    # an explicit --t0 named PopulationSupportError where the default
+    # horizon named DustConditionError.  composition needs no drift, so it
+    # joins every cell but mu = 0.
+    if spec == "table":
+        # its 1/x integral is about 713, which the table's quadrature
+        # refuses as divergent
+        spec = "density-file:" + str(tmp_path / "table.txt")
+        (tmp_path / "table.txt").write_text("1e-310 1\n0.5 1\n")
+    commands = [command for _, command in _ONE_ROW_ENTRIES.values()]
+    if mu != "0":
+        commands.append(["simulate", "composition", "--n", "4"])
+    outcomes = set()
+    for command in commands:
+        code = main(command + ["--measure", spec, "--mu", mu, "--seed", "1"])
+        err = capsys.readouterr().err
+        # an exit-3 line names the error class before its message
+        outcomes.add((code, err.split(": ")[1] if code == EXIT_NUMERIC else err))
+    assert len(outcomes) == 1, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from lambdacoal import (
     solve,
 )
 from lambdacoal.coalescent import _block_chain, _frozen_table
-from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, prepare_shared
+from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, outcome_texts, prepare_shared
 
 DELTA0 = parse_measure("delta:0")
 DELTA1 = parse_measure("delta:1")
@@ -165,7 +165,8 @@ def test_frozen_n2_marginal(rng_factory):
     hits = 0
     for lo in range(0, reps, _DRAW_BLOCK):
         rngs = [rng_factory(4, "n2", rep) for rep in range(lo, min(lo + _DRAW_BLOCK, reps))]
-        hits += _SAMPLERS["frozen"].draw(POLY, 0.5, 2, table, rngs).count("2^1")
+        draw = _SAMPLERS["frozen"].draw(POLY, 0.5, 2, table, rngs)
+        hits += outcome_texts("frozen", draw).count("2^1")
     p_hat = hits / reps
     assert abs(p_hat - 0.5) < 3.0 * np.sqrt(0.25 / reps)
 

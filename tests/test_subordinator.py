@@ -16,6 +16,7 @@ from lambdacoal import (
     Composition,
     DegenerateMeasureError,
     DensityTableMeasure,
+    DustConditionError,
     PopulationSupportError,
     WindowBudgetError,
     chi_square_gof,
@@ -34,13 +35,13 @@ from lambdacoal import (
 )
 
 from lambdacoal.subordinator import (
-    _composition_texts,
     _draw_points,
     _draw_windows,
     _locate,
     _Rows,
     _window_setup,
 )
+from lambdacoal.validation import _SAMPLERS, outcome_texts
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -447,11 +448,15 @@ def test_sample_window_requires_rng():
 
 
 def test_sample_window_rejects_unsupported():
-    from lambdacoal import PopulationSupportError
-
+    # a divergent 1/x integral is refused as every path refuses it, before
+    # the population support check that names an atom at 1
     rng = derive_rng(5, "bad")
-    for spec in ["delta:0", "delta:1", "beta:1,1,1"]:
-        with pytest.raises(PopulationSupportError):
+    for spec, error in [
+        ("delta:0", DustConditionError),
+        ("delta:1", PopulationSupportError),
+        ("beta:1,1,1", DustConditionError),
+    ]:
+        with pytest.raises(error):
             sample_window(parse_measure(spec), 1.0, 2.0, rng=rng)
 
 
@@ -646,10 +651,14 @@ def test_block_row_does_not_depend_on_its_slot(label):
     # the one-row call draws the window, then the uniforms, from one stream
     rng = target()
     alone = sample_composition_detailed(sample_window(measure, mu, T, rng=rng), n, rng)
+
+    def texts(rngs):
+        return outcome_texts("composition", _SAMPLERS["composition"].draw(measure, mu, n, T, rngs))
+
     assert (
         alone.composition.to_text()
-        == _composition_texts(measure, mu, n, T, [target()] + others[:3])[0]
-        == _composition_texts(measure, mu, n, T, others + [target()])[511]
+        == texts([target()] + others[:3])[0]
+        == texts(others + [target()])[511]
     )
 
 

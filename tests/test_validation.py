@@ -46,7 +46,13 @@ from lambdacoal import (
 )
 import lambdacoal.subordinator
 from lambdacoal._special import gammaincc
-from lambdacoal.validation import _DRAW_BLOCK, _SAMPLERS, draw_span, prepare_shared
+from lambdacoal.validation import (
+    _DRAW_BLOCK,
+    _SAMPLERS,
+    draw_span,
+    outcome_texts,
+    prepare_shared,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -625,9 +631,9 @@ def test_lockstep_draw_matches_one_row_calls(sampler, mu, n):
     measure = parse_measure("poly3x2")
     shared = prepare_shared(sampler, measure, mu, n)
     reps = range(60 if n < 40 else 20)
-    lockstep = _SAMPLERS[sampler].draw(
+    lockstep = outcome_texts(sampler, _SAMPLERS[sampler].draw(
         measure, mu, n, shared, [derive_rng(11, "lockstep", r) for r in reps]
-    )
+    ))
     one_row = [
         _one_row(sampler, measure, mu, n, derive_rng(11, "lockstep", r)) for r in reps
     ]
@@ -682,9 +688,9 @@ def test_window_block_matches_one_row_calls(sampler, label, small_t0):
         T0 = 0.05
         grown = [_extensions(measure, mu, n, T0, derive_rng(12, "ext", r)) for r in range(reps)]
         assert any(cover for cover, _ in grown) and any(chase for _, chase in grown)
-    block = _SAMPLERS[sampler].draw(
+    block = outcome_texts(sampler, _SAMPLERS[sampler].draw(
         measure, mu, n, T0, [derive_rng(12, sampler, r) for r in range(reps)]
-    )
+    ))
     one_row = [
         _one_window_row(sampler, measure, mu, n, T0, derive_rng(12, sampler, r))
         for r in range(reps)
@@ -694,7 +700,7 @@ def test_window_block_matches_one_row_calls(sampler, label, small_t0):
 
 @pytest.mark.parametrize("sampler", ["set", "composition", "first-part"])
 def test_window_blocks_split_by_points(sampler, monkeypatch):
-    # a draw cut into blocks of a few window points gives the same texts
+    # a draw cut into blocks of a few window points gives the same rows
     # as one block
     measure = WINDOW_MEASURES["poly3x2"]
     T0 = prepare_shared(sampler, measure, 1.0, 5)
@@ -705,7 +711,7 @@ def test_window_blocks_split_by_points(sampler, monkeypatch):
 
     whole = draw()
     monkeypatch.setattr(lambdacoal.subordinator, "_BLOCK_POINTS", 40)
-    assert draw() == whole
+    assert np.array_equal(draw(), whole)
 
 
 def test_window_block_memory_is_bounded():
@@ -740,9 +746,31 @@ def test_draw_span_does_not_depend_on_the_split(name, n):
     for cuts in ([1, 300], [_DRAW_BLOCK - 1, _DRAW_BLOCK + 1], [7, 8, 9, 555]):
         edges = [0] + cuts + [reps]
         parts = [draw_span(*args, a, b) for a, b in zip(edges, edges[1:])]
-        assert [text for part in parts for text in part] == whole
-    singles = [draw_span(*args, r, r + 1)[0] for r in range(40)]
-    assert singles == whole[:40]
+        assert np.array_equal(np.concatenate(parts), whole)
+    singles = [draw_span(*args, r, r + 1) for r in range(40)]
+    assert np.array_equal(np.concatenate(singles), whole[:40])
+
+
+@pytest.mark.parametrize("name", list(_SAMPLERS))
+def test_draws_are_kernel_arrays(name):
+    # every sampler's draw is an integer or bool array with one row per
+    # generator, and the texts of its rows are what the one-row public
+    # functions give on the same streams
+    measure, mu, n, reps = WINDOW_MEASURES["poly3x2"], 1.0, 5, 30
+    shared = prepare_shared(name, measure, mu, n)
+    rows = _SAMPLERS[name].draw(
+        measure, mu, n, shared, [derive_rng(15, name, r) for r in range(reps)]
+    )
+    assert rows.dtype.kind in "bi"
+    assert rows.shape == (reps, 1 if name == "first-part" else n)
+    if _SAMPLERS[name].window:
+        one_row = [
+            _one_window_row(name, measure, mu, n, shared, derive_rng(15, name, r))
+            for r in range(reps)
+        ]
+    else:
+        one_row = [_one_row(name, measure, mu, n, derive_rng(15, name, r)) for r in range(reps)]
+    assert outcome_texts(name, rows) == one_row
 
 
 # ---------------------------------------------------------------------------
