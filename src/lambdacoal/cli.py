@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import LambdaCoalError, MeasureSpecError
 from .measures import MAX_BLOCKS, build_rate_table, measure_descriptor, parse_measure
 from .population import LitterHistory, forward_simulate, rho_state
@@ -148,7 +146,7 @@ def cmd_simulate(args) -> int:
         args.reps or 1,
         args.workers or 1,
     )
-    lines = outcome_texts(args.sampler, np.concatenate(spans))
+    lines = [line for span in spans for line in outcome_texts(args.sampler, span)]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

@@ -38,6 +38,7 @@ from .coalescent import (  # noqa: F401
 from .sampling_formula import PartitionVector, ewens, solve
 from .streams import _DRAW_BLOCK, derive_rng, fan_out
 from .subordinator import (
+    Composition,
     _part_starts,
     _parts,
     _window_blocks,
@@ -292,10 +293,9 @@ def load_plan(path) -> list[ValidationCase]:
 
 class _Sampler(NamedTuple):
     """prepare(measure, mu, n) -> the table every replicate shares;
-    draw(measure, mu, n, shared, rngs) -> the kernel's integer or bool
-    array, one row per generator, in order; text(row) -> the text of one
-    row as a tuple; window: the draw reads a subordinator window, so its
-    small-jump truncation biases the outcome."""
+    draw(measure, mu, n, shared, rngs) -> the kernel's array, one row per
+    generator in order; text(row tuple) -> its outcome text; window: the
+    draw reads a window, whose small-jump truncation biases the outcome."""
 
     prepare: Callable
     draw: Callable
@@ -322,13 +322,12 @@ def _partition_text(counts) -> str:
 
 
 # The one map from a sampler name to its shared table, its draw and a row's
-# text.  The entries reach every library function by its module-global name
-# at call time, so a caller that rebinds a module attribute (a tracer) sees
-# the call.  frozen and chain run all their replicates through one lockstep
-# block chain into (R, n) family counts; set, composition and first-part
-# draw each replicate's window and uniforms from its own stream, then read
-# all the windows through one block of the inversion kernel, into family
-# counts, (R, n) _part_starts flags and (R, 1) first-part codes.
+# text.  Entries reach every library function by its module-global name at
+# call time, so a caller that rebinds a module attribute (a tracer) sees the
+# call.  frozen and chain run all replicates through one lockstep block chain
+# into (R, n) family counts; set, composition and first-part draw each
+# replicate's window and uniforms from its own stream and read all windows
+# through one inversion-kernel block into counts, flags or first-part codes.
 _SAMPLERS = {
     "frozen": _Sampler(
         lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
@@ -353,12 +352,12 @@ _SAMPLERS = {
         lambda measure, mu, n, T0, rngs: _window_blocks(
             measure, mu, T0, rngs, n, lambda block, j, litter: _part_starts(j, litter)
         ),
-        lambda starts: ",".join(map(str, _parts(np.array(starts)))),
+        lambda starts: Composition(_parts(np.array(starts))).to_text(),
         True,
     ),
     "first-part": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
-        lambda measure, mu, n, T0, rngs: _first_part_codes(measure, mu, n, T0, rngs),
+        _first_part_codes,
         lambda code: str(code[0]) if code[0] > 1 else ("1m", "1l")[code[0]],
         True,
     ),
