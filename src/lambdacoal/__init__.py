@@ -10,158 +10,20 @@ coalescent's event row divided by its total, so it runs the coalescent's
 event table.
 """
 
-from .errors import (
-    BeyondWindowError,
-    DegenerateMeasureError,
-    DustConditionError,
-    InfiniteActivityError,
-    LambdaCoalError,
-    MeasureSpecError,
-    NonIntegrableError,
-    PartitionCapError,
-    PopulationSupportError,
-    StuckChainError,
-    WindowBudgetError,
-    WindowExhaustionError,
-)
-from .measures import (
-    AtomicMeasure,
-    BetaMeasure,
-    DensityTableMeasure,
-    FirstPartLaw,
-    RateTable,
-    build_rate_table,
-    choose_truncation,
-    coalescence_rate,
-    dust_integral,
-    first_part_law,
-    first_part_laws_upto,
-    first_part_weight,
-    litter_intensity_tail,
-    measure_descriptor,
-    parse_measure,
-    require_population_support,
-    sample_jump_sizes,
-    single_ball_integral,
-    total_mass,
-)
-from .sampling_formula import (
-    DEFAULT_PARTITION_CAP,
-    PartitionVector,
-    SamplingDistribution,
-    enumerate_partition_vectors,
-    ewens,
-    solve,
-    solve_exact,
-)
-from .coalescent import simulate_frozen_coalescent
-from .subordinator import (
-    Composition,
-    CompositionSample,
-    SubordinatorWindow,
-    composition_law,
-    default_window_horizon,
-    delete_random_ball,
-    sample_composition_detailed,
-    sample_window,
-    sequential_composition,
-    window_from_points,
-)
-from .population import (
-    LitterHistory,
-    PopulationMeasure,
-    cutoff_deviation,
-    forward_simulate,
-    litter_size_at,
-    rho_state,
-    sample_family_partition_chain,
-    sample_family_partition_set,
-)
-from .validation import (
-    ValidationCase,
-    ValidationReport,
-    chi_square_gof,
-    chi_square_two_sample,
-    default_plan,
-    edge_plan,
-    load_plan,
-    reports_to_csv,
-    reports_to_json,
-    run_validation,
-    total_variation,
-)
-from .streams import derive_rng
+from .errors import *
+from .measures import *
+from .sampling_formula import *
+from .coalescent import *
+from .subordinator import *
+from .population import *
+from .validation import *
+from .streams import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicMeasure",
-    "BetaMeasure",
-    "BeyondWindowError",
-    "Composition",
-    "CompositionSample",
-    "DEFAULT_PARTITION_CAP",
-    "DegenerateMeasureError",
-    "DensityTableMeasure",
-    "DustConditionError",
-    "FirstPartLaw",
-    "InfiniteActivityError",
-    "LambdaCoalError",
-    "LitterHistory",
-    "MeasureSpecError",
-    "NonIntegrableError",
-    "PartitionCapError",
-    "PartitionVector",
-    "PopulationMeasure",
-    "PopulationSupportError",
-    "RateTable",
-    "SamplingDistribution",
-    "StuckChainError",
-    "SubordinatorWindow",
-    "ValidationCase",
-    "ValidationReport",
-    "WindowBudgetError",
-    "WindowExhaustionError",
-    "build_rate_table",
-    "chi_square_gof",
-    "chi_square_two_sample",
-    "choose_truncation",
-    "coalescence_rate",
-    "composition_law",
-    "cutoff_deviation",
-    "default_plan",
-    "default_window_horizon",
-    "delete_random_ball",
-    "derive_rng",
-    "dust_integral",
-    "edge_plan",
-    "enumerate_partition_vectors",
-    "ewens",
-    "first_part_law",
-    "first_part_laws_upto",
-    "first_part_weight",
-    "forward_simulate",
-    "litter_intensity_tail",
-    "litter_size_at",
-    "load_plan",
-    "measure_descriptor",
-    "parse_measure",
-    "reports_to_csv",
-    "reports_to_json",
-    "require_population_support",
-    "rho_state",
-    "run_validation",
-    "sample_composition_detailed",
-    "sample_family_partition_chain",
-    "sample_family_partition_set",
-    "sample_jump_sizes",
-    "sample_window",
-    "sequential_composition",
-    "simulate_frozen_coalescent",
-    "single_ball_integral",
-    "solve",
-    "solve_exact",
-    "total_mass",
-    "total_variation",
-    "window_from_points",
-]
+# Each module's __all__ is its one export list.  Importing a submodule binds
+# its name in this package, so each module is in scope here.
+__all__ = sorted(
+    errors.__all__ + measures.__all__ + sampling_formula.__all__ + coalescent.__all__
+    + subordinator.__all__ + population.__all__ + validation.__all__ + streams.__all__
+)

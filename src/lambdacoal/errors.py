@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LambdaCoalError",
+    "MeasureSpecError",
+    "NonIntegrableError",
+    "DustConditionError",
+    "InfiniteActivityError",
+    "DegenerateMeasureError",
+    "StuckChainError",
+    "PartitionCapError",
+    "BeyondWindowError",
+    "WindowExhaustionError",
+    "WindowBudgetError",
+    "PopulationSupportError",
+]
+
 
 class LambdaCoalError(Exception):
     """Base class for all package-specific errors."""

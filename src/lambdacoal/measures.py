@@ -777,11 +777,14 @@ def _rate_rows(measure: LambdaMeasure, n_max: int) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def dust_integral(measure: LambdaMeasure) -> float:
     """integral of 1/x against the measure (the x-moment of nu).
 
     Raises DustConditionError when it diverges; finiteness is the standing
-    assumption of every sampler built on the subordinator.
+    assumption of every sampler built on the subordinator.  A value is
+    remembered per measure (every window horizon and set draw reads it);
+    a failure raises on every call.
     """
     return _finite(measure, DustConditionError, -1.0)
 

@@ -368,16 +368,15 @@ def forward_simulate(
     individual by inverse transform from the pre-jump measure (atom hit:
     reuse the genotype; diffuse hit: fresh uniform genotype).  Between
     jumps atom masses decay by exp(-mu * dt) toward the diffuse part.
-    mu = 0 is allowed here.  The jumps are the litter points of the draw
-    kernel (_draw_points), one one-row call per slice of [0, horizon),
-    cut so that a slice expects at most _BLOCK_POINTS jumps; the stream
-    is a slice's kernel draws, then one uniform per fresh genotype of its
-    jumps, in time order.  A run expecting more than MAX_WINDOW_POINTS
-    jumps, |nu| * horizon, is refused with WindowBudgetError before its
-    first draw.
+    mu = 0 is allowed here; a mu outside _check_mu raises ValueError.  The
+    jumps are the litter points of the draw kernel (_draw_points), one
+    one-row call per slice of [0, horizon), cut so that a slice expects
+    at most _BLOCK_POINTS jumps; the stream is a slice's kernel draws,
+    then one uniform per fresh genotype of its jumps, in time order.  A
+    run expecting more than MAX_WINDOW_POINTS jumps, |nu| * horizon, is
+    refused with WindowBudgetError before its first draw.
     """
-    if not mu >= 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     # finite intensity already implies the 1/x integrability the window

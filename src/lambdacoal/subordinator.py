@@ -658,10 +658,11 @@ def sample_composition_detailed(
 
 
 def composition_law(measure: LambdaMeasure, mu: float, n: int) -> dict[str, float]:
-    """P(C_n = c) for every composition c of n, keyed by its text: the
-    product over the parts of c of the first-part law of the balls left,
-    all read from one first_part_laws_upto call.  n above
-    MAX_COMPOSITION_N raises ValueError before any law is built."""
+    """P(C_n = c) for every composition c of n, keyed by c.to_text(), the
+    text the composition sampler prints: the product over the parts of c
+    of the first-part law of the balls left, all read from one
+    first_part_laws_upto call.  n above MAX_COMPOSITION_N raises
+    ValueError before any law is built."""
     if not 1 <= n <= MAX_COMPOSITION_N:
         raise ValueError(f"composition_law needs 1 <= n <= {MAX_COMPOSITION_N}, got {n}")
     laws = first_part_laws_upto(measure, mu, n)
@@ -673,7 +674,7 @@ def composition_law(measure: LambdaMeasure, mu: float, n: int) -> dict[str, floa
             for m, p in enumerate(laws[k].probs, 1)
             for rest, q in levels[k - m]
         ])
-    return {",".join(map(str, parts)): p for parts, p in levels[n]}
+    return {Composition(parts).to_text(): p for parts, p in levels[n]}
 
 
 def sequential_composition(

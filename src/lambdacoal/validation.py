@@ -2,12 +2,13 @@
 
 The harness runs a plan of cases, each addressing its random streams by
 (master seed, case id, replicate index), so reports are bit-identical for
-identical (plan, reps, seed) regardless of worker count.  Sampler output
-distributions are compared against an exact law (the recursion, the
-first-part law or the regenerative composition law) with total variation
-distance and a chi-square goodness-of-fit test whose tail probability
-comes from the regularized upper incomplete gamma function,
-_special.gammaincc; no scipy module loads.
+identical (plan, reps, seed) regardless of worker count.  Each entry of
+_SAMPLERS owns its draw, its outcome texts and their exact law (the
+recursion, the first-part law or the regenerative composition law); a
+case compares the texts with the law by total variation distance and a
+chi-square goodness-of-fit test whose tail probability comes from the
+regularized upper incomplete gamma function, _special.gammaincc; no
+scipy module loads.
 """
 
 from __future__ import annotations
@@ -294,12 +295,15 @@ def load_plan(path) -> list[ValidationCase]:
 class _Sampler(NamedTuple):
     """prepare(measure, mu, n) -> the table every replicate shares;
     draw(measure, mu, n, shared, rngs) -> the kernel's array, one row per
-    generator in order; text(row tuple) -> its outcome text; window: the
-    draw reads a window, whose small-jump truncation biases the outcome."""
+    generator in order; text(row tuple) -> its outcome text; law(measure,
+    mu, n) -> the exact probability of every outcome, keyed by the same
+    text; window: the draw reads a window, whose small-jump truncation
+    biases the outcome."""
 
     prepare: Callable
     draw: Callable
     text: Callable
+    law: Callable
     window: bool
 
 
@@ -321,10 +325,26 @@ def _partition_text(counts) -> str:
     return PartitionVector(counts).to_text()
 
 
-# The one map from a sampler name to its shared table, its draw and a row's
-# text.  Entries reach every library function by its module-global name at
-# call time, so a caller that rebinds a module attribute (a tracer) sees the
-# call.  frozen and chain run all replicates through one lockstep block chain
+def _partition_law(measure, mu, n) -> dict:
+    dist = solve(build_rate_table(measure, n), mu, n)
+    return {_partition_text(pv.counts): p for pv, p in dist.items_ordered()}
+
+
+def _first_part_text(code) -> str:
+    """0 is a mutant single, 1 a lone-litter single, m >= 2 a part of m."""
+    return str(code[0]) if code[0] > 1 else ("1m", "1l")[code[0]]
+
+
+def _first_part_law(measure, mu, n) -> dict:
+    law = first_part_law(measure, mu, n)
+    probs = [law.p_single_mutant, law.p_single_alone, *law.probs[1:]]
+    return {_first_part_text((code,)): p for code, p in enumerate(probs)}
+
+
+# The one map from a sampler name to its shared table, its draw, a row's
+# text and the exact law of those texts.  Entries reach every library
+# function by its module-global name at call time, so a caller that rebinds
+# a module attribute (a tracer) sees the call.  frozen and chain run all replicates through one lockstep block chain
 # into (R, n) family counts; set, composition and first-part draw each
 # replicate's window and uniforms from its own stream and read all windows
 # through one inversion-kernel block into counts, flags or first-part codes.
@@ -333,18 +353,21 @@ _SAMPLERS = {
         lambda measure, mu, n: _frozen_table(build_rate_table(measure, n), mu, n),
         lambda measure, mu, n, table, rngs: _family_counts(table, n, rngs),
         _partition_text,
+        _partition_law,
         False,
     ),
     "chain": _Sampler(
         _chain_prepare,
         lambda measure, mu, n, table, rngs: _family_counts(table, n, rngs),
         _partition_text,
+        _partition_law,
         False,
     ),
     "set": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
         lambda measure, mu, n, T0, rngs: _set_counts(measure, mu, n, T0, rngs),
         _partition_text,
+        _partition_law,
         True,
     ),
     "composition": _Sampler(
@@ -353,12 +376,14 @@ _SAMPLERS = {
             measure, mu, T0, rngs, n, lambda block, j, litter: _part_starts(j, litter)
         ),
         lambda starts: Composition(_parts(np.array(starts))).to_text(),
+        lambda measure, mu, n: composition_law(measure, mu, n),
         True,
     ),
     "first-part": _Sampler(
         lambda measure, mu, n: default_window_horizon(measure, mu, n),
         _first_part_codes,
-        lambda code: str(code[0]) if code[0] > 1 else ("1m", "1l")[code[0]],
+        _first_part_text,
+        _first_part_law,
         True,
     ),
 }
@@ -410,20 +435,6 @@ def _case_sampler(case: ValidationCase) -> str | None:
     return "first-part" if case.kind == "first_part" else None
 
 
-def _exact_law(case: ValidationCase, measure, mu: float) -> dict:
-    """The exact law of the case's outcome texts at mutation rate mu."""
-    if case.kind == "first_part":
-        law = first_part_law(measure, mu, case.n)
-        exact = {"1m": law.p_single_mutant, "1l": law.p_single_alone}
-        for m in range(2, case.n + 1):
-            exact[str(m)] = law.probs[m - 1]
-        return exact
-    if case.sampler == "composition":
-        return composition_law(measure, mu, case.n)
-    dist = solve(build_rate_table(measure, case.n), mu, case.n)
-    return {pv.to_text(): p for pv, p in dist.items_ordered()}
-
-
 def _evaluate_case(
     case: ValidationCase, name: str | None, reps: int, seed: int, workers: int
 ) -> ValidationReport:
@@ -459,7 +470,7 @@ def _evaluate_case(
             shared = prepare_shared(name, measure, case.mu, case.n)
             # the exact law before the draw: a case the exact side refuses
             # draws nothing
-            exact = _exact_law(case, measure, exact_mu)
+            exact = _SAMPLERS[name].law(measure, exact_mu, case.n)
             spans = fan_out(
                 draw_span,
                 (name, measure, case.mu, case.n, seed, case.case_id, shared),

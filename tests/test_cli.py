@@ -407,12 +407,17 @@ _HUGE_MU = ["--measure", "poly3x2", "--mu", "1e308", "--n", "4"]
         ["simulate", "frozen", *_HUGE_MU, "--seed", "1"],
         ["simulate", "chain", *_HUGE_MU, "--seed", "1"],
         ["simulate", "set", *_HUGE_MU, "--seed", "1"],
+        ["simulate", "forward", "--measure", "poly3x2", "--mu", "1e200",
+         "--horizon", "2", "--seed", "1"],
+        ["forward-snapshot", "--measure", "poly3x2", "--mu", "1e200",
+         "--horizon", "2", "--seed", "1"],
     ],
-    ids=["exact", "frozen", "chain", "set"],
+    ids=["exact", "frozen", "chain", "set", "forward", "snapshot"],
 )
 def test_mu_above_the_mass_bound_is_usage_error(capsys, argv):
     # mu * b overflows a rate total: exact printed nan for every partition
-    # with exit 0, and frozen died with an IndexError in _block_chain
+    # with exit 0, and frozen died with an IndexError in _block_chain; the
+    # forward commands ran with exit 0
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

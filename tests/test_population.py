@@ -337,6 +337,37 @@ def test_chain_sampler_preconditions(rng_factory):
         sample_family_partition_chain(POLY, 0.0, 4, rng_factory(6, "pre", 3))
 
 
+def test_set_sampler_reads_dust_integral_once_per_measure(rng_factory, monkeypatch):
+    # the 1/x moment, moment(-1, 0, 0, 1), is read by dust_integral and by
+    # the support check, and each remembers a success per measure: a
+    # fresh measure reads it twice, then a warm one-row set draw and a
+    # history on a new horizon read it no more
+    xs = np.linspace(0.1, 0.9, 6)
+    calls = []
+    real = lc.DensityTableMeasure.moment
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(lc.DensityTableMeasure, "moment", counted)
+    table = lc.DensityTableMeasure(xs, 6.0 * xs * (1.0 - xs), order=3)
+    counts = []
+    for call in (
+        lambda: sample_family_partition_set(table, 1.0, 5, rng_factory(6, "dust-once", 0)),
+        lambda: sample_family_partition_set(table, 1.0, 5, rng_factory(6, "dust-once", 1)),
+        lambda: LitterHistory.build(table, 1.0, rng_factory(6, "dust-once", 2), T0=7.5),
+    ):
+        del calls[:]
+        call()
+        counts.append(calls.count((-1.0, 0.0, 0.0, 1.0)))
+    assert counts == [2, 0, 0]
+    # a refusal is not remembered
+    for _ in range(2):
+        with pytest.raises(DustConditionError):
+            lc.dust_integral(parse_measure("delta:0"))
+
+
 def test_chain_sampler_checks_support_once_per_measure(rng_factory, monkeypatch):
     # the atom-at-1 read, moment(inf, 0), is the support check's alone; a
     # success is remembered per measure, so one-row calls read it once
@@ -669,13 +700,19 @@ def test_forward_stationarity_two_sample(rng_factory):
     "measure, mu, horizon, message",
     [
         # no atoms: nothing else would look at mu
-        (AtomicMeasure((), ()), math.nan, 1.0, "mu must be nonnegative"),
-        (POLY, math.nan, 1.0, "mu must be nonnegative"),
+        (AtomicMeasure((), ()), math.nan, 1.0, "mu must be finite and at most 1e\\+100"),
+        (POLY, math.nan, 1.0, "mu must be finite and at most 1e\\+100"),
+        # the bound of every other sampler's mu
+        (POLY, 1e101, 1.0, "mu must be finite and at most 1e\\+100"),
+        (POLY, math.inf, 1.0, "mu must be finite and at most 1e\\+100"),
         (POLY, 1.0, math.nan, "horizon must be positive and finite"),
         (POLY, 1.0, math.inf, "horizon must be positive and finite"),
         (POLY, 1.0, 0.0, "horizon must be positive and finite"),
     ],
-    ids=["mu-nan-no-atoms", "mu-nan", "horizon-nan", "horizon-inf", "horizon-zero"],
+    ids=[
+        "mu-nan-no-atoms", "mu-nan", "mu-1e101", "mu-inf",
+        "horizon-nan", "horizon-inf", "horizon-zero",
+    ],
 )
 def test_forward_refuses_nonfinite_arguments(rng_factory, measure, mu, horizon, message):
     rng = rng_factory(6, "nonfinite")

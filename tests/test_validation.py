@@ -773,6 +773,21 @@ def test_draws_are_kernel_arrays(name):
     assert outcome_texts(name, rows) == one_row
 
 
+@pytest.mark.parametrize("spec", ["poly3x2", "atoms"])
+@pytest.mark.parametrize("name", list(_SAMPLERS))
+def test_every_sampler_law_covers_its_draws(name, spec):
+    # each entry's law is a probability table over its own texts: at n = 5
+    # the p(5) = 7 partitions, the 2**4 = 16 compositions or the 6 first
+    # parts (1m, 1l, 2..5), and every text a draw prints is one of its keys
+    measure, mu, n = WINDOW_MEASURES[spec], 1.0, 5
+    law = _SAMPLERS[name].law(measure, mu, n)
+    assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    assert len(law) == {"composition": 16, "first-part": 6}.get(name, 7)
+    shared = prepare_shared(name, measure, mu, n)
+    rows = draw_span(name, measure, mu, n, 16, "law", shared, 0, 2000)
+    assert set(outcome_texts(name, rows)) <= set(law)
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
